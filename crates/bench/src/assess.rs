@@ -18,8 +18,8 @@ use dpl_eval::{
 };
 use dpl_obs::{Json, Obs};
 use dpl_store::{
-    is_manifest_file, ArchiveReader, CampaignKind, ChunkSource, DamageReport, ReadPolicy,
-    RetryPolicy, ShardedReader,
+    is_manifest_file, ArchiveMeta, ArchiveReader, CampaignKind, ChunkSource, Compression,
+    DamageReport, ReadPolicy, RetryPolicy, SampleEncoding, ShardedReader,
 };
 
 /// The fixed plaintext nibble of every CLI TVLA campaign (the random group
@@ -663,17 +663,18 @@ pub fn info_report(path: &str) -> Result<String, String> {
         ),
     };
     let _ = writeln!(out, "  distinct inputs:      {distinct}");
-    render_encoding_lines(&mut out, meta);
+    render_encoding_lines(&mut out, meta, reader.saturated_samples());
     if let Some(digest) = reader.table_digest() {
         let _ = writeln!(out, "  energy-table digest:  {digest:#018X}");
     }
     Ok(out)
 }
 
-/// The version-3 encoding lines of `repro info`, omitted for plain `f64` /
-/// uncompressed archives so legacy reports render unchanged.
-fn render_encoding_lines(out: &mut String, meta: &dpl_store::ArchiveMeta) {
-    if meta.format_version() < 3 {
+/// The compact-encoding lines of `repro info`, omitted for plain `f64` /
+/// uncompressed archives so their reports render unchanged.  `saturated`
+/// is the recorded `i16` saturation count (`None` = not recorded).
+fn render_encoding_lines(out: &mut String, meta: &ArchiveMeta, saturated: Option<u64>) {
+    if meta.encoding == SampleEncoding::F64 && meta.compression == Compression::None {
         return;
     }
     let _ = writeln!(out, "  sample encoding:      {}", meta.encoding.label());
@@ -685,6 +686,11 @@ fn render_encoding_lines(out: &mut String, meta: &dpl_store::ArchiveMeta) {
             q.scale,
             q.max_error()
         );
+        let saturated = match saturated {
+            Some(n) => format!("{n} (beyond the max abs error bound)"),
+            None => "not recorded (archives before format version 4)".into(),
+        };
+        let _ = writeln!(out, "  i16 saturations:      {saturated}");
     }
 }
 
@@ -700,7 +706,7 @@ fn campaign_info_report(path: &str) -> Result<String, String> {
         "{path}: campaign manifest, {} shards",
         reader.shard_count()
     );
-    let _ = writeln!(out, "  format version:       {}", meta.format_version());
+    let _ = writeln!(out, "  format version:       {}", reader.format_version());
     let _ = writeln!(out, "  campaign kind:        {}", meta.campaign.label());
     let _ = writeln!(out, "  leakage model:        {}", meta.model.label());
     let _ = writeln!(out, "  campaign seed:        {}", meta.seed);
@@ -720,7 +726,7 @@ fn campaign_info_report(path: &str) -> Result<String, String> {
         ),
     };
     let _ = writeln!(out, "  distinct inputs:      {distinct}");
-    render_encoding_lines(&mut out, &meta);
+    render_encoding_lines(&mut out, &meta, reader.saturated_samples());
     if meta.table_digest != 0 {
         let _ = writeln!(out, "  energy-table digest:  {:#018X}", meta.table_digest);
     }
@@ -794,7 +800,7 @@ pub fn info_json(path: &str, fsck: bool) -> Result<String, String> {
             },
         ),
     ];
-    fields.extend(encoding_json_fields(&meta));
+    fields.extend(encoding_json_fields(&meta, reader.saturated_samples()));
     if fsck {
         let retry = RetryPolicy::new(2);
         let report = reader
@@ -807,9 +813,10 @@ pub fn info_json(path: &str, fsck: bool) -> Result<String, String> {
     Ok(out)
 }
 
-/// The version-3 encoding fields of `repro info --json`, present for every
-/// archive so consumers need no version sniffing.
-fn encoding_json_fields(meta: &dpl_store::ArchiveMeta) -> Vec<(&'static str, Json)> {
+/// The encoding fields of `repro info --json`, present for every archive so
+/// consumers need no version sniffing (`saturated_samples` is `null` when
+/// the archive predates format version 4 and recorded no count).
+fn encoding_json_fields(meta: &ArchiveMeta, saturated: Option<u64>) -> Vec<(&'static str, Json)> {
     vec![
         ("encoding", Json::str(meta.encoding.label())),
         ("compression", Json::str(meta.compression.label())),
@@ -820,6 +827,7 @@ fn encoding_json_fields(meta: &dpl_store::ArchiveMeta) -> Vec<(&'static str, Jso
                 None => Json::Null,
             },
         ),
+        ("saturated_samples", saturated.map_or(Json::Null, Json::U64)),
     ]
 }
 
@@ -889,7 +897,7 @@ fn campaign_info_json(path: &str, fsck: bool) -> Result<String, String> {
         ("path", Json::str(path)),
         (
             "format_version",
-            Json::U64(u64::from(meta.format_version())),
+            Json::U64(u64::from(reader.format_version())),
         ),
         ("campaign", Json::str(meta.campaign.label())),
         ("model", Json::str(meta.model.label())),
@@ -916,7 +924,7 @@ fn campaign_info_json(path: &str, fsck: bool) -> Result<String, String> {
             },
         ),
     ];
-    fields.extend(encoding_json_fields(&meta));
+    fields.extend(encoding_json_fields(&meta, reader.saturated_samples()));
     fields.push((
         "campaign_digest",
         Json::str(format!("{:#018x}", manifest.digest())),

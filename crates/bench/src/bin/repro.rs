@@ -374,7 +374,8 @@ struct CaptureJob {
 
 impl CaptureJob {
     /// Simulates the campaign into the writer (skipping whatever the writer
-    /// already holds from a resumed prefix) and finishes the archive.  With
+    /// already holds from a resumed prefix) and finishes the archive,
+    /// returning the trace count and the `i16` saturation count.  With
     /// `obs`, the writer's chunk/fsync counters and the simulator's span and
     /// throughput gauges are recorded — the trace stream itself is
     /// byte-identical either way.
@@ -382,7 +383,7 @@ impl CaptureJob {
         &self,
         writer: &mut ArchiveWriter<W>,
         obs: Option<&Obs>,
-    ) -> Result<u64, String> {
+    ) -> Result<(u64, u64), String> {
         if let Some(obs) = obs {
             writer.set_obs(obs);
         }
@@ -430,9 +431,10 @@ impl CaptureJob {
             ),
         };
         capture.map_err(|e| format!("capture failed: {e}"))?;
-        writer
+        let total = writer
             .finish()
-            .map_err(|e| format!("finishing failed: {e}"))
+            .map_err(|e| format!("finishing failed: {e}"))?;
+        Ok((total, writer.saturated_samples()))
     }
 }
 
@@ -453,7 +455,7 @@ impl CaptureJob {
 /// campaign manifest and the traces land in `n` shard archives captured by
 /// one worker each, drawn from the block-seeded parallel trace stream so
 /// the concatenated shards are bit-identical for **any** shard count.
-/// `--encoding`/`--compress` select the version-3 compact sample encodings
+/// `--encoding`/`--compress` select the compact sample encodings
 /// (the fixed-point `i16` scale is derived from a deterministic probe of
 /// the campaign's first traces and recorded in every header).
 fn run_capture(args: &[String]) -> ExitCode {
@@ -599,8 +601,7 @@ fn capture_command(
     if model.is_characterized() || circuit != CircuitChoice::Sbox {
         // Any non-default hypothesis (characterized table, or a circuit
         // other than the S-box datapath) records its digest so `attack`
-        // can verify it rebuilt the exact same energy model *and* circuit
-        // (promotes the header to format version 2).
+        // can verify it rebuilt the exact same energy model *and* circuit.
         meta = meta.with_table_digest(hypothesis_digest(&table, circuit));
     }
     let job = CaptureJob {
@@ -700,7 +701,7 @@ fn capture_command(
         }
     };
     match finished {
-        Ok(total) => {
+        Ok((total, saturated)) => {
             let kind = if tvla {
                 format!(
                     ", interleaved TVLA campaign (fixed plaintext {:#X})",
@@ -717,7 +718,7 @@ fn capture_command(
             if circuit != CircuitChoice::Sbox {
                 println!("circuit: {} ({})", circuit.name(), circuit.label());
             }
-            print_encoding(&meta);
+            print_encoding(&meta, saturated);
             if meta.table_digest != 0 {
                 println!(
                     "hypothesis digest (energy table + circuit): {:#018X} (recorded in the \
@@ -734,10 +735,11 @@ fn capture_command(
     }
 }
 
-/// Prints the compact-encoding facts of a version-3 capture (silent for the
-/// default lossless layout, whose reports are unchanged).
-fn print_encoding(meta: &ArchiveMeta) {
-    if meta.format_version() < 3 {
+/// Prints the compact-encoding facts of a capture (silent for the default
+/// lossless layout, whose reports are unchanged), including how many `i16`
+/// samples saturated.
+fn print_encoding(meta: &ArchiveMeta, saturated: u64) {
+    if meta.encoding == SampleEncoding::F64 && meta.compression == Compression::None {
         return;
     }
     println!(
@@ -750,6 +752,10 @@ fn print_encoding(meta: &ArchiveMeta) {
             "quantization scale: {:.6e} (max abs error {:.3e}, recorded in every header)",
             q.scale,
             q.max_error()
+        );
+        println!(
+            "i16 saturations: {saturated} sample(s) clamped at the integer range, beyond the \
+             error bound (recorded in the header)"
         );
     }
 }
@@ -845,9 +851,18 @@ impl<W: SyncWrite> TraceSink for DistinctSink<'_, W> {
     }
 }
 
+/// What one shard worker of a sharded capture wrote.
+struct ShardCapture {
+    /// Traces written.
+    written: u64,
+    /// `i16` samples clamped at the integer range bounds.
+    saturated: u64,
+    /// The shard's (bounded) distinct-input set.
+    inputs: BTreeSet<u64>,
+}
+
 /// Captures one shard of a sharded campaign: global traces
 /// `start..start + count` of the block-seeded stream, written to `path`.
-/// Returns the traces written and the shard's (bounded) distinct-input set.
 fn capture_one_shard(
     path: &Path,
     meta: ArchiveMeta,
@@ -855,7 +870,7 @@ fn capture_one_shard(
     start: u64,
     count: u64,
     obs: Option<&Obs>,
-) -> Result<(u64, BTreeSet<u64>), String> {
+) -> Result<ShardCapture, String> {
     let display = path.display();
     let mut writer =
         ArchiveWriter::create(path, meta).map_err(|e| format!("cannot create {display}: {e}"))?;
@@ -893,7 +908,11 @@ fn capture_one_shard(
     let written = writer
         .finish()
         .map_err(|e| format!("finishing {display} failed: {e}"))?;
-    Ok((written, inputs))
+    Ok(ShardCapture {
+        written,
+        saturated: writer.saturated_samples(),
+        inputs,
+    })
 }
 
 /// The `--shards n` body of `repro capture`: shard-per-worker parallel
@@ -955,7 +974,7 @@ fn capture_sharded(
         session.start_progress(Some(num_traces as u64), "traces");
     }
     let obs = telemetry.map(|t| t.obs());
-    let results: Vec<Result<(u64, BTreeSet<u64>), String>> = std::thread::scope(|scope| {
+    let results: Vec<Result<ShardCapture, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = plan
             .iter()
             .map(|shard| {
@@ -971,12 +990,14 @@ fn capture_sharded(
     });
     let mut distinct: BTreeSet<u64> = BTreeSet::new();
     let mut written = 0u64;
+    let mut saturated = 0u64;
     for result in results {
         match result {
-            Ok((count, inputs)) => {
-                written += count;
+            Ok(shard) => {
+                written += shard.written;
+                saturated += shard.saturated;
                 if distinct.len() <= dpl_power::MAX_INPUT_CLASSES {
-                    distinct.extend(inputs);
+                    distinct.extend(shard.inputs);
                 }
             }
             Err(message) => {
@@ -1028,7 +1049,7 @@ fn capture_sharded(
     if circuit != CircuitChoice::Sbox {
         println!("circuit: {} ({})", circuit.name(), circuit.label());
     }
-    print_encoding(&meta);
+    print_encoding(&meta, saturated);
     if meta.table_digest != 0 {
         println!(
             "hypothesis digest (energy table + circuit): {:#018X} (recorded in every shard \

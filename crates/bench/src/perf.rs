@@ -178,7 +178,7 @@ impl PerfReport {
             if let Some(enc) = self.row("encoded_bytes_per_trace") {
                 if self.config.attack_traces > 0 && enc.items > 0 {
                     // Raw basis: f64 sample payload plus the 8-byte input
-                    // word per trace; encoded basis: the whole v3 archive.
+                    // word per trace; encoded basis: the whole compact archive.
                     let traces = self.config.attack_traces as f64;
                     let raw_bpt = fold.items as f64 / traces + 8.0;
                     let enc_bpt = enc.items as f64 / traces;

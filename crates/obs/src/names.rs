@@ -31,6 +31,9 @@ pub const STORE_RECOVERED_CHUNKS: &str = "store.recovered_chunks";
 pub const STORE_RECOVERED_TRACES: &str = "store.recovered_traces";
 /// Torn tail bytes discarded by crash recovery.
 pub const STORE_RECOVERY_DROPPED_BYTES: &str = "store.recovery_dropped_bytes";
+/// Samples the `i16` encoding stored at its integer range bounds (clamped
+/// samples, counted by the writer and recorded in the archive header).
+pub const STORE_I16_SATURATIONS: &str = "store.i16_saturations";
 /// Per-chunk read I/O phase (seek + payload + checksum bytes), nanoseconds.
 pub const STORE_READ_IO_NS: &str = "store.read_io_ns";
 /// Per-chunk checksum verification phase, nanoseconds.

@@ -1,6 +1,7 @@
 //! Compact sample encodings and the zero-dependency chunk compressor.
 //!
-//! Version-3 archives can store sample values in three encodings:
+//! Archives (format version 3 and later) can store sample values in three
+//! encodings:
 //!
 //! | Code | Encoding | Bytes/sample | Error bound |
 //! | --- | --- | --- | --- |
@@ -12,8 +13,12 @@
 //! (recorded in the header, so the contract survives the round trip) and
 //! rounds to the nearest integer: the worst-case absolute error is
 //! `scale / 2`, and magnitudes beyond `scale * 32767` saturate at the
-//! integer range bounds.  [`Quantization::for_max_magnitude`] picks the
-//! scale that makes a known campaign amplitude saturation-free.
+//! integer range bounds.  Saturation never fails a capture: the writer
+//! counts every sample encoded at a bound and records the total in the
+//! version-4 header (`ArchiveReader::saturated_samples`), so the
+//! `max_error` claim comes with the number of samples it does not cover.
+//! [`Quantization::for_max_magnitude`] picks the scale that makes a known
+//! campaign amplitude saturation-free.
 //!
 //! Independently of the encoding, a chunk body can be run through the
 //! built-in **shuffle compressor** ([`Compression::Shuffle`]): inputs are
@@ -96,10 +101,20 @@ impl Quantization {
     fn dequantize(&self, q: i16) -> f64 {
         f64::from(q) * self.scale
     }
+
+    /// Whether an encoded value sits at an `i16` range bound.  Every
+    /// clamped sample lands there (so does a value that rounds exactly onto
+    /// a bound, which makes the count an upper bound), and the test needs
+    /// only the stored integer, so a count taken from the stored bytes
+    /// equals the one the writer took.
+    #[inline]
+    fn at_bound(q: i16) -> bool {
+        q == i16::MIN || q == i16::MAX
+    }
 }
 
-/// How a version-3 archive stores its sample values on disk.  `F64` is the
-/// default and keeps the byte-exact v1/v2 representation.
+/// How an archive stores its sample values on disk.  `F64` is the default
+/// and keeps the byte-exact v1/v2 representation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum SampleEncoding {
     /// Full-precision IEEE-754 doubles — lossless, 8 bytes per sample.
@@ -204,27 +219,47 @@ impl SampleEncoding {
     }
 
     /// Appends the fixed-width little-endian representation of
-    /// `values` to `out`.
-    fn encode_samples(self, values: &[f64], out: &mut Vec<u8>) {
+    /// `values` to `out`, returning how many values the `i16` encoding
+    /// stored at its range bounds (always 0 for the float encodings).
+    fn encode_samples(self, values: &[f64], out: &mut Vec<u8>) -> u64 {
         match self {
             SampleEncoding::F64 => {
                 out.reserve(values.len() * 8);
                 for &v in values {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
+                0
             }
             SampleEncoding::F32 => {
                 out.reserve(values.len() * 4);
                 for &v in values {
                     out.extend_from_slice(&(v as f32).to_le_bytes());
                 }
+                0
             }
             SampleEncoding::I16(q) => {
                 out.reserve(values.len() * 2);
+                let mut saturated = 0;
                 for &v in values {
-                    out.extend_from_slice(&q.quantize(v).to_le_bytes());
+                    let encoded = q.quantize(v);
+                    saturated += u64::from(Quantization::at_bound(encoded));
+                    out.extend_from_slice(&encoded.to_le_bytes());
                 }
+                saturated
             }
+        }
+    }
+
+    /// How many already-encoded-and-decoded `values` sit at the `i16`
+    /// range bounds — the count [`encode_body`] returned when they were
+    /// written (decoding and re-quantizing is exact).
+    pub(crate) fn saturated_in(self, values: &[f64]) -> u64 {
+        match self {
+            SampleEncoding::I16(q) => values
+                .iter()
+                .map(|&v| u64::from(Quantization::at_bound(q.quantize(v))))
+                .sum(),
+            _ => 0,
         }
     }
 
@@ -266,7 +301,7 @@ impl SampleEncoding {
     }
 }
 
-/// Whether a version-3 chunk body is run through the shuffle compressor.
+/// Whether a chunk body is run through the shuffle compressor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// Raw fixed-width body (the v1/v2 layout generalized to the encoding
@@ -338,7 +373,8 @@ pub(crate) struct EncodeScratch {
 }
 
 /// Encodes one chunk body (inputs + sample-major sample values) under the
-/// given encoding and compression, appending to `out`.
+/// given encoding and compression, appending to `out`.  Returns how many
+/// samples the `i16` encoding stored at its range bounds.
 pub(crate) fn encode_body(
     encoding: SampleEncoding,
     compression: Compression,
@@ -346,14 +382,14 @@ pub(crate) fn encode_body(
     samples: &[f64],
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
-) {
+) -> u64 {
     match compression {
         Compression::None => {
             out.reserve(inputs.len() * 8 + samples.len() * encoding.width());
             for &input in inputs {
                 out.extend_from_slice(&input.to_le_bytes());
             }
-            encoding.encode_samples(samples, out);
+            encoding.encode_samples(samples, out)
         }
         Compression::Shuffle => {
             // [inputs_len: u32][delta/varint inputs][per-plane streams]
@@ -368,7 +404,7 @@ pub(crate) fn encode_body(
             out[len_at..len_at + 4].copy_from_slice(&inputs_len.to_le_bytes());
 
             scratch.raw.clear();
-            encoding.encode_samples(samples, &mut scratch.raw);
+            let saturated = encoding.encode_samples(samples, &mut scratch.raw);
             let width = encoding.width();
             for plane in 0..width {
                 scratch.plane.clear();
@@ -378,6 +414,7 @@ pub(crate) fn encode_body(
                 delta_in_place(&mut scratch.plane);
                 encode_rle0(&scratch.plane, out);
             }
+            saturated
         }
     }
 }

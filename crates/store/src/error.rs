@@ -86,6 +86,15 @@ pub enum StoreError {
         /// Description of the violation.
         message: String,
     },
+    /// A campaign manifest names a shard path that could resolve outside
+    /// the manifest's directory (absolute, empty, or with a `..`
+    /// component).
+    UnsafeShardPath {
+        /// Index of the offending shard entry.
+        index: usize,
+        /// The path as recorded in the manifest.
+        path: String,
+    },
     /// The archive's chunks are larger than the reader's configured
     /// in-memory chunk budget.
     ChunkBudgetExceeded {
@@ -123,6 +132,11 @@ impl std::fmt::Display for StoreError {
                 write!(f, "cannot resume capture: {message}")
             }
             StoreError::FormatViolation { message } => write!(f, "format violation: {message}"),
+            StoreError::UnsafeShardPath { index, path } => write!(
+                f,
+                "shard {index} path {path:?} is not a relative path inside the manifest's \
+                 directory"
+            ),
             StoreError::ChunkBudgetExceeded {
                 chunk_traces,
                 budget,

@@ -39,7 +39,7 @@
 //!
 //! The sharded trace plane scales campaigns past one file:
 //!
-//! * [`mod@encode`] — version-3 compact sample encodings
+//! * [`mod@encode`] — compact sample encodings
 //!   ([`SampleEncoding`], with a typed [`Quantization`] contract) and the
 //!   zero-dependency chunk compressor ([`Compression::Shuffle`]),
 //! * [`mod@shard`] — [`CampaignManifest`] multi-archive campaigns and the
@@ -151,13 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn v2_archives_round_trip_characterized_models_and_digests() {
+    fn archives_round_trip_characterized_models_and_digests() {
         let traces = synthetic_traces(100, 1, false);
         let meta = ArchiveMeta::scalar(32, ModelTag::CharacterizedGenuineSabl, 7)
             .with_table_digest(0x1122_3344_5566_7788);
         let bytes = write_archive(&traces, meta);
         let mut reader = ArchiveReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(reader.format_version(), 2);
+        assert_eq!(reader.format_version(), format::CURRENT_VERSION);
+        assert_eq!(reader.saturated_samples(), Some(0));
         assert_eq!(reader.meta().model, ModelTag::CharacterizedGenuineSabl);
         assert_eq!(reader.table_digest(), Some(0x1122_3344_5566_7788));
         let all = reader.read_all().unwrap();
@@ -167,12 +168,12 @@ mod tests {
             assert_eq!(all.trace_samples(t)[0].to_bits(), samples[0].to_bits());
         }
 
-        // A legacy campaign (built-in tag, no digest) stays a version-1
-        // archive: byte layout, header length and magic are unchanged.
-        let legacy = write_archive(&traces, ArchiveMeta::scalar(32, ModelTag::HammingWeight, 7));
-        assert_eq!(&legacy[0..8], b"DPLTRCv1");
-        let reader = ArchiveReader::new(Cursor::new(legacy)).unwrap();
-        assert_eq!(reader.format_version(), 1);
+        // Every campaign is written in the current format, whatever its
+        // metadata.
+        let plain = write_archive(&traces, ArchiveMeta::scalar(32, ModelTag::HammingWeight, 7));
+        assert_eq!(&plain[0..8], b"DPLTRCv4");
+        let reader = ArchiveReader::new(Cursor::new(plain)).unwrap();
+        assert_eq!(reader.format_version(), format::CURRENT_VERSION);
         assert_eq!(reader.table_digest(), None);
     }
 
@@ -266,8 +267,8 @@ mod tests {
         };
         let bytes = write_archive(&traces, meta);
         // Flip one byte in the middle of chunk 1's payload.
-        let chunk_bytes = 4 + 16 * 8 + 16 * 2 * 8 + 8;
-        let offset = format::HEADER_LEN + chunk_bytes + chunk_bytes / 2;
+        let chunk_bytes = 8 + 16 * 8 + 16 * 2 * 8 + 8;
+        let offset = format::HEADER_LEN_V4 + chunk_bytes + chunk_bytes / 2;
         let mut corrupt = bytes.clone();
         corrupt[offset] ^= 0x40;
         let mut reader = ArchiveReader::new(Cursor::new(corrupt)).unwrap();

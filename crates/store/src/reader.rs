@@ -7,13 +7,16 @@ use std::path::Path;
 use dpl_obs::{names, Obs};
 use dpl_power::TraceSet;
 
-use crate::encode::{self, max_body_len};
+use crate::encode::{self, max_body_len, Compression};
 use crate::error::{ReadSite, Result, StoreError};
 use crate::format::{
-    chunk_len, chunk_len_v3, decode_header, fnv1a64, header_len_of_version, version_of_magic,
-    ArchiveMeta,
+    checksum_of_version, decode_header, framed_chunk_len, header_len_of_version, version_of_magic,
+    ArchiveMeta, CHUNK_BODY_LEN_LEN, CHUNK_CHECKSUM_LEN, CHUNK_PREFIX_LEN,
 };
 use crate::salvage::ReadPolicy;
+
+/// Bytes of a framed chunk head: `[k: u32][body_len: u32]`.
+const FRAMED_HEAD_LEN: usize = CHUNK_PREFIX_LEN + CHUNK_BODY_LEN_LEN;
 
 /// Reads a chunked trace archive without ever materializing more than one
 /// chunk.
@@ -23,27 +26,36 @@ use crate::salvage::ReadPolicy;
 /// read, and enforces a configurable **in-memory chunk budget**: attacks
 /// folded over [`ArchiveReader::read_chunk`] never hold more than
 /// `min(chunk_traces, budget)`-trace [`TraceSet`]s, regardless of how large
-/// the archive is.
+/// the archive is.  Every format version is readable; the version is the
+/// one the file's magic announces.
 #[derive(Debug)]
 pub struct ArchiveReader<R: Read + Seek> {
     stream: R,
     meta: ArchiveMeta,
+    version: u32,
     trace_count: u64,
     distinct_inputs: u32,
+    saturated_samples: Option<u64>,
     chunk_budget: usize,
     policy: ReadPolicy,
     obs: Option<Obs>,
-    /// Version-3 archives have variable-length chunks: `(offset, body_len)`
-    /// per chunk, built by an open-time walk of the self-describing chunk
-    /// heads.  `None` for versions 1–2, whose offsets are arithmetic.
+    /// The chunk and header checksum of the file's format version.
+    checksum: fn(&[u8]) -> u64,
+    /// The stream length observed on open: no chunk read allocates or
+    /// reads past it.
+    file_len: u64,
+    /// Compressed archives have variable-length chunks: `(offset,
+    /// body_len)` per chunk, built by an open-time walk of the
+    /// self-describing chunk heads.  `None` for uncompressed archives,
+    /// whose offsets are arithmetic.
     offsets: Option<Vec<(u64, u32)>>,
-    /// Where the version-3 chunk walk stopped (== end of the last walkable
-    /// chunk; under [`ReadPolicy::Salvage`] chunks beyond it are damage).
+    /// Where the chunk walk stopped (== end of the last walkable chunk;
+    /// under [`ReadPolicy::Salvage`] chunks beyond it are damage).
     data_end: u64,
-    /// Reusable chunk payload buffer — steady-state folds allocate no
-    /// payload bytes per chunk.
+    /// Reusable chunk buffer (head, body and checksum) — steady-state
+    /// folds allocate no payload bytes per chunk.
     payload: Vec<u8>,
-    /// Reusable decompression scratch for version-3 chunk bodies.
+    /// Reusable decompression scratch for compressed chunk bodies.
     decode_scratch: Vec<u8>,
 }
 
@@ -102,35 +114,65 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let mut header = vec![0u8; header_len_of_version(version)];
         header[0..8].copy_from_slice(&magic);
         read_exact_or(&mut stream, &mut header[8..], ReadSite::Header)?;
-        let (meta, trace_count, distinct_inputs) = decode_header(&header)?;
+        let decoded = decode_header(&header)?;
+        let file_len = stream.seek(SeekFrom::End(0))?;
         let mut reader = ArchiveReader {
-            chunk_budget: meta.chunk_traces,
+            chunk_budget: decoded.meta.chunk_traces,
             stream,
-            meta,
-            trace_count,
-            distinct_inputs,
+            meta: decoded.meta,
+            version: decoded.version,
+            trace_count: decoded.trace_count,
+            distinct_inputs: decoded.distinct_inputs,
+            saturated_samples: decoded.saturated_samples,
             policy,
             obs: None,
+            checksum: checksum_of_version(decoded.version),
+            file_len,
             offsets: None,
             data_end: 0,
             payload: Vec::new(),
             decode_scratch: Vec::new(),
         };
-        if reader.meta.format_version() == 3 {
+        if reader.meta.compression == Compression::Shuffle {
             // Variable-length chunks: locate them all up front (the walk
             // doubles as the strict exact-length check).
-            reader.scan_offsets()?;
+            reader.walk_chunks()?;
         } else if policy == ReadPolicy::Strict {
             reader.validate_length()?;
         }
         Ok(reader)
     }
 
-    /// Validates and records chunk `index`'s head at byte `at`, returning
-    /// its body length.
+    /// The header length of the file's format version.
+    fn header_len(&self) -> u64 {
+        header_len_of_version(self.version) as u64
+    }
+
+    /// Bytes before a chunk body: `[k]` in the read-only versions 1–2,
+    /// `[k][body_len]` from version 3 on.
+    fn head_len(&self) -> usize {
+        if self.version >= 3 {
+            FRAMED_HEAD_LEN
+        } else {
+            CHUNK_PREFIX_LEN
+        }
+    }
+
+    /// The largest body a `k`-trace chunk may declare.
+    fn body_bound(&self, k: usize) -> u64 {
+        max_body_len(
+            k,
+            self.meta.samples_per_trace,
+            self.meta.encoding,
+            self.meta.compression,
+        )
+    }
+
+    /// Validates chunk `index`'s head at byte `at`, returning its body
+    /// length.
     fn scan_chunk_head(&mut self, at: u64, index: usize, expected_traces: usize) -> Result<u32> {
         self.stream.seek(SeekFrom::Start(at))?;
-        let mut head = [0u8; 8];
+        let mut head = [0u8; FRAMED_HEAD_LEN];
         read_exact_or(&mut self.stream, &mut head, ReadSite::Chunk(index))?;
         let k = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
         if k != expected_traces {
@@ -141,12 +183,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
             });
         }
         let body_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        let bound = max_body_len(
-            k,
-            self.meta.samples_per_trace,
-            self.meta.encoding,
-            self.meta.compression,
-        );
+        let bound = self.body_bound(k);
         if u64::from(body_len) > bound {
             return Err(StoreError::FormatViolation {
                 message: format!(
@@ -157,38 +194,123 @@ impl<R: Read + Seek> ArchiveReader<R> {
         Ok(body_len)
     }
 
-    /// Walks the version-3 chunk heads once, recording every chunk's offset
-    /// and body length.  Under [`ReadPolicy::Strict`] the walk must land
-    /// exactly on the end of the file; under [`ReadPolicy::Salvage`] it
-    /// stops at the first invalid head and later chunks surface as damage.
-    fn scan_offsets(&mut self) -> Result<()> {
+    /// Walks the chunk heads of a compressed archive once, recording every
+    /// chunk's offset and body length.  Under [`ReadPolicy::Strict`] the
+    /// walk must land exactly on the end of the file.  Under
+    /// [`ReadPolicy::Salvage`] every chunk is checksum-verified as it is
+    /// walked, and a damaged chunk is stepped over by locating the next
+    /// chunk that verifies, so damage stays confined to the chunks it hit;
+    /// the walk stops only when no successor can be found.
+    fn walk_chunks(&mut self) -> Result<()> {
         let chunks = self.chunk_count();
-        let mut offsets = Vec::with_capacity(chunks);
-        let mut at = self.meta.header_len() as u64;
+        // Every chunk occupies at least its framing, so the file length
+        // bounds the table whatever the header claims.
+        let most = self.file_len / framed_chunk_len(0);
+        let mut offsets = Vec::with_capacity(chunks.min(usize::try_from(most).unwrap_or(0)));
+        let mut at = self.header_len();
         for index in 0..chunks {
             let expected = self.traces_in_chunk(index);
-            match self.scan_chunk_head(at, index, expected) {
-                Ok(body_len) => {
-                    offsets.push((at, body_len));
-                    at += chunk_len_v3(u64::from(body_len));
-                }
-                Err(_) if self.policy == ReadPolicy::Salvage => break,
-                Err(e) => return Err(e),
+            if self.policy == ReadPolicy::Strict {
+                let body_len = self.scan_chunk_head(at, index, expected)?;
+                offsets.push((at, body_len));
+                at += framed_chunk_len(u64::from(body_len));
+            } else if let Some(body_len) = self.verified_chunk_at(at, index) {
+                offsets.push((at, body_len));
+                at += framed_chunk_len(u64::from(body_len));
+            } else if let Some(next) = self.successor_of_damaged(at, index) {
+                // The damaged chunk spans everything up to its successor;
+                // reading it fails its checksum.
+                let span = next - at - framed_chunk_len(0);
+                offsets.push((at, u32::try_from(span).expect("span within the body bound")));
+                at = next;
+            } else {
+                break;
             }
         }
-        if self.policy == ReadPolicy::Strict {
-            let actual = self.stream.seek(SeekFrom::End(0))?;
-            if actual != at {
-                return Err(StoreError::FormatViolation {
-                    message: format!(
-                        "archive holds {actual} bytes, chunk walk implies exactly {at}"
-                    ),
-                });
-            }
+        if self.policy == ReadPolicy::Strict && self.file_len != at {
+            return Err(StoreError::FormatViolation {
+                message: format!(
+                    "archive holds {} bytes, chunk walk implies exactly {at}",
+                    self.file_len
+                ),
+            });
         }
         self.offsets = Some(offsets);
         self.data_end = at;
         Ok(())
+    }
+
+    /// The body length of chunk `index` at byte `at` if the chunk is intact
+    /// there (head consistent with the header, checksum verified).
+    fn verified_chunk_at(&mut self, at: u64, index: usize) -> Option<u32> {
+        let body_len = self
+            .scan_chunk_head(at, index, self.traces_in_chunk(index))
+            .ok()?;
+        let len = framed_chunk_len(u64::from(body_len));
+        if at + len > self.file_len {
+            return None;
+        }
+        self.stream.seek(SeekFrom::Start(at)).ok()?;
+        self.payload.clear();
+        self.payload.resize(len as usize, 0);
+        self.stream.read_exact(&mut self.payload).ok()?;
+        chunk_verifies(&self.payload, self.checksum).then_some(body_len)
+    }
+
+    /// Where the chunk after damaged chunk `index` (at byte `at`) starts:
+    /// the declared successor if it verifies, else the first position in
+    /// the damaged chunk's possible extent where the next chunk verifies.
+    /// For the last chunk, the end of the file if the chunk can span it.
+    fn successor_of_damaged(&mut self, at: u64, index: usize) -> Option<u64> {
+        let first = at + framed_chunk_len(0);
+        let last = (first + self.body_bound(self.traces_in_chunk(index))).min(self.file_len);
+        if first > last {
+            return None;
+        }
+        let next = index + 1;
+        if next == self.chunk_count() {
+            return (self.file_len == last).then_some(last);
+        }
+        let next_traces = self.traces_in_chunk(next);
+        let next_bound = self.body_bound(next_traces);
+        // One read covers every candidate start plus the longest chunk that
+        // can begin at the last one — two chunk bounds, never past the file.
+        let window_end = (last + framed_chunk_len(next_bound)).min(self.file_len);
+        let mut window = vec![0u8; (window_end - first) as usize];
+        self.stream.seek(SeekFrom::Start(first)).ok()?;
+        self.stream.read_exact(&mut window).ok()?;
+        let checksum = self.checksum;
+        let starts_chunk = |rel: usize| {
+            let Some(head) = window.get(rel..rel + FRAMED_HEAD_LEN) else {
+                return false;
+            };
+            let k = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
+            let body_len = u64::from(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")));
+            if k != next_traces || body_len > next_bound {
+                return false;
+            }
+            let end = rel + framed_chunk_len(body_len) as usize;
+            window
+                .get(rel..end)
+                .is_some_and(|chunk| chunk_verifies(chunk, checksum))
+        };
+        // The damaged head's own length field is the likeliest answer.
+        let declared = self
+            .stream
+            .seek(SeekFrom::Start(at + CHUNK_PREFIX_LEN as u64))
+            .ok()
+            .and_then(|_| {
+                let mut raw = [0u8; CHUNK_BODY_LEN_LEN];
+                self.stream.read_exact(&mut raw).ok()?;
+                Some(u64::from(u32::from_le_bytes(raw)))
+            })
+            .filter(|&body_len| first + body_len <= last)
+            .map(|body_len| body_len as usize);
+        declared
+            .into_iter()
+            .chain(0..=(last - first) as usize)
+            .find(|&rel| starts_chunk(rel))
+            .map(|rel| first + rel as u64)
     }
 
     /// Restricts the largest chunk this reader will materialize to `traces`
@@ -211,11 +333,11 @@ impl<R: Read + Seek> ArchiveReader<R> {
 
     fn validate_length(&mut self) -> Result<()> {
         let expected = self.expected_file_len();
-        let actual = self.stream.seek(SeekFrom::End(0))?;
-        if actual != expected {
+        if self.file_len != expected {
             return Err(StoreError::FormatViolation {
                 message: format!(
-                    "archive holds {actual} bytes, header promises exactly {expected}"
+                    "archive holds {} bytes, header promises exactly {expected}",
+                    self.file_len
                 ),
             });
         }
@@ -267,11 +389,19 @@ impl<R: Read + Seek> ArchiveReader<R> {
         self.meta.campaign
     }
 
-    /// The archive's header format version (1 = legacy, 2 = extensible
-    /// model tag + energy-table digest, 3 = compact encodings +
-    /// compression).
+    /// The file's format version, as its magic announces it (1 = legacy,
+    /// 2 = extensible model tag + energy-table digest, 3 = compact
+    /// encodings + compression, 4 = word checksum + saturation count).
     pub fn format_version(&self) -> u32 {
-        self.meta.format_version()
+        self.version
+    }
+
+    /// The number of samples the `i16` encoding stored at its integer range
+    /// bounds, as the writer recorded it (0 for the float encodings), or
+    /// `None` for archives older than format version 4, which did not
+    /// record it.
+    pub fn saturated_samples(&self) -> Option<u64> {
+        self.saturated_samples
     }
 
     /// The energy-table digest recorded by the capture campaign, or `None`
@@ -305,23 +435,26 @@ impl<R: Read + Seek> ArchiveReader<R> {
         ((self.trace_count - start).min(chunk_traces)) as usize
     }
 
-    /// Byte offset of chunk `index` (every chunk before it is full).
-    fn chunk_offset(&self, index: usize) -> u64 {
-        let full = chunk_len(self.meta.chunk_traces, self.meta.samples_per_trace);
-        self.meta.header_len() as u64 + index as u64 * full
+    /// Serialized bytes of an uncompressed `k`-trace chunk, whose body
+    /// length is fixed by `k`.
+    fn fixed_chunk_len(&self, k: usize) -> u64 {
+        (self.head_len() + CHUNK_CHECKSUM_LEN) as u64 + self.body_bound(k)
     }
 
-    /// The exact file size the header implies (only the last chunk may be
-    /// partial).
+    /// Byte offset of chunk `index` of an uncompressed archive (every chunk
+    /// before it is full).
+    fn chunk_offset(&self, index: usize) -> u64 {
+        self.header_len() + index as u64 * self.fixed_chunk_len(self.meta.chunk_traces)
+    }
+
+    /// The exact file size the header implies for an uncompressed archive
+    /// (only the last chunk may be partial).
     fn expected_file_len(&self) -> u64 {
         match self.chunk_count() {
-            0 => self.meta.header_len() as u64,
+            0 => self.header_len(),
             chunks => {
                 self.chunk_offset(chunks - 1)
-                    + chunk_len(
-                        self.traces_in_chunk(chunks - 1),
-                        self.meta.samples_per_trace,
-                    )
+                    + self.fixed_chunk_len(self.traces_in_chunk(chunks - 1))
             }
         }
     }
@@ -358,19 +491,17 @@ impl<R: Read + Seek> ArchiveReader<R> {
         }
         let expected_traces = self.traces_in_chunk(index);
         debug_assert!(expected_traces <= self.chunk_budget);
-        let samples = self.meta.samples_per_trace;
-        let v3 = self.meta.format_version() == 3;
-        let (offset, payload_len) = if v3 {
-            let walked = self.offsets.as_ref().expect("v3 reader has offsets");
-            let walked_len = walked.len();
-            match walked.get(index).copied() {
-                Some((offset, body_len)) => (offset, 8 + body_len as usize),
+        let head_len = self.head_len();
+        let (offset, body_len) = match &self.offsets {
+            None => (self.chunk_offset(index), self.body_bound(expected_traces)),
+            Some(walked) => match walked.get(index) {
+                Some(&(offset, body_len)) => (offset, u64::from(body_len)),
                 None => {
                     // The open-time walk stopped before this chunk.  The
                     // first unwalkable head can be re-validated for a
                     // precise error; anything beyond it has no locatable
                     // offset at all.
-                    if index == walked_len {
+                    if index == walked.len() {
                         let at = self.data_end;
                         self.scan_chunk_head(at, index, expected_traces)?;
                     }
@@ -378,13 +509,15 @@ impl<R: Read + Seek> ArchiveReader<R> {
                         at: ReadSite::Chunk(index),
                     });
                 }
-            }
-        } else {
-            (
-                self.chunk_offset(index),
-                (chunk_len(expected_traces, samples) - 8) as usize,
-            )
+            },
         };
+        let chunk_len = head_len as u64 + body_len + CHUNK_CHECKSUM_LEN as u64;
+        if offset + chunk_len > self.file_len {
+            return Err(StoreError::Truncated {
+                at: ReadSite::Chunk(index),
+            });
+        }
+        let chunk_len = chunk_len as usize;
 
         let io_phase = self
             .obs
@@ -392,17 +525,15 @@ impl<R: Read + Seek> ArchiveReader<R> {
             .map(|o| o.phase("store.chunk_io", names::STORE_READ_IO_NS));
         self.stream.seek(SeekFrom::Start(offset))?;
         self.payload.clear();
-        self.payload.resize(payload_len, 0);
+        self.payload.resize(chunk_len, 0);
         read_exact_or(&mut self.stream, &mut self.payload, ReadSite::Chunk(index))?;
-        let mut checksum = [0u8; 8];
-        read_exact_or(&mut self.stream, &mut checksum, ReadSite::Chunk(index))?;
         drop(io_phase);
 
         let checksum_phase = self
             .obs
             .as_ref()
             .map(|o| o.phase("store.chunk_checksum", names::STORE_CHECKSUM_NS));
-        let checksum_ok = u64::from_le_bytes(checksum) == fnv1a64(&self.payload);
+        let checksum_ok = chunk_verifies(&self.payload, self.checksum);
         drop(checksum_phase);
         if !checksum_ok {
             if let Some(obs) = &self.obs {
@@ -412,7 +543,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         }
         if let Some(obs) = &self.obs {
             obs.counter_add(names::STORE_CHUNK_READS, 1);
-            obs.counter_add(names::STORE_BYTES_READ, payload_len as u64 + 8);
+            obs.counter_add(names::STORE_BYTES_READ, chunk_len as u64);
         }
 
         let decode_phase = self
@@ -427,38 +558,30 @@ impl<R: Read + Seek> ArchiveReader<R> {
                 ),
             });
         }
-        if v3 {
-            let meta = self.meta;
-            let payload = &self.payload;
-            let scratch = &mut self.decode_scratch;
-            set.refill_columns(samples, k, |inputs, data| {
-                encode::decode_body(
-                    meta.encoding,
-                    meta.compression,
-                    k,
-                    &payload[8..],
-                    inputs,
-                    data,
-                    scratch,
-                )
-            })?;
-        } else {
-            let payload = &self.payload;
-            set.refill_columns(samples, k, |inputs, data| {
-                for t in 0..k {
-                    let at = 4 + t * 8;
-                    inputs.push(u64::from_le_bytes(
-                        payload[at..at + 8].try_into().expect("8 bytes"),
-                    ));
-                }
-                let base = 4 + k * 8;
-                for (v, slot) in data.iter_mut().enumerate() {
-                    let at = base + v * 8;
-                    *slot = f64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-                }
-                Ok::<(), StoreError>(())
-            })?;
+        if head_len == FRAMED_HEAD_LEN {
+            let declared = u32::from_le_bytes(self.payload[4..8].try_into().expect("4 bytes"));
+            if u64::from(declared) != body_len {
+                return Err(StoreError::FormatViolation {
+                    message: format!(
+                        "chunk {index} declares a {declared}-byte body, its frame holds {body_len}"
+                    ),
+                });
+            }
         }
+        let meta = self.meta;
+        let body = &self.payload[head_len..chunk_len - CHUNK_CHECKSUM_LEN];
+        let scratch = &mut self.decode_scratch;
+        set.refill_columns(meta.samples_per_trace, k, |inputs, data| {
+            encode::decode_body(
+                meta.encoding,
+                meta.compression,
+                k,
+                body,
+                inputs,
+                data,
+                scratch,
+            )
+        })?;
         drop(decode_phase);
         Ok(())
     }
@@ -602,6 +725,13 @@ impl<R: Read + Seek> Iterator for Chunks<'_, R> {
         self.next += 1;
         Some(chunk)
     }
+}
+
+/// Whether a whole chunk (head, body, trailing checksum) matches its
+/// checksum.
+fn chunk_verifies(chunk: &[u8], checksum: fn(&[u8]) -> u64) -> bool {
+    let (covered, stored) = chunk.split_at(chunk.len() - CHUNK_CHECKSUM_LEN);
+    u64::from_le_bytes(stored.try_into().expect("8 bytes")) == checksum(covered)
 }
 
 fn read_exact_or<R: Read>(stream: &mut R, buf: &mut [u8], at: ReadSite) -> Result<()> {

@@ -1,7 +1,7 @@
 //! Crash recovery for interrupted captures.
 //!
 //! An unfinished archive starts with a zeroed placeholder header, so its
-//! chunks — each self-describing as `[k][inputs][samples][checksum]` — are
+//! chunks — each self-describing as `[k][body_len][body][checksum]` — are
 //! the only source of truth.  [`recover`] scans them against the campaign
 //! metadata the capture knows anyway (chunk bytes alone cannot disambiguate
 //! the sample width), accepts the longest valid prefix of full chunks,
@@ -21,8 +21,8 @@ use dpl_power::MAX_INPUT_CLASSES;
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
 use crate::format::{
-    chunk_len, chunk_len_v3, decode_header, fnv1a64, version_of_magic, ArchiveMeta,
-    CHUNK_BODY_LEN_LEN, CHUNK_CHECKSUM_LEN, CHUNK_PREFIX_LEN,
+    checksum64, decode_header, framed_chunk_len, version_of_magic, ArchiveMeta, CHUNK_BODY_LEN_LEN,
+    CHUNK_CHECKSUM_LEN, CHUNK_PREFIX_LEN, CURRENT_VERSION,
 };
 use crate::writer::{ArchiveWriter, SyncWrite, Truncate};
 
@@ -58,8 +58,10 @@ pub struct Recovery {
     pub data_end: u64,
     /// Bytes past `data_end` that failed validation and are dropped.
     pub dropped_bytes: u64,
-    /// On-disk bytes of the re-buffered partial chunk (version-3 chunks are
-    /// variable-length, so the arithmetic `chunk_len` cannot reproduce it).
+    /// `i16` samples at the integer range bounds inside the kept full
+    /// chunks — the resumed writer's starting saturation count.
+    pub(crate) saturated_samples: u64,
+    /// On-disk bytes of the re-buffered partial chunk.
     pub(crate) pending_disk_bytes: u64,
     pub(crate) pending_inputs: Vec<u64>,
     pub(crate) pending_samples: Vec<f64>,
@@ -113,12 +115,6 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
 
     let samples = meta.samples_per_trace;
     let chunk_traces = meta.chunk_traces;
-    let version = meta.format_version();
-    let head_len = if version >= 3 {
-        CHUNK_PREFIX_LEN + CHUNK_BODY_LEN_LEN
-    } else {
-        CHUNK_PREFIX_LEN
-    };
     let mut recovery = Recovery {
         header,
         full_chunks: 0,
@@ -126,6 +122,7 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         buffered_traces: 0,
         data_end: header_len,
         dropped_bytes: 0,
+        saturated_samples: 0,
         pending_disk_bytes: 0,
         pending_inputs: Vec::new(),
         pending_samples: Vec::new(),
@@ -136,68 +133,51 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
     let mut offset = header_len;
     while offset < file_len {
         let remaining = file_len - offset;
-        if remaining < (head_len + CHUNK_CHECKSUM_LEN) as u64 {
+        if remaining < framed_chunk_len(0) {
             break;
         }
         stream.seek(SeekFrom::Start(offset))?;
         let mut head = [0u8; CHUNK_PREFIX_LEN + CHUNK_BODY_LEN_LEN];
-        stream.read_exact(&mut head[..head_len])?;
+        stream.read_exact(&mut head)?;
         let k = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
         if k == 0 || k > chunk_traces {
             break;
         }
-        let total = if version >= 3 {
-            let body_len = u64::from(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")));
-            if body_len > encode::max_body_len(k, samples, meta.encoding, meta.compression) {
-                break;
-            }
-            chunk_len_v3(body_len)
-        } else {
-            chunk_len(k, samples)
-        };
+        let body_len = u64::from(u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")));
+        if body_len > encode::max_body_len(k, samples, meta.encoding, meta.compression) {
+            break;
+        }
+        let total = framed_chunk_len(body_len);
         if remaining < total {
             break;
         }
-        // Re-read head + payload as one buffer: the checksum covers both.
+        // Re-read head + body as one buffer: the checksum covers both.
         let covered_len = (total - CHUNK_CHECKSUM_LEN as u64) as usize;
         let mut body = vec![0u8; covered_len];
-        body[..head_len].copy_from_slice(&head[..head_len]);
-        stream.read_exact(&mut body[head_len..])?;
+        body[..head.len()].copy_from_slice(&head);
+        stream.read_exact(&mut body[head.len()..])?;
         let mut checksum = [0u8; CHUNK_CHECKSUM_LEN];
         stream.read_exact(&mut checksum)?;
-        if u64::from_le_bytes(checksum) != fnv1a64(&body) {
+        if u64::from_le_bytes(checksum) != checksum64(&body) {
             break;
         }
 
-        // Decode inputs (and, for version 3, the whole body — a checksum
-        // that verifies over an undecodable body still ends the prefix).
+        // Decode the whole body — a checksum that verifies over an
+        // undecodable body still ends the prefix.
         let mut inputs = Vec::with_capacity(k);
-        let mut values = if version >= 3 {
-            vec![0.0f64; k * samples]
-        } else {
-            Vec::new()
-        };
-        if version >= 3 {
-            if encode::decode_body(
-                meta.encoding,
-                meta.compression,
-                k,
-                &body[head_len..],
-                &mut inputs,
-                &mut values,
-                &mut decode_scratch,
-            )
-            .is_err()
-            {
-                break;
-            }
-        } else {
-            for t in 0..k {
-                let at = head_len + t * 8;
-                inputs.push(u64::from_le_bytes(
-                    body[at..at + 8].try_into().expect("8 bytes"),
-                ));
-            }
+        let mut values = vec![0.0f64; k * samples];
+        if encode::decode_body(
+            meta.encoding,
+            meta.compression,
+            k,
+            &body[head.len()..],
+            &mut inputs,
+            &mut values,
+            &mut decode_scratch,
+        )
+        .is_err()
+        {
+            break;
         }
         // Replay the writer's distinct-input bookkeeping so a resumed
         // capture records the same header field as an uninterrupted one.
@@ -210,6 +190,8 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         }
 
         if k == chunk_traces {
+            // Likewise the saturation count of every kept chunk.
+            recovery.saturated_samples += meta.encoding.saturated_in(&values);
             recovery.full_chunks += 1;
             recovery.full_traces += k as u64;
             offset += total;
@@ -222,21 +204,9 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
             // (`round((q·scale)/scale) = q`), so the re-flushed chunk is
             // byte-identical to the one the crash interrupted.
             let mut pending = Vec::with_capacity(k * samples);
-            if version >= 3 {
-                for t in 0..k {
-                    for s in 0..samples {
-                        pending.push(values[s * k + t]);
-                    }
-                }
-            } else {
-                let base = head_len + k * 8;
-                for t in 0..k {
-                    for s in 0..samples {
-                        let at = base + (s * k + t) * 8;
-                        pending.push(f64::from_le_bytes(
-                            body[at..at + 8].try_into().expect("8 bytes"),
-                        ));
-                    }
+            for t in 0..k {
+                for s in 0..samples {
+                    pending.push(values[s * k + t]);
                 }
             }
             recovery.buffered_traces = k;
@@ -259,9 +229,9 @@ fn classify_header(bytes: &[u8], meta: &ArchiveMeta) -> Result<HeaderState> {
     let mut magic = [0u8; 8];
     magic.copy_from_slice(&bytes[0..8]);
     match version_of_magic(&magic) {
-        Some(version) if version == meta.format_version() => match decode_header(bytes) {
-            Ok((found, _, _)) => {
-                if found == *meta {
+        Some(CURRENT_VERSION) => match decode_header(bytes) {
+            Ok(found) => {
+                if found.meta == *meta {
                     Ok(HeaderState::Finished)
                 } else {
                     Err(StoreError::ResumeMismatch {
@@ -274,7 +244,7 @@ fn classify_header(bytes: &[u8], meta: &ArchiveMeta) -> Result<HeaderState> {
             Err(_) => Ok(HeaderState::Corrupt),
         },
         Some(_) => Err(StoreError::ResumeMismatch {
-            message: "the file is an archive of a different format version".into(),
+            message: "the file is an archive of an older format version, which is read-only".into(),
         }),
         None => Ok(HeaderState::Corrupt),
     }
@@ -306,6 +276,7 @@ impl<W: SyncWrite + Read + Truncate> ArchiveWriter<W> {
             distinct_inputs: recovery.distinct_inputs.clone(),
             traces_written: recovery.full_traces,
             chunks_written: recovery.full_chunks,
+            saturated_samples: recovery.saturated_samples,
             finished: false,
             obs: None,
             chunk_bytes: Vec::new(),

@@ -171,6 +171,24 @@ impl<R: Read + Seek> ArchiveReader<R> {
         index: usize,
         retry: &RetryPolicy,
     ) -> Result<SalvageOutcome> {
+        let mut set = TraceSet::new();
+        Ok(
+            match self.read_chunk_salvage_into(index, retry, &mut set)? {
+                None => SalvageOutcome::Intact(set),
+                Some(damaged) => SalvageOutcome::Damaged(damaged),
+            },
+        )
+    }
+
+    /// [`ArchiveReader::read_chunk_salvage`] into a reused set: `None` when
+    /// the chunk verified and now fills `set`, else the damage record (the
+    /// set's contents are then unspecified).
+    fn read_chunk_salvage_into(
+        &mut self,
+        index: usize,
+        retry: &RetryPolicy,
+        set: &mut TraceSet,
+    ) -> Result<Option<DamagedChunk>> {
         if index >= self.chunk_count() {
             return Err(StoreError::FormatViolation {
                 message: format!(
@@ -184,14 +202,14 @@ impl<R: Read + Seek> ArchiveReader<R> {
         let mut attempts = 0u64;
         let outcome = retry.run(|| {
             attempts += 1;
-            self.read_chunk(index)
+            self.read_chunk_into(index, set)
         });
         if let Some(obs) = &obs {
             // Only the retries beyond the first attempt are "retry attempts".
             obs.counter_add(names::STORE_RETRY_ATTEMPTS, attempts.saturating_sub(1));
         }
         match outcome {
-            Ok(set) => Ok(SalvageOutcome::Intact(set)),
+            Ok(()) => Ok(None),
             Err(e) => {
                 let damaged = classify(e, index, traces)?;
                 if let Some(obs) = &obs {
@@ -201,13 +219,13 @@ impl<R: Read + Seek> ArchiveReader<R> {
                         damaged.traces_lost as u64,
                     );
                 }
-                Ok(SalvageOutcome::Damaged(damaged))
+                Ok(Some(damaged))
             }
         }
     }
 
     /// Verifies every chunk (checksums included) without keeping any trace
-    /// data — the fsck scan.
+    /// data — the fsck scan.  One trace set is reused for every chunk.
     ///
     /// # Errors
     ///
@@ -218,10 +236,11 @@ impl<R: Read + Seek> ArchiveReader<R> {
             traces_total: self.trace_count(),
             ..DamageReport::default()
         };
+        let mut set = TraceSet::new();
         for index in 0..self.chunk_count() {
-            match self.read_chunk_salvage(index, retry)? {
-                SalvageOutcome::Intact(set) => report.traces_read += set.len() as u64,
-                SalvageOutcome::Damaged(d) => report.damaged.push(d),
+            match self.read_chunk_salvage_into(index, retry, &mut set)? {
+                None => report.traces_read += set.len() as u64,
+                Some(d) => report.damaged.push(d),
             }
         }
         Ok(report)

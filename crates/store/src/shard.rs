@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 use dpl_obs::{names, Json, Obs};
 use dpl_power::TraceSet;
@@ -72,7 +72,9 @@ impl CampaignManifest {
     /// # Errors
     ///
     /// Returns [`StoreError::FormatViolation`] when the table is empty or
-    /// the ranges are not contiguous from zero.
+    /// the ranges are not contiguous from zero, and
+    /// [`StoreError::UnsafeShardPath`] for a shard path that could leave
+    /// the manifest's directory.
     pub fn new(shards: Vec<ShardMeta>, distinct_inputs: u32) -> Result<Self> {
         if shards.is_empty() {
             return Err(StoreError::FormatViolation {
@@ -81,6 +83,12 @@ impl CampaignManifest {
         }
         let mut next = 0u64;
         for (index, shard) in shards.iter().enumerate() {
+            if !is_contained(&shard.path) {
+                return Err(StoreError::UnsafeShardPath {
+                    index,
+                    path: shard.path.clone(),
+                });
+            }
             if shard.start != next {
                 return Err(StoreError::FormatViolation {
                     message: format!(
@@ -161,7 +169,9 @@ impl CampaignManifest {
     /// # Errors
     ///
     /// Returns [`StoreError::FormatViolation`] for malformed JSON, a wrong
-    /// kind/version, a non-contiguous shard table, or a digest mismatch.
+    /// kind/version, a non-contiguous shard table, or a digest mismatch, and
+    /// [`StoreError::UnsafeShardPath`] for a shard path that could leave
+    /// the manifest's directory.
     pub fn from_json(text: &str) -> Result<Self> {
         let doc = Json::parse(text).map_err(|e| StoreError::FormatViolation {
             message: format!("campaign manifest is not valid JSON: {e}"),
@@ -242,7 +252,8 @@ impl CampaignManifest {
     }
 
     /// Resolves shard `index`'s archive path against the manifest's
-    /// directory.
+    /// directory.  Construction rejects every path that could resolve
+    /// elsewhere, so the result always lies inside that directory.
     pub fn shard_path(&self, manifest_path: &Path, index: usize) -> PathBuf {
         let dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
         dir.join(&self.shards[index].path)
@@ -265,6 +276,21 @@ pub fn is_manifest_file<P: AsRef<Path>>(path: P) -> bool {
         .iter()
         .find(|b| !b.is_ascii_whitespace())
         .is_some_and(|&b| b == b'{')
+}
+
+/// Whether a manifest shard path stays inside the manifest's directory:
+/// non-empty, relative, and made of plain names (`.` allowed, `..` and
+/// roots or drive prefixes not).
+fn is_contained(path: &str) -> bool {
+    let mut names = 0;
+    for component in Path::new(path).components() {
+        match component {
+            Component::Normal(_) => names += 1,
+            Component::CurDir => {}
+            Component::ParentDir | Component::RootDir | Component::Prefix(_) => return false,
+        }
+    }
+    names > 0
 }
 
 fn field_u64(doc: &Json, name: &str) -> Result<u64> {
@@ -310,6 +336,7 @@ pub struct ShardedReader {
     /// index of shard `i`'s first chunk); one extra entry holds the total.
     chunk_starts: Vec<usize>,
     meta: ArchiveMeta,
+    version: u32,
     trace_count: u64,
     obs: Option<Obs>,
 }
@@ -342,7 +369,7 @@ impl ShardedReader {
         let manifest = CampaignManifest::load(manifest_path)?;
         let mut readers = Vec::with_capacity(manifest.shards().len());
         let mut chunk_starts = Vec::with_capacity(manifest.shards().len() + 1);
-        let mut meta: Option<ArchiveMeta> = None;
+        let mut meta: Option<(ArchiveMeta, u32)> = None;
         let mut chunks = 0usize;
         let last = manifest.shards().len() - 1;
         for (index, shard) in manifest.shards().iter().enumerate() {
@@ -359,14 +386,16 @@ impl ShardedReader {
                     ),
                 });
             }
+            let identity = (*reader.meta(), reader.format_version());
             match &meta {
-                None => meta = Some(*reader.meta()),
+                None => meta = Some(identity),
                 Some(first) => {
-                    if *first != *reader.meta() {
+                    if *first != identity {
                         return Err(StoreError::FormatViolation {
                             message: format!(
                                 "shard {index} ({path}) header disagrees with shard 0 \
-                                 (campaign metadata must be identical across shards)",
+                                 (campaign metadata and format version must be identical \
+                                 across shards)",
                                 path = shard.path,
                             ),
                         });
@@ -390,13 +419,14 @@ impl ShardedReader {
             readers.push(reader);
         }
         chunk_starts.push(chunks);
-        let meta = meta.expect("manifest guarantees at least one shard");
+        let (meta, version) = meta.expect("manifest guarantees at least one shard");
         let trace_count = manifest.total_traces();
         Ok(Self {
             manifest,
             readers,
             chunk_starts,
             meta,
+            version,
             trace_count,
             obs: None,
         })
@@ -410,6 +440,20 @@ impl ShardedReader {
     /// Number of shard archives.
     pub fn shard_count(&self) -> usize {
         self.readers.len()
+    }
+
+    /// The format version shared by every shard.
+    pub fn format_version(&self) -> u32 {
+        self.version
+    }
+
+    /// The campaign's `i16` saturated-sample count, summed over the shards,
+    /// or `None` when a shard predates format version 4 and recorded none.
+    pub fn saturated_samples(&self) -> Option<u64> {
+        self.readers
+            .iter()
+            .map(ArchiveReader::saturated_samples)
+            .sum()
     }
 
     /// Attaches a telemetry context, propagated to every shard reader.
@@ -554,6 +598,52 @@ mod tests {
             panic!("expected FormatViolation, got {err:?}");
         };
         assert!(message.contains("digest mismatch"), "{message}");
+    }
+
+    #[test]
+    fn manifest_rejects_shard_paths_outside_its_directory() {
+        for bad in [
+            "",
+            ".",
+            "/etc/passwd",
+            "/",
+            "..",
+            "../escape.dpltrc",
+            "shards/../../escape.dpltrc",
+            "./..",
+        ] {
+            let mut shards = table(2, 10);
+            shards[1].path = bad.to_owned();
+            assert_eq!(
+                CampaignManifest::new(shards, 0),
+                Err(StoreError::UnsafeShardPath {
+                    index: 1,
+                    path: bad.to_owned()
+                }),
+                "{bad:?}"
+            );
+        }
+        // Nested and dot-prefixed relative paths stay inside.
+        let mut shards = table(2, 10);
+        shards[0].path = "./shard-0.dpltrc".into();
+        shards[1].path = "shards/shard-1.dpltrc".into();
+        let manifest = CampaignManifest::new(shards, 0).unwrap();
+        assert_eq!(
+            manifest.shard_path(Path::new("/data/campaign.json"), 1),
+            Path::new("/data/shards/shard-1.dpltrc")
+        );
+
+        // The parser enforces the same rule on a tampered document, before
+        // the digest check can be reached.
+        let text = CampaignManifest::new(table(1, 10), 0)
+            .unwrap()
+            .to_json()
+            .render_pretty();
+        let tampered = text.replacen("shard-000.dpltrc", "../shard-000.dpltrc", 1);
+        assert!(matches!(
+            CampaignManifest::from_json(&tampered),
+            Err(StoreError::UnsafeShardPath { index: 0, .. })
+        ));
     }
 
     #[test]

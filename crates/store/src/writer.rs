@@ -9,7 +9,7 @@ use dpl_power::{TraceSet, TraceSink, MAX_INPUT_CLASSES};
 
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
-use crate::format::{encode_header, fnv1a64, ArchiveMeta};
+use crate::format::{checksum64, encode_header, ArchiveMeta};
 
 /// A writable, seekable stream whose contents can be made durable.
 ///
@@ -113,6 +113,9 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) distinct_inputs: Vec<u64>,
     pub(crate) traces_written: u64,
     pub(crate) chunks_written: usize,
+    /// `i16` samples flushed at the integer range bounds, recorded in the
+    /// header by `finish`.
+    pub(crate) saturated_samples: u64,
     pub(crate) finished: bool,
     pub(crate) obs: Option<Obs>,
     /// Reusable serialization buffers — steady-state captures allocate
@@ -143,9 +146,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
     /// Returns an error for invalid metadata or a failing write.
     pub fn new(mut stream: W, meta: ArchiveMeta) -> Result<Self> {
         meta.validate()?;
-        // The placeholder matches the length of the real header (the
-        // version — and with it the length — is a pure function of the
-        // metadata fixed at creation).
+        // The placeholder matches the length of the real header.
         stream.write_all(&vec![0u8; meta.header_len()])?;
         Ok(ArchiveWriter {
             stream,
@@ -155,6 +156,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             distinct_inputs: Vec::with_capacity(MAX_INPUT_CLASSES + 1),
             traces_written: 0,
             chunks_written: 0,
+            saturated_samples: 0,
             finished: false,
             obs: None,
             chunk_bytes: Vec::new(),
@@ -189,6 +191,13 @@ impl<W: SyncWrite> ArchiveWriter<W> {
     /// Full chunks flushed to the stream so far.
     pub fn chunks_written(&self) -> usize {
         self.chunks_written
+    }
+
+    /// Samples of the flushed chunks that the `i16` encoding stored at its
+    /// range bounds (always 0 for the float encodings).  `finish` records
+    /// the final count in the header.
+    pub fn saturated_samples(&self) -> u64 {
+        self.saturated_samples
     }
 
     /// Appends one trace.
@@ -240,9 +249,8 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         Ok(())
     }
 
-    /// Serializes the buffered traces as one chunk — versions 1–2:
-    /// `[k][inputs][samples, sample-major][checksum]`; version 3:
-    /// `[k][body_len][encoded body][checksum]`.
+    /// Serializes the buffered traces as one chunk:
+    /// `[k][body_len][encoded body][checksum64]`.
     fn flush_chunk(&mut self) -> Result<()> {
         let k = self.pending_inputs.len();
         if k == 0 {
@@ -265,31 +273,21 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         self.chunk_bytes.clear();
         self.chunk_bytes
             .extend_from_slice(&(k as u32).to_le_bytes());
-        if self.meta.format_version() < 3 {
-            self.chunk_bytes.reserve(k * 8 + k * samples * 8 + 8);
-            for &input in &self.pending_inputs {
-                self.chunk_bytes.extend_from_slice(&input.to_le_bytes());
-            }
-            for &value in &self.transpose {
-                self.chunk_bytes.extend_from_slice(&value.to_le_bytes());
-            }
-        } else {
-            self.chunk_bytes.extend_from_slice(&[0u8; 4]);
-            encode::encode_body(
-                self.meta.encoding,
-                self.meta.compression,
-                &self.pending_inputs,
-                &self.transpose,
-                &mut self.encode_scratch,
-                &mut self.chunk_bytes,
-            );
-            let body_len = self.chunk_bytes.len() - 8;
-            let body_len = u32::try_from(body_len).map_err(|_| StoreError::FormatViolation {
-                message: format!("chunk body of {body_len} bytes exceeds the length field"),
-            })?;
-            self.chunk_bytes[4..8].copy_from_slice(&body_len.to_le_bytes());
-        }
-        let checksum = fnv1a64(&self.chunk_bytes);
+        self.chunk_bytes.extend_from_slice(&[0u8; 4]);
+        let saturated = encode::encode_body(
+            self.meta.encoding,
+            self.meta.compression,
+            &self.pending_inputs,
+            &self.transpose,
+            &mut self.encode_scratch,
+            &mut self.chunk_bytes,
+        );
+        let body_len = self.chunk_bytes.len() - 8;
+        let body_len = u32::try_from(body_len).map_err(|_| StoreError::FormatViolation {
+            message: format!("chunk body of {body_len} bytes exceeds the length field"),
+        })?;
+        self.chunk_bytes[4..8].copy_from_slice(&body_len.to_le_bytes());
+        let checksum = checksum64(&self.chunk_bytes);
         self.chunk_bytes.extend_from_slice(&checksum.to_le_bytes());
         drop(serialize_phase);
         let write_phase = self
@@ -301,8 +299,12 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         if let Some(obs) = &self.obs {
             obs.counter_add(names::STORE_CHUNK_WRITES, 1);
             obs.counter_add(names::STORE_BYTES_WRITTEN, self.chunk_bytes.len() as u64);
+            if self.meta.encoding.quantization().is_some() {
+                obs.counter_add(names::STORE_I16_SATURATIONS, saturated);
+            }
             obs.progress_advance(k as u64);
         }
+        self.saturated_samples += saturated;
         self.traces_written += k as u64;
         self.chunks_written += 1;
         self.pending_inputs.clear();
@@ -337,7 +339,12 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         } else {
             0
         };
-        let header = encode_header(&self.meta, self.traces_written, distinct);
+        let header = encode_header(
+            &self.meta,
+            self.traces_written,
+            distinct,
+            self.saturated_samples,
+        );
         self.stream.seek(SeekFrom::Start(0))?;
         self.stream.write_all(&header)?;
         self.stream.seek(SeekFrom::End(0))?;

@@ -99,8 +99,9 @@ fn write_archive(traces: &[(u64, Vec<f64>)], meta: ArchiveMeta) -> Vec<u8> {
 
 /// Byte offset of chunk `index` for an archive of full chunks.
 fn chunk_offset(meta: &ArchiveMeta, index: usize) -> usize {
+    // [k: u32][body_len: u32][inputs][samples][checksum]
     let chunk_bytes =
-        4 + meta.chunk_traces * 8 + meta.chunk_traces * meta.samples_per_trace * 8 + 8;
+        8 + meta.chunk_traces * 8 + meta.chunk_traces * meta.samples_per_trace * 8 + 8;
     meta.header_len() + index * chunk_bytes
 }
 

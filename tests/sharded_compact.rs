@@ -1,10 +1,11 @@
-//! Integration properties of the sharded trace plane and the compact v3
+//! Integration properties of the sharded trace plane and the compact
 //! sample encodings: every encoding round-trips within its documented
-//! contract under both compressions, corrupt v3 bodies fail with typed
+//! contract under both compressions, corrupt chunk bodies fail with typed
 //! errors, a campaign split across any number of shards folds bit-
 //! identically to the single archive holding the same traces (DPA, CPA and
 //! TVLA), quantized+compressed archives at least halve bytes/trace, and
-//! the legacy v1/v2 layouts stay byte-stable.
+//! the version-4 layout the writer emits stays byte-stable.  Reads of the
+//! legacy v1–v3 layouts are pinned by `tests/legacy_fixtures.rs`.
 
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -196,8 +197,7 @@ proptest! {
         let mut reader = ArchiveReader::new(Cursor::new(bytes)).expect("reader");
         prop_assert_eq!(reader.meta().encoding, encoding);
         prop_assert_eq!(reader.meta().compression, compression);
-        let expected_version = if encoding == SampleEncoding::F64 && !compress { 1 } else { 3 };
-        prop_assert_eq!(reader.meta().format_version(), expected_version);
+        prop_assert_eq!(reader.format_version(), 4);
         let read_back = reader.read_all().expect("read_all");
         prop_assert_eq!(read_back.len(), count);
         for (t, (input, values)) in traces.iter().enumerate() {
@@ -218,8 +218,8 @@ proptest! {
         }
     }
 
-    /// A flipped byte anywhere in a v3 chunk body — any encoding, any
-    /// compression — surfaces as a typed store error from the strict
+    /// A flipped byte anywhere in a framed `[k][body_len][body][checksum]`
+    /// chunk — any encoding, any compression — surfaces as a typed store error from the strict
     /// reader, never as silently wrong samples.
     #[test]
     fn corrupt_v3_bodies_fail_typed(
@@ -238,16 +238,11 @@ proptest! {
             1 => SampleEncoding::F32,
             _ => SampleEncoding::I16(quantization),
         };
-        // Force v3 framing even for f64 by always compressing f64 bodies.
-        let compression = if compress == 1 || encoding == SampleEncoding::F64 {
-            Compression::Shuffle
-        } else {
-            Compression::None
-        };
+        let compression = if compress == 1 { Compression::Shuffle } else { Compression::None };
         let traces = bounded_traces(seed, count, samples);
         let meta = meta_with(samples, chunk, seed, CampaignKind::Attack, encoding, compression);
         let bytes = write_bytes(&traces, meta);
-        prop_assert_eq!(meta.format_version(), 3);
+        prop_assert_eq!(&bytes[0..8], b"DPLTRCv4");
 
         let header = meta.header_len();
         let body = bytes.len() - header;
@@ -496,42 +491,141 @@ fn quantized_compressed_archives_at_least_halve_bytes_per_trace() {
     );
 }
 
-/// Legacy layout stability: archives written with the default f64 encoding
-/// keep the exact v1 (and, with a recorded hypothesis digest, v2) byte
-/// layout, so archives captured before the v3 encodings read back — and
-/// re-written captures diff — byte-identically.
+/// A capture whose fixed-point scale is deliberately too small for its
+/// amplitude does not fail: it counts exactly the samples that clamp at the
+/// `i16` range bounds and reports the count through the writer, the
+/// `store.i16_saturations` counter and the version-4 header — and a capture
+/// resumed after a crash records the same count byte for byte.
 #[test]
-fn legacy_v1_v2_layouts_are_byte_stable() {
+fn i16_saturations_are_counted_exactly() {
+    // Scale 1e-3 represents |v| <= 32.767; the first sample of every trace
+    // is +-100 and clamps, the others stay well inside.
+    let quantization = Quantization::new(1e-3).expect("quantization");
+    let bound = quantization.scale * f64::from(i16::MAX);
+    let traces: Vec<(u64, Vec<f64>)> = (0..21u64)
+        .map(|t| {
+            let loud = if t % 2 == 0 { 100.0 } else { -100.0 };
+            (t % 16, vec![loud, t as f64 * 0.01, -(t as f64) * 0.5])
+        })
+        .collect();
+    let expected = traces
+        .iter()
+        .flat_map(|(_, values)| values)
+        .filter(|v| v.abs() > bound)
+        .count() as u64;
+    assert_eq!(expected, 21);
+
+    for compression in [Compression::None, Compression::Shuffle] {
+        let meta = meta_with(
+            3,
+            8,
+            5,
+            CampaignKind::Attack,
+            SampleEncoding::I16(quantization),
+            compression,
+        );
+        let obs = dpl_obs::Obs::monotonic();
+        let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+        writer.set_obs(&obs);
+        for (input, values) in &traces {
+            writer.append(*input, values).expect("append");
+        }
+        writer
+            .finish()
+            .expect("a saturating capture still finishes");
+        assert_eq!(writer.saturated_samples(), expected);
+        assert_eq!(
+            obs.metrics().counter(dpl_obs::names::STORE_I16_SATURATIONS),
+            Some(expected)
+        );
+        let bytes = writer.into_inner().into_inner();
+
+        let mut reader = ArchiveReader::new(Cursor::new(bytes.clone())).expect("reader");
+        assert_eq!(reader.saturated_samples(), Some(expected));
+        let decoded = reader.read_all().expect("read_all");
+        for (t, (_, values)) in traces.iter().enumerate() {
+            let clamped = if values[0] > 0.0 { i16::MAX } else { i16::MIN };
+            assert_eq!(
+                decoded.trace_samples(t)[0],
+                f64::from(clamped) * quantization.scale
+            );
+        }
+
+        // Crash after the first full chunk (zeroed header, torn tail):
+        // the resumed capture re-counts the kept chunk's saturations.
+        let first_chunk = 16 + u32::from_le_bytes(bytes[92..96].try_into().unwrap()) as usize;
+        let mut crashed = bytes.clone();
+        crashed[..88].fill(0);
+        crashed.truncate(88 + first_chunk + 5);
+        let (mut writer, recovery) =
+            ArchiveWriter::resume_stream(Cursor::new(crashed), meta).expect("resume");
+        assert_eq!(recovery.recovered_traces(), 8);
+        assert_eq!(writer.saturated_samples(), 8);
+        for (input, values) in &traces[8..] {
+            writer.append(*input, values).expect("append");
+        }
+        writer.finish().expect("finish");
+        assert_eq!(writer.saturated_samples(), expected);
+        assert_eq!(writer.into_inner().into_inner(), bytes);
+    }
+
+    // The float encodings record a zero count and emit no counter.
+    let meta = meta_with(
+        3,
+        8,
+        5,
+        CampaignKind::Attack,
+        SampleEncoding::F32,
+        Compression::None,
+    );
+    let obs = dpl_obs::Obs::monotonic();
+    let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+    writer.set_obs(&obs);
+    for (input, values) in &traces {
+        writer.append(*input, values).expect("append");
+    }
+    writer.finish().expect("finish");
+    assert_eq!(
+        obs.metrics().counter(dpl_obs::names::STORE_I16_SATURATIONS),
+        None
+    );
+    let reader = ArchiveReader::new(writer.into_inner()).expect("reader");
+    assert_eq!(reader.saturated_samples(), Some(0));
+}
+
+/// Layout stability of the one format the writer emits: a small
+/// multi-chunk version-4 archive keeps its exact bytes (header, framing and
+/// the word checksum), so re-written captures diff byte-identically and a
+/// change to the on-disk format cannot slip in unnoticed.
+#[test]
+fn v4_layout_is_byte_stable() {
     let traces = vec![
         (1u64, vec![0.5f64, -1.5]),
         (2, vec![2.0, 0.25]),
         (3, vec![-8.0, 3.0]),
     ];
-    let mut meta = meta_with(
+    let meta = meta_with(
         2,
         2,
         7,
         CampaignKind::Attack,
         SampleEncoding::F64,
         Compression::None,
-    );
-    let v1 = write_bytes(&traces, meta);
-    assert_eq!(meta.format_version(), 1);
-    assert_eq!(fnv1a64(&v1), GOLDEN_V1_DIGEST, "v1 byte layout changed");
+    )
+    .with_table_digest(0x1234_5678_9ABC_DEF0);
+    let bytes = write_bytes(&traces, meta);
+    assert_eq!(&bytes[0..8], b"DPLTRCv4");
+    // 88-byte header, a full chunk of 2 traces and a partial one of 1.
+    assert_eq!(bytes.len(), 88 + (16 + 2 * 24) + (16 + 24));
+    assert_eq!(fnv1a64(&bytes), GOLDEN_V4_DIGEST, "v4 byte layout changed");
 
-    meta.table_digest = 0x1234_5678_9ABC_DEF0;
-    assert_eq!(meta.format_version(), 2);
-    let v2 = write_bytes(&traces, meta);
-    assert_eq!(fnv1a64(&v2), GOLDEN_V2_DIGEST, "v2 byte layout changed");
-
-    for bytes in [v1, v2] {
-        let mut reader = ArchiveReader::new(Cursor::new(bytes)).expect("reader");
-        let read_back = reader.read_all().expect("read_all");
-        for (t, (input, values)) in traces.iter().enumerate() {
-            assert_eq!(read_back.inputs()[t], *input);
-            for (got, want) in read_back.trace_samples(t).iter().zip(values) {
-                assert_eq!(got.to_bits(), want.to_bits());
-            }
+    let mut reader = ArchiveReader::new(Cursor::new(bytes)).expect("reader");
+    assert_eq!(reader.format_version(), 4);
+    let read_back = reader.read_all().expect("read_all");
+    for (t, (input, values)) in traces.iter().enumerate() {
+        assert_eq!(read_back.inputs()[t], *input);
+        for (got, want) in read_back.trace_samples(t).iter().zip(values) {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 }
@@ -547,5 +641,4 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-const GOLDEN_V1_DIGEST: u64 = 10_690_145_621_441_755_873;
-const GOLDEN_V2_DIGEST: u64 = 5_246_489_915_430_539_021;
+const GOLDEN_V4_DIGEST: u64 = 11_813_348_986_342_819_880;

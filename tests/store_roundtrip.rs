@@ -1,14 +1,18 @@
 //! Property tests of the on-disk trace archive: write→read round-trips
 //! preserve every sample bit-exactly over arbitrary trace counts, lengths
-//! and chunkings, and a flipped byte anywhere in the chunk data surfaces as
-//! a checksum error rather than silently corrupt scores.
+//! and chunkings, a flipped byte anywhere in the chunk data surfaces as a
+//! checksum error rather than silently corrupt scores, and forged chunk
+//! heads fail typed without reading (or allocating) past the file.
 
-use std::io::Cursor;
+use std::cell::Cell;
+use std::io::{Cursor, Read, Seek, SeekFrom};
+use std::rc::Rc;
 
 use dpl_power::TraceSet;
+use dpl_store::format::{checksum64, HEADER_LEN_V4};
 use dpl_store::{
     dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, Compression, DamageCause,
-    ReadPolicy, RetryPolicy, SampleEncoding, StoreError,
+    Quantization, ReadPolicy, RetryPolicy, SampleEncoding, StoreError,
 };
 use proptest::prelude::*;
 
@@ -122,9 +126,9 @@ proptest! {
     ) {
         let traces = synthetic_traces(seed, count, samples);
         let bytes = write_archive(&traces, samples, chunk, seed);
-        let body = bytes.len() - dpl_store::format::HEADER_LEN;
+        let body = bytes.len() - dpl_store::format::HEADER_LEN_V4;
         prop_assert!(body > 0);
-        let offset = dpl_store::format::HEADER_LEN + position % body;
+        let offset = dpl_store::format::HEADER_LEN_V4 + position % body;
 
         let mut corrupt = bytes.clone();
         corrupt[offset] ^= 1 << bit;
@@ -207,9 +211,10 @@ proptest! {
         // Pick a chunk, then a byte inside that chunk's span.
         let chunk_count = count.div_ceil(chunk);
         let target = target % chunk_count;
-        let full_chunk_bytes = |k: usize| 4 + k * 8 + k * samples * 8 + 8;
+        // [k: u32][body_len: u32][inputs][samples][checksum]
+        let full_chunk_bytes = |k: usize| 8 + k * 8 + k * samples * 8 + 8;
         let offset_of = |index: usize| {
-            dpl_store::format::HEADER_LEN + index * full_chunk_bytes(chunk)
+            dpl_store::format::HEADER_LEN_V4 + index * full_chunk_bytes(chunk)
         };
         let traces_in_target = if target == chunk_count - 1 && count % chunk != 0 {
             count % chunk
@@ -254,6 +259,167 @@ proptest! {
                     )));
                 }
             }
+        }
+    }
+}
+
+/// A small multi-chunk archive (10 traces of 3 samples, chunks of 4) in the
+/// given encoding and compression, with the `(start, len)` byte span of
+/// every chunk read off its self-describing heads.
+fn framed_archive(
+    encoding: SampleEncoding,
+    compression: Compression,
+) -> (Vec<u8>, Vec<(usize, usize)>) {
+    let meta = ArchiveMeta {
+        samples_per_trace: 3,
+        chunk_traces: 4,
+        model: dpl_store::ModelTag::Unspecified,
+        seed: 3,
+        campaign: dpl_store::CampaignKind::Attack,
+        table_digest: 0,
+        encoding,
+        compression,
+    };
+    let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+    for t in 0..10u64 {
+        let values = [t as f64 * 0.25, -(t as f64) * 0.125, (t % 3) as f64];
+        writer.append(t % 16, &values).expect("append");
+    }
+    writer.finish().expect("finish");
+    let bytes = writer.into_inner().into_inner();
+    let mut spans = Vec::new();
+    let mut at = HEADER_LEN_V4;
+    while at < bytes.len() {
+        let body_len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+        spans.push((at, 16 + body_len));
+        at += 16 + body_len;
+    }
+    assert_eq!(at, bytes.len());
+    assert_eq!(spans.len(), 3);
+    (bytes, spans)
+}
+
+fn framed_configs() -> [(SampleEncoding, Compression); 2] {
+    let quantization = Quantization::for_max_magnitude(4.0).expect("quantization");
+    [
+        (SampleEncoding::F64, Compression::None),
+        (SampleEncoding::I16(quantization), Compression::Shuffle),
+    ]
+}
+
+/// Every single-byte flip of a multi-chunk version-4 archive — header or
+/// any chunk, uncompressed f64 or compressed i16 — fails the strict read
+/// with a typed error, and a salvage scan damages exactly the chunk hit.
+#[test]
+fn every_byte_flip_of_a_v4_archive_fails_closed_and_damages_only_its_chunk() {
+    for (encoding, compression) in framed_configs() {
+        let (bytes, spans) = framed_archive(encoding, compression);
+        let traces_in = |chunk: usize| if chunk == 2 { 2 } else { 4 };
+        for offset in 0..bytes.len() {
+            let mut corrupt = bytes.clone();
+            corrupt[offset] ^= 0x5A;
+            let strict = ArchiveReader::new(Cursor::new(corrupt.clone()))
+                .and_then(|mut reader| reader.read_all());
+            assert!(
+                strict.is_err(),
+                "{encoding:?}/{compression:?}: flip at {offset} decoded silently"
+            );
+
+            let salvage = ArchiveReader::with_policy(Cursor::new(corrupt), ReadPolicy::Salvage);
+            if offset < HEADER_LEN_V4 {
+                // The header is the only description of the chunk geometry.
+                assert!(salvage.is_err(), "header flip at {offset} opened");
+                continue;
+            }
+            let hit = spans
+                .iter()
+                .position(|&(start, len)| (start..start + len).contains(&offset))
+                .expect("every body byte belongs to a chunk");
+            let report = salvage
+                .expect("header is intact")
+                .scan(&RetryPolicy::none())
+                .expect("scan");
+            let damaged: Vec<usize> = report.damaged.iter().map(|d| d.chunk).collect();
+            assert_eq!(
+                damaged,
+                [hit],
+                "{encoding:?}/{compression:?}: flip at {offset}"
+            );
+            assert_eq!(report.traces_read, (10 - traces_in(hit)) as u64);
+        }
+    }
+}
+
+/// A `Read + Seek` stream that records the largest single read request —
+/// the reader sizes its chunk buffer to the request, so this bounds the
+/// allocation a forged length can cause.
+struct TrackedCursor {
+    inner: Cursor<Vec<u8>>,
+    largest: Rc<Cell<usize>>,
+}
+
+impl Read for TrackedCursor {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest.set(self.largest.get().max(buf.len()));
+        self.inner.read(buf)
+    }
+}
+
+impl Seek for TrackedCursor {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+/// Forged chunk heads — a trace count of 0 or `u32::MAX`, a body length at
+/// or near `u32::MAX` — with a re-sealed, self-consistent chunk checksum
+/// fail with a typed error under both policies, and no read ever asks for
+/// more bytes than the file holds.
+#[test]
+fn forged_chunk_heads_fail_typed_without_reading_past_the_file() {
+    for (encoding, compression) in framed_configs() {
+        let (bytes, spans) = framed_archive(encoding, compression);
+        let (start, len) = spans[1];
+        for (field, value) in [
+            (0, 0u32),
+            (0, u32::MAX),
+            (4, u32::MAX),
+            (4, u32::MAX - 15),
+            (4, u32::MAX / 2),
+        ] {
+            let mut forged = bytes.clone();
+            forged[start + field..start + field + 4].copy_from_slice(&value.to_le_bytes());
+            let sealed = checksum64(&forged[start..start + len - 8]);
+            forged[start + len - 8..start + len].copy_from_slice(&sealed.to_le_bytes());
+
+            let largest = Rc::new(Cell::new(0));
+            let stream = || TrackedCursor {
+                inner: Cursor::new(forged.clone()),
+                largest: Rc::clone(&largest),
+            };
+            let strict = ArchiveReader::new(stream()).and_then(|mut reader| reader.read_all());
+            assert!(
+                matches!(
+                    strict,
+                    Err(StoreError::FormatViolation { .. }
+                        | StoreError::Truncated { .. }
+                        | StoreError::ChecksumMismatch { .. })
+                ),
+                "{encoding:?}: forged {value:#X} at +{field} gave {:?}",
+                strict.map(|set| set.len())
+            );
+            let report = ArchiveReader::with_policy(stream(), ReadPolicy::Salvage)
+                .expect("header is intact")
+                .scan(&RetryPolicy::none())
+                .expect("scan");
+            let damaged: Vec<usize> = report.damaged.iter().map(|d| d.chunk).collect();
+            assert_eq!(damaged, [1], "{encoding:?}: forged {value:#X} at +{field}");
+            assert!(
+                largest.get() <= forged.len(),
+                "{encoding:?}: a read of {} bytes from a {}-byte file",
+                largest.get(),
+                forged.len()
+            );
         }
     }
 }
