@@ -35,7 +35,7 @@ pub use leakage::{
 pub use netlist::{BitslicedEval, Gate, GateNetlist, GateOp, SignalId};
 pub use present::{
     add_round_key, p_layer, p_layer_inverse, present_sbox, present_sbox_inverse, sbox_layer,
-    sbox_layer_inverse, Present80, PRESENT_ROUNDS, PRESENT_SBOX,
+    sbox_layer_inverse, Present80, PRESENT_ROUNDS, PRESENT_SBOX, PRESENT_SBOX_INV,
 };
 pub use synth::{
     library_circuit_windows, mini_p_layer_position, mini_present, mini_round_key,

@@ -4,6 +4,12 @@
 //! 80-bit key schedule) so trace archives can carry multi-round leakage
 //! scenarios rather than a lone S-box lookup.
 //!
+//! The round function runs on byte tables built by `const` evaluation: the
+//! S-box applied to both nibbles of a byte (`SBOX8`) and the pLayer image
+//! of each byte position (`P8`), so one round is 16 table lookups instead
+//! of a 16-nibble loop and a 64-iteration bit loop.  Decryption uses the
+//! inverse tables built the same way.
+//!
 //! PRESENT is the standard lightweight cipher for smart-card style
 //! evaluations; the implementation is validated against the published test
 //! vectors of the CHES 2007 paper.
@@ -13,6 +19,79 @@ pub const PRESENT_SBOX: [u8; 16] = [
     0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2,
 ];
 
+/// The inverse PRESENT S-box lookup table.
+pub const PRESENT_SBOX_INV: [u8; 16] = invert_sbox(&PRESENT_SBOX);
+
+/// The S-box applied to both nibbles of a byte: eight lookups make one
+/// sBoxLayer.
+static SBOX8: [u8; 256] = byte_sbox(&PRESENT_SBOX);
+/// [`SBOX8`] for the inverse S-box.
+static SBOX8_INV: [u8; 256] = byte_sbox(&PRESENT_SBOX_INV);
+/// `P8[b][v]` is the pLayer image of byte value `v` at byte position `b`;
+/// pLayer is GF(2)-linear, so the OR of the eight images is the permuted
+/// state.
+static P8: [[u64; 256]; 8] = byte_permutation(16);
+/// [`P8`] for the inverse pLayer (bit `i` moves to `4 * i mod 63`, and
+/// `4 * 16 = 64 ≡ 1 mod 63`).
+static P8_INV: [[u64; 256]; 8] = byte_permutation(4);
+
+const fn invert_sbox(sbox: &[u8; 16]) -> [u8; 16] {
+    let mut inverse = [0u8; 16];
+    let mut x = 0;
+    while x < 16 {
+        inverse[sbox[x] as usize] = x as u8;
+        x += 1;
+    }
+    inverse
+}
+
+const fn byte_sbox(sbox: &[u8; 16]) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = sbox[v & 0xF] | (sbox[v >> 4] << 4);
+        v += 1;
+    }
+    table
+}
+
+/// Byte tables of the bit permutation sending bit `i` to
+/// `multiplier * i mod 63` (bit 63 fixed).
+const fn byte_permutation(multiplier: usize) -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
+    let mut position = 0;
+    while position < 8 {
+        let mut v = 0;
+        while v < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if (v >> bit) & 1 == 1 {
+                    let i = 8 * position + bit;
+                    let target = if i == 63 { 63 } else { (multiplier * i) % 63 };
+                    tables[position][v] |= 1 << target;
+                }
+                bit += 1;
+            }
+            v += 1;
+        }
+        position += 1;
+    }
+    tables
+}
+
+#[inline]
+fn substitute_bytes(table: &[u8; 256], state: u64) -> u64 {
+    u64::from_le_bytes(state.to_le_bytes().map(|b| table[b as usize]))
+}
+
+#[inline]
+fn permute_bytes(tables: &[[u64; 256]; 8], state: u64) -> u64 {
+    tables
+        .iter()
+        .zip(state.to_le_bytes())
+        .fold(0, |out, (table, b)| out | table[b as usize])
+}
+
 /// Applies the PRESENT S-box to the low nibble of `x`.
 pub fn present_sbox(x: u8) -> u8 {
     PRESENT_SBOX[(x & 0xF) as usize]
@@ -20,53 +99,33 @@ pub fn present_sbox(x: u8) -> u8 {
 
 /// Applies the inverse PRESENT S-box to the low nibble of `x`.
 pub fn present_sbox_inverse(x: u8) -> u8 {
-    let x = x & 0xF;
-    PRESENT_SBOX
-        .iter()
-        .position(|&v| v == x)
-        .expect("S-box is a permutation of 0..16") as u8
+    PRESENT_SBOX_INV[(x & 0xF) as usize]
 }
 
 /// Applies the PRESENT S-box to every nibble of the 64-bit state
 /// (the cipher's sBoxLayer).
+#[inline]
 pub fn sbox_layer(state: u64) -> u64 {
-    let mut out = 0u64;
-    for nibble in 0..16 {
-        let x = (state >> (4 * nibble)) & 0xF;
-        out |= u64::from(present_sbox(x as u8)) << (4 * nibble);
-    }
-    out
+    substitute_bytes(&SBOX8, state)
 }
 
 /// Applies the inverse S-box to every nibble of the state.
+#[inline]
 pub fn sbox_layer_inverse(state: u64) -> u64 {
-    let mut out = 0u64;
-    for nibble in 0..16 {
-        let x = (state >> (4 * nibble)) & 0xF;
-        out |= u64::from(present_sbox_inverse(x as u8)) << (4 * nibble);
-    }
-    out
+    substitute_bytes(&SBOX8_INV, state)
 }
 
 /// The PRESENT bit permutation (pLayer): bit `i` of the state moves to bit
 /// `16 * i mod 63` (bit 63 is a fixed point).
+#[inline]
 pub fn p_layer(state: u64) -> u64 {
-    let mut out = 0u64;
-    for i in 0..64 {
-        let target = if i == 63 { 63 } else { (16 * i) % 63 };
-        out |= ((state >> i) & 1) << target;
-    }
-    out
+    permute_bytes(&P8, state)
 }
 
 /// The inverse pLayer: bit `i` moves to bit `4 * i mod 63` (bit 63 fixed).
+#[inline]
 pub fn p_layer_inverse(state: u64) -> u64 {
-    let mut out = 0u64;
-    for i in 0..64 {
-        let target = if i == 63 { 63 } else { (4 * i) % 63 };
-        out |= ((state >> i) & 1) << target;
-    }
-    out
+    permute_bytes(&P8_INV, state)
 }
 
 /// The round-key addition (addRoundKey): a plain XOR, named for symmetry
@@ -139,18 +198,17 @@ impl Present80 {
         state
     }
 
-    /// Encrypts one block and returns the 31 intermediate states after each
-    /// round's sBoxLayer — the classic per-round leakage points a
-    /// multi-sample trace records (e.g. one Hamming-weight sample per
-    /// round).
-    pub fn encrypt_trace(&self, plaintext: u64) -> (u64, Vec<u64>) {
-        let mut states = Vec::with_capacity(PRESENT_ROUNDS);
+    /// Encrypts one block and returns the ciphertext with the 31
+    /// intermediate states after each round's sBoxLayer — the classic
+    /// per-round leakage points a multi-sample trace records (e.g. one
+    /// Hamming-weight sample per round).  The states come back in a fixed
+    /// array, so a capture loop allocates nothing per trace.
+    pub fn encrypt_trace(&self, plaintext: u64) -> (u64, [u64; PRESENT_ROUNDS]) {
+        let mut states = [0u64; PRESENT_ROUNDS];
         let mut state = plaintext;
-        for round in 0..PRESENT_ROUNDS {
-            state = add_round_key(state, self.round_keys[round]);
-            state = sbox_layer(state);
-            states.push(state);
-            state = p_layer(state);
+        for (slot, &round_key) in states.iter_mut().zip(&self.round_keys) {
+            *slot = sbox_layer(add_round_key(state, round_key));
+            state = p_layer(*slot);
         }
         (
             add_round_key(state, self.round_keys[PRESENT_ROUNDS]),
@@ -162,6 +220,124 @@ impl Present80 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-loop sBoxLayer the byte tables replace (test oracle).
+    fn reference_sbox_layer(state: u64, sbox: &[u8; 16]) -> u64 {
+        let mut out = 0u64;
+        for nibble in 0..16 {
+            let x = (state >> (4 * nibble)) & 0xF;
+            out |= u64::from(sbox[x as usize]) << (4 * nibble);
+        }
+        out
+    }
+
+    /// The bit-loop pLayer (`multiplier` 16) and its inverse (4) the byte
+    /// tables replace (test oracle).
+    fn reference_p_layer(state: u64, multiplier: usize) -> u64 {
+        let mut out = 0u64;
+        for i in 0..64 {
+            let target = if i == 63 { 63 } else { (multiplier * i) % 63 };
+            out |= ((state >> i) & 1) << target;
+        }
+        out
+    }
+
+    /// `encrypt_trace` built from the oracle layers over the same key
+    /// schedule.
+    fn reference_encrypt_trace(cipher: &Present80, plaintext: u64) -> (u64, Vec<u64>) {
+        let keys = cipher.round_keys();
+        let mut states = Vec::new();
+        let mut state = plaintext;
+        for &round_key in &keys[..PRESENT_ROUNDS] {
+            state = reference_sbox_layer(state ^ round_key, &PRESENT_SBOX);
+            states.push(state);
+            state = reference_p_layer(state, 16);
+        }
+        (state ^ keys[PRESENT_ROUNDS], states)
+    }
+
+    fn reference_decrypt(cipher: &Present80, ciphertext: u64) -> u64 {
+        let keys = cipher.round_keys();
+        let mut state = ciphertext ^ keys[PRESENT_ROUNDS];
+        for &round_key in keys[..PRESENT_ROUNDS].iter().rev() {
+            state = reference_p_layer(state, 4);
+            state = reference_sbox_layer(state, &PRESENT_SBOX_INV) ^ round_key;
+        }
+        state
+    }
+
+    fn key_from(high: u64, low: u16) -> [u8; 10] {
+        let mut key = [0u8; 10];
+        key[..8].copy_from_slice(&high.to_be_bytes());
+        key[8..].copy_from_slice(&low.to_be_bytes());
+        key
+    }
+
+    #[test]
+    fn sbox8_applies_the_sbox_to_both_nibbles_of_every_byte() {
+        for v in 0..=255u8 {
+            let expected = present_sbox(v) | (present_sbox(v >> 4) << 4);
+            assert_eq!(SBOX8[v as usize], expected, "byte {v:#04X}");
+            assert_eq!(SBOX8_INV[expected as usize], v, "byte {v:#04X}");
+        }
+    }
+
+    #[test]
+    fn layer_tables_match_the_bit_loops_on_unit_vectors_and_are_linear() {
+        // pLayer and its inverse are GF(2)-linear: agreeing on the 64 unit
+        // vectors and being XOR-linear proves equality on every input.
+        for bit in 0..64 {
+            let unit = 1u64 << bit;
+            assert_eq!(p_layer(unit), reference_p_layer(unit, 16), "bit {bit}");
+            assert_eq!(
+                p_layer_inverse(unit),
+                reference_p_layer(unit, 4),
+                "bit {bit}"
+            );
+        }
+        let mut a = 0x0123_4567_89AB_CDEFu64;
+        let mut b = 0xF0E1_D2C3_B4A5_9687u64;
+        for _ in 0..256 {
+            assert_eq!(p_layer(a ^ b), p_layer(a) ^ p_layer(b));
+            assert_eq!(
+                p_layer_inverse(a ^ b),
+                p_layer_inverse(a) ^ p_layer_inverse(b)
+            );
+            assert_eq!(
+                sbox_layer(a),
+                reference_sbox_layer(a, &PRESENT_SBOX),
+                "{a:#018X}"
+            );
+            assert_eq!(
+                sbox_layer_inverse(a),
+                reference_sbox_layer(a, &PRESENT_SBOX_INV),
+                "{a:#018X}"
+            );
+            a = a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(b);
+            b = b.rotate_left(11) ^ a;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn table_cipher_matches_the_bit_loop_oracle(
+            key_high in 0u64..u64::MAX,
+            key_low in 0u16..u16::MAX,
+            block in 0u64..u64::MAX,
+        ) {
+            let cipher = Present80::new(key_from(key_high, key_low));
+            let (ciphertext, states) = cipher.encrypt_trace(block);
+            let (expected, expected_states) = reference_encrypt_trace(&cipher, block);
+            prop_assert_eq!(ciphertext, expected);
+            prop_assert_eq!(states.to_vec(), expected_states);
+            prop_assert_eq!(cipher.encrypt(block), expected);
+            prop_assert_eq!(cipher.decrypt(block), reference_decrypt(&cipher, block));
+            prop_assert_eq!(cipher.decrypt(ciphertext), block);
+        }
+    }
 
     #[test]
     fn sbox_is_a_permutation() {

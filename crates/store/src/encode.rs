@@ -478,26 +478,38 @@ pub(crate) fn decode_body(
             for plane in 0..width {
                 let plane_out = &mut scratch[plane * values..(plane + 1) * values];
                 decode_rle0(plane_stream, &mut pos, plane_out)?;
-                undelta_in_place(plane_out);
             }
             if pos != plane_stream.len() {
                 return Err(violation("trailing bytes after the sample planes"));
             }
-            // Un-shuffle the planes back into value-major raw bytes, then
-            // decode the fixed-width values.  The raw buffer doubles as the
-            // shuffled and un-shuffled storage: read plane-major, write
-            // value-major into a second pass over the same scratch tail.
-            let mut raw = vec![0u8; values * width];
-            for plane in 0..width {
-                for (i, &b) in scratch[plane * values..(plane + 1) * values]
-                    .iter()
-                    .enumerate()
-                {
-                    raw[i * width + plane] = b;
-                }
+            match encoding {
+                SampleEncoding::F64 => unshuffle::<8>(scratch, samples, f64::from_le_bytes),
+                SampleEncoding::F32 => unshuffle::<4>(scratch, samples, |bytes| {
+                    f64::from(f32::from_le_bytes(bytes))
+                }),
+                SampleEncoding::I16(q) => unshuffle::<2>(scratch, samples, |bytes| {
+                    q.dequantize(i16::from_le_bytes(bytes))
+                }),
             }
-            encoding.decode_samples(&raw, samples)
+            Ok(())
         }
+    }
+}
+
+/// Rebuilds `out.len()` values of `W` bytes from their delta-coded byte
+/// planes (plane `p` holds byte `p` of every value, stored at
+/// `planes[p * out.len()..]`) in one pass: the W planes are prefix-summed
+/// together, and each value's little-endian bytes are decoded as soon as
+/// they are complete.
+fn unshuffle<const W: usize>(planes: &[u8], out: &mut [f64], decode: impl Fn([u8; W]) -> f64) {
+    let values = out.len();
+    let rows: [&[u8]; W] = std::array::from_fn(|p| &planes[p * values..(p + 1) * values]);
+    let mut bytes = [0u8; W];
+    for (i, value) in out.iter_mut().enumerate() {
+        for (byte, row) in bytes.iter_mut().zip(&rows) {
+            *byte = byte.wrapping_add(row[i]);
+        }
+        *value = decode(bytes);
     }
 }
 
@@ -555,15 +567,6 @@ fn delta_in_place(plane: &mut [u8]) {
         let current = *b;
         *b = current.wrapping_sub(prev);
         prev = current;
-    }
-}
-
-/// Inverse of [`delta_in_place`].
-fn undelta_in_place(plane: &mut [u8]) {
-    let mut prev = 0u8;
-    for b in plane.iter_mut() {
-        prev = prev.wrapping_add(*b);
-        *b = prev;
     }
 }
 
@@ -689,6 +692,89 @@ mod tests {
                 1.0 + (i as f64 * 0.01).sin() * 0.25 + noise * 0.01
             })
             .collect()
+    }
+
+    /// The two-pass shuffle decode that [`unshuffle`] fuses: undo the
+    /// delta along each plane, scatter the planes into value-major raw
+    /// bytes, then decode the fixed-width values (test oracle).
+    fn reference_decode_planes(encoding: SampleEncoding, body: &[u8], out: &mut [f64]) {
+        let inputs_len = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+        let plane_stream = &body[4 + inputs_len..];
+        let (width, values) = (encoding.width(), out.len());
+        let mut planes = vec![0u8; values * width];
+        let mut pos = 0;
+        for plane in 0..width {
+            let plane_out = &mut planes[plane * values..(plane + 1) * values];
+            decode_rle0(plane_stream, &mut pos, plane_out).unwrap();
+            let mut prev = 0u8;
+            for b in plane_out.iter_mut() {
+                prev = prev.wrapping_add(*b);
+                *b = prev;
+            }
+        }
+        assert_eq!(pos, plane_stream.len());
+        let mut raw = vec![0u8; values * width];
+        for plane in 0..width {
+            for i in 0..values {
+                raw[i * width + plane] = planes[plane * values + i];
+            }
+        }
+        encoding.decode_samples(&raw, out).unwrap();
+    }
+
+    #[test]
+    fn fused_unshuffle_is_bit_identical_to_the_two_pass_decode() {
+        let q = Quantization::for_max_magnitude(2.0).unwrap();
+        // Exactly at the saturation-free range bounds and far beyond them,
+        // so the i16 planes carry i16::MIN, -i16::MAX and i16::MAX.
+        let extremes = [q.max_magnitude(), -q.max_magnitude(), 1e9, -1e9];
+        for encoding in [
+            SampleEncoding::F64,
+            SampleEncoding::F32,
+            SampleEncoding::I16(q),
+        ] {
+            for k in [1usize, 7, 1023, 1024] {
+                let inputs: Vec<u64> = (0..k as u64).map(|i| (i * 5) % 16).collect();
+                let mut samples = noisy_samples(k * 3);
+                for (slot, &extreme) in samples.iter_mut().step_by(5).zip(extremes.iter().cycle()) {
+                    *slot = extreme;
+                }
+                let mut body = Vec::new();
+                encode_body(
+                    encoding,
+                    Compression::Shuffle,
+                    &inputs,
+                    &samples,
+                    &mut EncodeScratch::default(),
+                    &mut body,
+                );
+                let mut fused_inputs = Vec::new();
+                let mut fused = vec![0.0; samples.len()];
+                decode_body(
+                    encoding,
+                    Compression::Shuffle,
+                    k,
+                    &body,
+                    &mut fused_inputs,
+                    &mut fused,
+                    &mut Vec::new(),
+                )
+                .unwrap();
+                let mut reference = vec![0.0; samples.len()];
+                reference_decode_planes(encoding, &body, &mut reference);
+                assert_eq!(fused_inputs, inputs);
+                assert_eq!(
+                    fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{encoding:?} k={k}"
+                );
+                if let (SampleEncoding::I16(q), true) = (encoding, k >= 7) {
+                    for bound in [i16::MIN, -i16::MAX, i16::MAX] {
+                        assert!(fused.contains(&q.dequantize(bound)), "k={k} {bound}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
