@@ -34,7 +34,6 @@
 //! cargo run -p dpl-bench --release --bin repro -- bench --history BENCH_history.jsonl
 //! ```
 
-use std::collections::BTreeSet;
 use std::env;
 use std::fs::File;
 use std::path::Path;
@@ -50,7 +49,7 @@ use dpl_crypto::{
 };
 use dpl_eval::TvlaOrder;
 use dpl_obs::Obs;
-use dpl_power::{cpa_attack, dpa_attack, AttackResult, TraceSet, TraceSink};
+use dpl_power::{cpa_attack, dpa_attack, AttackResult, InputClasses, TraceSet, TraceSink};
 use dpl_store::{
     cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming,
     is_manifest_file, repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignManifest,
@@ -831,34 +830,14 @@ fn probe_quantization(job: &CaptureJob, sharded: bool) -> Result<Quantization, S
         .map_err(|e| format!("quantization probe failed: {e}"))
 }
 
-/// Forwards a shard's trace stream to its archive writer while tracking
-/// the shard's distinct inputs (bounded just past the class-aggregation
-/// limit), so the campaign-wide union can be recorded in the manifest
-/// exactly as a single archive of the whole campaign would record it.
-struct DistinctSink<'a, W: SyncWrite> {
-    writer: &'a mut ArchiveWriter<W>,
-    inputs: BTreeSet<u64>,
-}
-
-impl<W: SyncWrite> TraceSink for DistinctSink<'_, W> {
-    type Error = StoreError;
-
-    fn record(&mut self, input: u64, samples: &[f64]) -> Result<(), StoreError> {
-        if self.inputs.len() <= dpl_power::MAX_INPUT_CLASSES {
-            self.inputs.insert(input);
-        }
-        self.writer.append(input, samples)
-    }
-}
-
 /// What one shard worker of a sharded capture wrote.
 struct ShardCapture {
     /// Traces written.
     written: u64,
     /// `i16` samples clamped at the integer range bounds.
     saturated: u64,
-    /// The shard's (bounded) distinct-input set.
-    inputs: BTreeSet<u64>,
+    /// The shard's (bounded) distinct-input table, as its writer tracked it.
+    inputs: InputClasses,
 }
 
 /// Captures one shard of a sharded campaign: global traces
@@ -877,10 +856,6 @@ fn capture_one_shard(
     if let Some(obs) = obs {
         writer.set_obs(obs);
     }
-    let mut sink = DistinctSink {
-        writer: &mut writer,
-        inputs: BTreeSet::new(),
-    };
     let outcome = if job.tvla {
         simulate_tvla_trace_range_into(
             &job.netlist,
@@ -890,7 +865,7 @@ fn capture_one_shard(
             start,
             count,
             &job.options,
-            &mut sink,
+            &mut writer,
         )
     } else {
         simulate_trace_range_into(
@@ -900,10 +875,9 @@ fn capture_one_shard(
             start,
             count,
             &job.options,
-            &mut sink,
+            &mut writer,
         )
     };
-    let inputs = std::mem::take(&mut sink.inputs);
     outcome.map_err(|e| format!("capture into {display} failed: {e}"))?;
     let written = writer
         .finish()
@@ -911,7 +885,7 @@ fn capture_one_shard(
     Ok(ShardCapture {
         written,
         saturated: writer.saturated_samples(),
-        inputs,
+        inputs: writer.input_classes().clone(),
     })
 }
 
@@ -988,7 +962,9 @@ fn capture_sharded(
             .map(|h| h.join().expect("shard capture worker panicked"))
             .collect()
     });
-    let mut distinct: BTreeSet<u64> = BTreeSet::new();
+    // The campaign-wide union, merged in shard order exactly as a single
+    // archive of the whole campaign would have tracked it.
+    let mut distinct = InputClasses::new();
     let mut written = 0u64;
     let mut saturated = 0u64;
     for result in results {
@@ -996,9 +972,7 @@ fn capture_sharded(
             Ok(shard) => {
                 written += shard.written;
                 saturated += shard.saturated;
-                if distinct.len() <= dpl_power::MAX_INPUT_CLASSES {
-                    distinct.extend(shard.inputs);
-                }
+                distinct.merge(&shard.inputs);
             }
             Err(message) => {
                 eprintln!("{message}");
@@ -1006,11 +980,7 @@ fn capture_sharded(
             }
         }
     }
-    let distinct = if distinct.len() > dpl_power::MAX_INPUT_CLASSES {
-        0
-    } else {
-        distinct.len() as u32
-    };
+    let distinct = distinct.distinct().map_or(0, |n| n as u32);
     let manifest = match CampaignManifest::new(plan, distinct) {
         Ok(manifest) => manifest,
         Err(e) => {

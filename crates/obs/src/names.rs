@@ -45,6 +45,9 @@ pub const STORE_SERIALIZE_NS: &str = "store.serialize_ns";
 /// Per-chunk write I/O phase (`write_all` of the serialized chunk),
 /// nanoseconds.
 pub const STORE_WRITE_IO_NS: &str = "store.write_io_ns";
+/// Per-call durable-commit phase (`sync_contents`, i.e. `fsync(2)` for
+/// files) of the archive writer's `finish`, nanoseconds.
+pub const STORE_FSYNC_NS: &str = "store.fsync_ns";
 
 /// Traces folded into attack/assessment accumulators.
 pub const FOLD_TRACES: &str = "fold.traces";

@@ -29,68 +29,76 @@
 //! double bookkeeping.
 
 use crate::attack::{best_result, AttackResult};
+use crate::classes::{InputClasses, MAX_INPUT_CLASSES};
 use crate::trace::TraceSet;
 use crate::{PowerError, Result};
 
-/// When the traces carry at most this many distinct inputs, the attacks
-/// aggregate per-input-class column sums once and score every key guess in
-/// O(classes) per sample instead of O(traces).
-pub const MAX_INPUT_CLASSES: usize = 64;
-
 /// Per-input-class statistics: the distinct input values in order of first
 /// appearance, how many traces carry each, and the per-class column sums.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct ClassState {
-    values: Vec<u64>,
+    table: InputClasses,
     counts: Vec<usize>,
-    /// `sums[c][s]` = sum of sample `s` over the traces of class `c`,
-    /// accumulated in trace order.
-    sums: Vec<Vec<f64>>,
+    /// `sums[c * samples + s]` = sum of sample `s` over the traces of class
+    /// `c`, accumulated in trace order.
+    sums: Vec<f64>,
+    /// Class index of every trace of the chunk being folded; reused across
+    /// chunks so steady-state updates allocate nothing.
+    class_of: Vec<u8>,
 }
 
 impl ClassState {
     fn new() -> Self {
         ClassState {
-            values: Vec::new(),
+            table: InputClasses::new(),
             counts: Vec::new(),
             sums: Vec::new(),
+            class_of: Vec::new(),
         }
     }
 
-    /// Classifies a chunk of inputs against the running class table, growing
-    /// it as new values appear.  Returns the per-trace class indices, or
-    /// `None` when the table would exceed [`MAX_INPUT_CLASSES`] — the signal
-    /// to drop class aggregation for good.
-    fn classify(&mut self, inputs: &[u64], samples: usize) -> Option<Vec<u8>> {
-        let mut class_of = Vec::with_capacity(inputs.len());
+    /// The class of `value`, growing the table (and zeroed count and sums
+    /// for a new class) as needed; `None` once the table overflows.
+    #[inline]
+    fn class_index(&mut self, value: u64, samples: usize) -> Option<usize> {
+        let class = self.table.insert(value)?;
+        if class == self.counts.len() {
+            self.counts.push(0);
+            self.sums.resize(self.sums.len() + samples, 0.0);
+        }
+        Some(class)
+    }
+
+    /// Classifies a chunk of inputs against the running class table into
+    /// `class_of` and counts each trace into its class, growing the table
+    /// as new values appear.  Returns `false` when the table would exceed
+    /// [`MAX_INPUT_CLASSES`] — the signal to drop class aggregation for
+    /// good.
+    fn classify(&mut self, inputs: &[u64], samples: usize) -> bool {
+        self.class_of.clear();
         for &input in inputs {
-            let class = match self.values.iter().position(|&v| v == input) {
-                Some(c) => c,
-                None => {
-                    if self.values.len() == MAX_INPUT_CLASSES {
-                        return None;
-                    }
-                    self.values.push(input);
-                    self.counts.push(0);
-                    self.sums.push(vec![0.0; samples]);
-                    self.values.len() - 1
+            match self.class_index(input, samples) {
+                Some(class) => {
+                    self.counts[class] += 1;
+                    self.class_of.push(class as u8);
                 }
-            };
-            class_of.push(class as u8);
+                None => return false,
+            }
         }
-        Some(class_of)
+        true
     }
 
-    /// Folds one columnar chunk into the per-class counts and sums.
+    /// Classifies one columnar chunk and folds it into the per-class sums;
+    /// `false` when the classes overflow (nothing is summed then).
     ///
     /// The inner loop is unrolled four sample columns wide: one pass over
     /// the traces advances four independent per-class accumulators, giving
     /// the superscalar units four addition chains instead of one.  Each
     /// `(class, sample)` sum still receives its additions in trace order,
     /// so results stay bit-identical to the column-at-a-time fold.
-    fn update(&mut self, chunk: &TraceSet, class_of: &[u8], samples: usize) {
-        for &c in class_of {
-            self.counts[c as usize] += 1;
+    fn update(&mut self, chunk: &TraceSet, samples: usize) -> bool {
+        if !self.classify(chunk.inputs(), samples) {
+            return false;
         }
         let mut s = 0;
         while s + 4 <= samples {
@@ -98,8 +106,9 @@ impl ClassState {
             let c1 = chunk.sample_column(s + 1);
             let c2 = chunk.sample_column(s + 2);
             let c3 = chunk.sample_column(s + 3);
-            for (t, &c) in class_of.iter().enumerate() {
-                let row = &mut self.sums[c as usize][s..s + 4];
+            for (t, &c) in self.class_of.iter().enumerate() {
+                let at = c as usize * samples + s;
+                let row = &mut self.sums[at..at + 4];
                 row[0] += c0[t];
                 row[1] += c1[t];
                 row[2] += c2[t];
@@ -109,32 +118,25 @@ impl ClassState {
         }
         while s < samples {
             let column = chunk.sample_column(s);
-            for (&c, &v) in class_of.iter().zip(column) {
-                self.sums[c as usize][s] += v;
+            for (&c, &v) in self.class_of.iter().zip(column) {
+                self.sums[c as usize * samples + s] += v;
             }
             s += 1;
         }
+        true
     }
 
     /// Merges another class table (covering the trace range *after* this
     /// one) into this one.  Returns `false` when the union exceeds
     /// [`MAX_INPUT_CLASSES`] — the caller must drop class aggregation.
-    fn merge(&mut self, other: &ClassState) -> bool {
-        for (i, &value) in other.values.iter().enumerate() {
-            let class = match self.values.iter().position(|&v| v == value) {
-                Some(c) => c,
-                None => {
-                    if self.values.len() == MAX_INPUT_CLASSES {
-                        return false;
-                    }
-                    self.values.push(value);
-                    self.counts.push(0);
-                    self.sums.push(vec![0.0; other.sums[i].len()]);
-                    self.values.len() - 1
-                }
+    fn merge(&mut self, other: &ClassState, samples: usize) -> bool {
+        for (i, &value) in other.table.values().iter().enumerate() {
+            let Some(class) = self.class_index(value, samples) else {
+                return false;
             };
             self.counts[class] += other.counts[i];
-            for (acc, &v) in self.sums[class].iter_mut().zip(&other.sums[i]) {
+            let mine = &mut self.sums[class * samples..(class + 1) * samples];
+            for (acc, &v) in mine.iter_mut().zip(&other.sums[i * samples..]) {
                 *acc += v;
             }
         }
@@ -192,16 +194,12 @@ pub enum InputProfile {
 /// when at most [`MAX_INPUT_CLASSES`] distinct values occur, otherwise
 /// [`InputProfile::Diverse`].
 pub fn input_profile(inputs: &[u64]) -> InputProfile {
-    let mut values: Vec<u64> = Vec::with_capacity(MAX_INPUT_CLASSES);
-    for &input in inputs {
-        if !values.contains(&input) {
-            if values.len() == MAX_INPUT_CLASSES {
-                return InputProfile::Diverse;
-            }
-            values.push(input);
-        }
+    let mut classes = InputClasses::new();
+    if inputs.iter().all(|&input| classes.insert(input).is_some()) {
+        InputProfile::FewClasses
+    } else {
+        InputProfile::Diverse
     }
-    InputProfile::FewClasses
 }
 
 fn class_overflow_error() -> PowerError {
@@ -229,7 +227,9 @@ pub struct DpaAccumulator<F> {
     samples: Option<usize>,
     traces: usize,
     /// Per-class sums; `None` when the inputs are (or proved) too diverse.
-    classes: Option<ClassState>,
+    /// Boxed: the class table is ~1 KiB, and parallel folds keep one
+    /// accumulator per chunk.
+    classes: Option<Box<ClassState>>,
     /// Whether the diverse-input fallback sums are maintained.
     wide: bool,
     /// Per-guess selected-trace counts (diverse-input fallback).
@@ -269,7 +269,7 @@ where
             traces: 0,
             classes: match profile {
                 InputProfile::Diverse => None,
-                InputProfile::Auto | InputProfile::FewClasses => Some(ClassState::new()),
+                InputProfile::Auto | InputProfile::FewClasses => Some(Box::new(ClassState::new())),
             },
             wide: profile != InputProfile::FewClasses,
             ones: vec![0; key_guesses as usize],
@@ -301,10 +301,11 @@ where
         }
 
         if let Some(classes) = &mut self.classes {
-            match classes.classify(chunk.inputs(), samples) {
-                Some(class_of) => classes.update(chunk, &class_of, samples),
-                None if self.wide => self.classes = None,
-                None => return Err(class_overflow_error()),
+            if !classes.update(chunk, samples) {
+                if !self.wide {
+                    return Err(class_overflow_error());
+                }
+                self.classes = None;
             }
         }
         if !self.wide {
@@ -411,8 +412,9 @@ where
                 message: "traces have inconsistent lengths".into(),
             });
         }
+        let samples = self.samples.unwrap_or(0);
         let keep_classes = match (&mut self.classes, &other.classes) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (Some(mine), Some(theirs)) => mine.merge(theirs, samples),
             _ => false,
         };
         if !keep_classes {
@@ -467,9 +469,9 @@ where
         let mut scores = Vec::with_capacity(self.key_guesses as usize);
 
         if let Some(classes) = &self.classes {
-            let mut selected = vec![false; classes.values.len()];
+            let mut selected = vec![false; classes.table.values().len()];
             for guess in 0..self.key_guesses {
-                for (sel, &value) in selected.iter_mut().zip(&classes.values) {
+                for (sel, &value) in selected.iter_mut().zip(classes.table.values()) {
                     *sel = (self.selection)(value, guess);
                 }
                 let mut ones = 0usize;
@@ -486,9 +488,9 @@ where
                         let mut sum_zeros = 0.0;
                         for (class, &sel) in selected.iter().enumerate() {
                             if sel {
-                                sum_ones += classes.sums[class][s];
+                                sum_ones += classes.sums[class * samples + s];
                             } else {
-                                sum_zeros += classes.sums[class][s];
+                                sum_zeros += classes.sums[class * samples + s];
                             }
                         }
                         let dom = (sum_ones / ones as f64 - sum_zeros / zeros as f64).abs();
@@ -547,7 +549,7 @@ pub struct CpaAccumulator<F> {
     samples: Option<usize>,
     traces: usize,
     pass: CpaPass,
-    classes: Option<ClassState>,
+    classes: Option<Box<ClassState>>,
     /// Whether the diverse-input fallback statistics are maintained.
     wide: bool,
     /// Per-sample column sums (pass 1).
@@ -599,7 +601,7 @@ where
             pass: CpaPass::Means,
             classes: match profile {
                 InputProfile::Diverse => None,
-                InputProfile::Auto | InputProfile::FewClasses => Some(ClassState::new()),
+                InputProfile::Auto | InputProfile::FewClasses => Some(Box::new(ClassState::new())),
             },
             wide: profile != InputProfile::FewClasses,
             col_sum: Vec::new(),
@@ -665,10 +667,11 @@ where
             s += 1;
         }
         if let Some(classes) = &mut self.classes {
-            match classes.classify(chunk.inputs(), samples) {
-                Some(class_of) => classes.update(chunk, &class_of, samples),
-                None if self.wide => self.classes = None,
-                None => return Err(class_overflow_error()),
+            if !classes.update(chunk, samples) {
+                if !self.wide {
+                    return Err(class_overflow_error());
+                }
+                self.classes = None;
             }
         }
         if self.wide {
@@ -826,8 +829,9 @@ where
                         message: "traces have inconsistent lengths".into(),
                     });
                 }
+                let samples = self.samples.unwrap_or(0);
                 let keep_classes = match (&mut self.classes, &other.classes) {
-                    (Some(mine), Some(theirs)) => mine.merge(theirs),
+                    (Some(mine), Some(theirs)) => mine.merge(theirs, samples),
                     _ => false,
                 };
                 if !keep_classes {
@@ -927,9 +931,9 @@ where
         let mut scores = Vec::with_capacity(self.key_guesses as usize);
 
         if let Some(classes) = &self.classes {
-            let mut hypothesis = vec![0.0f64; classes.values.len()];
+            let mut hypothesis = vec![0.0f64; classes.table.values().len()];
             for guess in 0..self.key_guesses {
-                for (h, &value) in hypothesis.iter_mut().zip(&classes.values) {
+                for (h, &value) in hypothesis.iter_mut().zip(classes.table.values()) {
                     *h = (self.model)(value, guess);
                 }
                 let mut mh = 0.0;
@@ -947,8 +951,9 @@ where
                     let my = self.col_mean[s];
                     let mut cov = 0.0;
                     for (class, &h) in hypothesis.iter().enumerate() {
-                        cov +=
-                            (h - mh) * (classes.sums[class][s] - classes.counts[class] as f64 * my);
+                        cov += (h - mh)
+                            * (classes.sums[class * samples + s]
+                                - classes.counts[class] as f64 * my);
                     }
                     let corr = if n < 2 || va <= 0.0 || vb <= 0.0 {
                         0.0

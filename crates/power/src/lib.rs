@@ -27,23 +27,25 @@
 //! e.g. streamed off the on-disk archives of `dpl-store` — and produce
 //! bit-identical scores to the in-memory attacks, and partial accumulators
 //! over disjoint trace ranges can be [`DpaAccumulator::merge`]d for parallel
-//! out-of-core folds.  [`TraceSink`] is the write-side counterpart: trace
-//! generators stream measurements into any sink ([`TraceSet`] or an archive
-//! writer) without materializing the full set.
+//! out-of-core folds.  [`InputClasses`] is the bounded distinct-input table
+//! behind their class aggregation, also used by `dpl-store` to record an
+//! archive's distinct-input count.  [`TraceSink`] is the write-side
+//! counterpart: trace generators stream measurements into any sink
+//! ([`TraceSet`] or an archive writer) without materializing the full set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod accumulate;
 mod attack;
+mod classes;
 pub mod metrics;
 pub mod stats;
 mod trace;
 
-pub use accumulate::{
-    input_profile, CpaAccumulator, DpaAccumulator, InputProfile, MAX_INPUT_CLASSES,
-};
+pub use accumulate::{input_profile, CpaAccumulator, DpaAccumulator, InputProfile};
 pub use attack::{best_result, cpa_attack, dpa_attack, reference, AttackResult};
+pub use classes::{InputClasses, MAX_INPUT_CLASSES};
 pub use trace::{Trace, TraceSet, TraceSink};
 
 /// Errors produced by the power-analysis layer.

@@ -16,7 +16,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use dpl_power::MAX_INPUT_CLASSES;
+use dpl_power::InputClasses;
 
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
@@ -65,7 +65,7 @@ pub struct Recovery {
     pub(crate) pending_disk_bytes: u64,
     pub(crate) pending_inputs: Vec<u64>,
     pub(crate) pending_samples: Vec<f64>,
-    pub(crate) distinct_inputs: Vec<u64>,
+    pub(crate) distinct_inputs: InputClasses,
 }
 
 impl Recovery {
@@ -126,7 +126,7 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         pending_disk_bytes: 0,
         pending_inputs: Vec::new(),
         pending_samples: Vec::new(),
-        distinct_inputs: Vec::with_capacity(MAX_INPUT_CLASSES + 1),
+        distinct_inputs: InputClasses::new(),
     };
     let mut decode_scratch = Vec::new();
 
@@ -182,11 +182,7 @@ pub(crate) fn scan_stream<R: Read + Seek>(stream: &mut R, meta: ArchiveMeta) -> 
         // Replay the writer's distinct-input bookkeeping so a resumed
         // capture records the same header field as an uninterrupted one.
         for &input in &inputs {
-            if recovery.distinct_inputs.len() <= MAX_INPUT_CLASSES
-                && !recovery.distinct_inputs.contains(&input)
-            {
-                recovery.distinct_inputs.push(input);
-            }
+            recovery.distinct_inputs.insert(input);
         }
 
         if k == chunk_traces {

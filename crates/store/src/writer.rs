@@ -5,7 +5,7 @@ use std::io::{BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use dpl_obs::{names, Obs};
-use dpl_power::{TraceSet, TraceSink, MAX_INPUT_CLASSES};
+use dpl_power::{InputClasses, TraceSet, TraceSink};
 
 use crate::encode::{self, EncodeScratch};
 use crate::error::{Result, StoreError};
@@ -107,10 +107,10 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) pending_inputs: Vec<u64>,
     /// Buffered samples of the chunk in progress, trace-major.
     pub(crate) pending_samples: Vec<f64>,
-    /// Distinct input values seen, tracked up to one past the attacks'
+    /// Distinct input values seen, tracked up to the attacks'
     /// class-aggregation limit and recorded in the header so readers can
     /// pick the matching accumulator bookkeeping without a scan.
-    pub(crate) distinct_inputs: Vec<u64>,
+    pub(crate) distinct_inputs: InputClasses,
     pub(crate) traces_written: u64,
     pub(crate) chunks_written: usize,
     /// `i16` samples flushed at the integer range bounds, recorded in the
@@ -153,7 +153,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             meta,
             pending_inputs: Vec::with_capacity(meta.chunk_traces),
             pending_samples: Vec::with_capacity(meta.chunk_traces * meta.samples_per_trace),
-            distinct_inputs: Vec::with_capacity(MAX_INPUT_CLASSES + 1),
+            distinct_inputs: InputClasses::new(),
             traces_written: 0,
             chunks_written: 0,
             saturated_samples: 0,
@@ -200,6 +200,14 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         self.saturated_samples
     }
 
+    /// The distinct inputs appended so far, in order of first appearance;
+    /// its count is `None` once more than [`dpl_power::MAX_INPUT_CLASSES`]
+    /// values occurred.  `finish` records the count in the header (0 for
+    /// `None`).
+    pub fn input_classes(&self) -> &InputClasses {
+        &self.distinct_inputs
+    }
+
     /// Appends one trace.
     ///
     /// # Errors
@@ -221,10 +229,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
                 ),
             });
         }
-        if self.distinct_inputs.len() <= MAX_INPUT_CLASSES && !self.distinct_inputs.contains(&input)
-        {
-            self.distinct_inputs.push(input);
-        }
+        self.distinct_inputs.insert(input);
         self.pending_inputs.push(input);
         self.pending_samples.extend_from_slice(samples);
         if self.pending_inputs.len() == self.meta.chunk_traces {
@@ -330,15 +335,8 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             });
         }
         self.flush_chunk()?;
-        self.stream.sync_contents()?;
-        if let Some(obs) = &self.obs {
-            obs.counter_add(names::STORE_FSYNCS, 1);
-        }
-        let distinct = if self.distinct_inputs.len() <= MAX_INPUT_CLASSES {
-            self.distinct_inputs.len() as u32
-        } else {
-            0
-        };
+        self.sync()?;
+        let distinct = self.distinct_inputs.distinct().map_or(0, |n| n as u32);
         let header = encode_header(
             &self.meta,
             self.traces_written,
@@ -348,12 +346,23 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         self.stream.seek(SeekFrom::Start(0))?;
         self.stream.write_all(&header)?;
         self.stream.seek(SeekFrom::End(0))?;
+        self.sync()?;
+        self.finished = true;
+        Ok(self.traces_written)
+    }
+
+    /// One durable-commit `sync_contents`, timed as a `store.fsync` phase.
+    fn sync(&mut self) -> Result<()> {
+        let phase = self
+            .obs
+            .as_ref()
+            .map(|o| o.phase("store.fsync", names::STORE_FSYNC_NS));
         self.stream.sync_contents()?;
+        drop(phase);
         if let Some(obs) = &self.obs {
             obs.counter_add(names::STORE_FSYNCS, 1);
         }
-        self.finished = true;
-        Ok(self.traces_written)
+        Ok(())
     }
 
     /// Consumes the writer and returns the underlying stream (useful for

@@ -423,3 +423,64 @@ fn forged_chunk_heads_fail_typed_without_reading_past_the_file() {
         }
     }
 }
+
+/// Traces whose `distinct`-th distinct input first appears late (trace 250
+/// of 300), so for 65 the class table overflows many chunks into the
+/// capture.  Inputs are sparse 64-bit values, not small integers.
+fn distinct_input_traces(distinct: u64) -> Vec<(u64, Vec<f64>)> {
+    (0..300u64)
+        .map(|t| {
+            let class = if t >= 250 {
+                distinct - 1
+            } else {
+                t % (distinct - 1).max(1)
+            };
+            let input = class.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0xA5A5;
+            (input, vec![t as f64 * 0.5])
+        })
+        .collect()
+}
+
+/// The header records the exact distinct-input count up to the class
+/// limit and 0 ("more than the limit") past it, the writer's table and
+/// the reader agree with it, and a capture resumed from any chunk
+/// boundary records the same count and bytes as the uninterrupted one.
+#[test]
+fn header_records_the_distinct_input_count_through_resume() {
+    const CHUNK: usize = 16;
+    for (distinct, expected) in [(1u64, Some(1)), (16, Some(16)), (64, Some(64)), (65, None)] {
+        let traces = distinct_input_traces(distinct);
+        let meta = ArchiveMeta::scalar(CHUNK, dpl_store::ModelTag::Unspecified, 5);
+        let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+        for (input, values) in &traces {
+            writer.append(*input, values).expect("append");
+        }
+        writer.finish().expect("finish");
+        assert_eq!(writer.input_classes().distinct(), expected, "{distinct}");
+        let bytes = writer.into_inner().into_inner();
+        let field = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes"));
+        assert_eq!(field as usize, expected.unwrap_or(0), "{distinct}");
+        let reader = ArchiveReader::new(Cursor::new(bytes.clone())).expect("reader");
+        assert_eq!(reader.distinct_inputs(), expected, "{distinct}");
+
+        // Crash with the header unwritten after every full chunk, resume.
+        let chunk_len = 16 + CHUNK * 8 + CHUNK * 8;
+        for kept in 0..traces.len() / CHUNK {
+            let mut crashed = bytes[..HEADER_LEN_V4 + kept * chunk_len + 3].to_vec();
+            crashed[..HEADER_LEN_V4].fill(0);
+            let (mut writer, recovery) =
+                ArchiveWriter::resume_stream(Cursor::new(crashed), meta).expect("resume");
+            assert_eq!(recovery.recovered_traces(), (kept * CHUNK) as u64);
+            for (input, values) in &traces[kept * CHUNK..] {
+                writer.append(*input, values).expect("append");
+            }
+            writer.finish().expect("finish");
+            assert_eq!(writer.input_classes().distinct(), expected);
+            assert_eq!(
+                writer.into_inner().into_inner(),
+                bytes,
+                "{distinct} distinct, resumed after {kept} chunk(s)"
+            );
+        }
+    }
+}

@@ -179,6 +179,28 @@ fn phase_histograms_record_every_chunk() {
     }
 }
 
+#[test]
+fn fsync_phase_records_two_samples_per_finished_archive() {
+    // `finish` makes the chunk data durable, then the header: two timed
+    // `store.fsync` phases per archive, matching the `store.fsyncs` counter.
+    let obs = Obs::deterministic(50);
+    for archives in 1..=2u64 {
+        build_archive(Some(&obs));
+        let metrics = obs.metrics();
+        let fsync = metrics
+            .histogram(names::STORE_FSYNC_NS)
+            .expect("fsync histogram");
+        assert_eq!(fsync.count(), 2 * archives);
+        assert_eq!(metrics.counter(names::STORE_FSYNCS), Some(2 * archives));
+    }
+    let mut out = Vec::new();
+    TraceEventJson
+        .collect(&obs.snapshot(), &mut out)
+        .expect("export");
+    let export = String::from_utf8(out).expect("utf8");
+    assert_eq!(export.matches(r#""name": "store.fsync""#).count(), 4);
+}
+
 /// A progress sink whose bytes the test can read back after the `Obs`
 /// context takes ownership of the writer half.
 #[derive(Clone, Default)]
