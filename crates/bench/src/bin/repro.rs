@@ -1171,10 +1171,13 @@ fn attack_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Resu
     }
     if let Some(session) = telemetry {
         reader.set_obs(session.obs());
-        // The streaming fold advances the progress plane per chunk; CPA
-        // makes two passes over the archive (means, then the centered
-        // correlation fold), DPA one.
-        let passes = if use_cpa { 2 } else { 1 };
+        // The streaming fold advances the progress plane per chunk; DPA
+        // reads the archive once, CPA once or twice by its input profile.
+        let passes = if use_cpa {
+            dpl_store::cpa_passes(&reader)
+        } else {
+            1
+        };
         session.start_progress(Some(reader.trace_count() * passes), "traces");
     }
     println!(
@@ -1382,7 +1385,11 @@ fn attack_campaign(
     }
     if let Some(session) = telemetry {
         source.set_obs(session.obs());
-        let passes = if use_cpa { 2 } else { 1 };
+        let passes = if use_cpa {
+            dpl_store::cpa_passes(&source)
+        } else {
+            1
+        };
         session.start_progress(Some(source.trace_count() * passes), "traces");
     }
     println!(

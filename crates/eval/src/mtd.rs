@@ -19,8 +19,8 @@
 //! O(max traces) accumulator work per repetition instead of re-running the
 //! attack from scratch per grid point ([`PrefixDpa`] wraps the mergeable
 //! `dpl-power` accumulator's non-consuming `evaluate`; [`PrefixCpa`] keeps
-//! raw moments so Pearson is evaluable at any prefix, which the two-pass
-//! exact CPA accumulator cannot do).
+//! raw moments so Pearson is evaluable at any prefix, which the exact CPA
+//! accumulator cannot do: it scores only once its first pass is sealed).
 
 use dpl_power::{AttackResult, DpaAccumulator, TraceSet};
 
@@ -86,10 +86,11 @@ where
 /// Correlation power analysis as a prefix attack.
 ///
 /// Pearson's correlation centers on the final means, which is why the
-/// bit-exact [`dpl_power::CpaAccumulator`] needs two passes and cannot be
-/// snapshotted mid-stream.  This engine instead keeps **raw moments**
-/// (`Σx`, `Σx²`, `Σy`, `Σy²`, `Σxy`) and evaluates the algebraically
-/// equivalent one-pass form
+/// bit-exact [`dpl_power::CpaAccumulator`] cannot be snapshotted
+/// mid-stream: it scores only after sealing its first pass, and on
+/// diverse inputs only after a second pass over the same traces.  This
+/// engine instead keeps **raw moments** (`Σx`, `Σx²`, `Σy`, `Σy²`, `Σxy`)
+/// and evaluates the algebraically equivalent one-pass form
 ///
 /// ```text
 /// r = (nΣxy - ΣxΣy) / sqrt((nΣx² - (Σx)²)(nΣy² - (Σy)²))

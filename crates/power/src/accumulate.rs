@@ -202,11 +202,31 @@ pub fn input_profile(inputs: &[u64]) -> InputProfile {
     }
 }
 
+fn sealed_error() -> PowerError {
+    PowerError::AccumulatorMisuse {
+        message: "the CPA accumulator was sealed after one pass (class aggregation needs no \
+                  replay) and takes no further traces"
+            .into(),
+    }
+}
+
 fn class_overflow_error() -> PowerError {
     PowerError::AccumulatorMisuse {
         message: format!(
             "more than {MAX_INPUT_CLASSES} distinct inputs under a FewClasses input profile"
         ),
+    }
+}
+
+/// How many passes over `traces` traces a [`CpaAccumulator`] with the given
+/// profile takes: one for [`InputProfile::FewClasses`] over more than
+/// [`MAX_INPUT_CLASSES`] traces, two otherwise.  Under
+/// [`InputProfile::Auto`] the inputs decide, so this reports the worst
+/// case, two.
+pub fn cpa_passes(profile: InputProfile, traces: usize) -> usize {
+    match profile {
+        InputProfile::FewClasses if traces > MAX_INPUT_CLASSES => 1,
+        _ => 2,
     }
 }
 
@@ -520,26 +540,76 @@ where
     }
 }
 
+/// One sample column's first-pass sums shifted by its first sample `k`:
+/// `sum = Σ(v−k)` and `sq = Σ(v−k)²`, accumulated in trace order.  The
+/// shift keeps `sq − sum²/n` free of the cancellation a large column
+/// offset would cause in `Σv² − (Σv)²/n` (Chan, Golub & LeVeque's
+/// shifted-data form).
+#[derive(Debug, Clone, Copy, Default)]
+struct ShiftedColumn {
+    k: f64,
+    sum: f64,
+    sq: f64,
+}
+
+impl ShiftedColumn {
+    #[inline]
+    fn add(&mut self, v: f64) {
+        let d = v - self.k;
+        self.sum += d;
+        self.sq += d * d;
+    }
+
+    /// Adds `other`'s `n` later traces, re-shifted onto this column's `k`:
+    /// with `δ = k' − k`, `Σ(v−k) = Σ(v−k') + nδ` and
+    /// `Σ(v−k)² = Σ(v−k')² + δ(2Σ(v−k') + nδ)`.
+    fn merge(&mut self, other: &ShiftedColumn, n: f64) {
+        let delta = other.k - self.k;
+        self.sq += other.sq + delta * (2.0 * other.sum + n * delta);
+        self.sum += other.sum + n * delta;
+    }
+}
+
 /// The pass a [`CpaAccumulator`] is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CpaPass {
-    /// Accumulating column and hypothesis sums (means).
+    /// Accumulating column and hypothesis sums (pass 1).
     Means,
-    /// Accumulating centered second moments against the sealed means.
+    /// Replaying the traces for centered second moments against the sealed
+    /// means (pass 2; diverse inputs only).
     Moments,
+    /// Sealed after pass 1 with class aggregation alive: every statistic is
+    /// final and no replay is taken.
+    Sealed,
 }
 
 /// Streaming correlation-power-analysis accumulator; see
 /// [`crate::cpa_attack`] for the statistic.
 ///
-/// Pearson correlation centers every term on the *final* column means, so
-/// the accumulator needs **two passes** over the same traces in the same
-/// order: feed every chunk via [`CpaAccumulator::update`], call
-/// [`CpaAccumulator::begin_second_pass`], feed every chunk again, then
-/// [`CpaAccumulator::finalize`].  Replaying identical chunks is trivial for
-/// an on-disk archive and free for an in-memory set; the double update over
-/// one whole [`TraceSet`] is exactly the in-memory [`crate::cpa_attack`],
-/// and chunked double passes are bit-identical to it.
+/// Pearson correlation centers every term on the *final* column means.
+/// Feed every chunk via [`CpaAccumulator::update`], then call
+/// [`CpaAccumulator::begin_second_pass`], which seals the first pass and
+/// reports whether the traces must be replayed:
+///
+/// * **No replay while class aggregation is alive** (at most
+///   [`MAX_INPUT_CLASSES`] distinct inputs over more than
+///   [`MAX_INPUT_CLASSES`] traces).  The first pass also keeps
+///   each column's sums shifted by its first sample `K`, `Σ(v−K)` and
+///   `Σ(v−K)²`, in trace order; sealing derives the mean
+///   `K + Σ(v−K)/n` and the centered sum of squares
+///   `Σ(v−K)² − (Σ(v−K))²/n` from them (the shifted-data form of Chan,
+///   Golub & LeVeque), and the per-class sums cover the rest.  Finalize
+///   right away: a campaign is read once.
+/// * **One replay on the diverse-input path** (the profile is
+///   [`InputProfile::Diverse`], or the classes overflowed), and for sets of
+///   at most [`MAX_INPUT_CLASSES`] traces.  The per-guess centered
+///   cross-products need the sealed means, so feed every chunk again in
+///   the same order, then [`CpaAccumulator::finalize`].
+///
+/// Replaying identical chunks is trivial for an on-disk archive and free
+/// for an in-memory set.  Running this protocol over one whole
+/// [`TraceSet`] is exactly the in-memory [`crate::cpa_attack`], and chunked
+/// folds are bit-identical to it.
 ///
 /// `model` must be a pure function of `(input, guess)`.
 #[derive(Debug, Clone)]
@@ -552,15 +622,18 @@ pub struct CpaAccumulator<F> {
     classes: Option<Box<ClassState>>,
     /// Whether the diverse-input fallback statistics are maintained.
     wide: bool,
-    /// Per-sample column sums (pass 1).
+    /// Per-sample column sums (pass 1; the means of a two-pass fold).
     col_sum: Vec<f64>,
     /// Per-guess hypothesis sums (pass 1, diverse-input fallback).
     hyp_sum: Vec<f64>,
+    /// Per-sample shifted sums (pass 1, while class aggregation is alive).
+    shifted: Vec<ShiftedColumn>,
     /// Sealed per-sample column means (set by `begin_second_pass`).
     col_mean: Vec<f64>,
     /// Sealed per-guess hypothesis means (diverse-input fallback).
     hyp_mean: Vec<f64>,
-    /// Per-sample centered sums of squares (pass 2).
+    /// Per-sample centered sums of squares (sealed from the shifted sums,
+    /// or accumulated by pass 2).
     col_css: Vec<f64>,
     /// Per-guess centered hypothesis sums of squares (pass 2, fallback).
     hyp_css: Vec<f64>,
@@ -606,6 +679,7 @@ where
             wide: profile != InputProfile::FewClasses,
             col_sum: Vec::new(),
             hyp_sum: vec![0.0; key_guesses as usize],
+            shifted: Vec::new(),
             col_mean: Vec::new(),
             hyp_mean: Vec::new(),
             col_css: Vec::new(),
@@ -620,17 +694,19 @@ where
         self.traces
     }
 
-    /// Folds one chunk of traces into the current pass.  The second pass
-    /// must replay exactly the traces of the first, in the same order.
+    /// Folds one chunk of traces into the current pass.  A second pass must
+    /// replay exactly the traces of the first, in the same order.
     ///
     /// # Errors
     ///
-    /// Returns an error for a malformed chunk or a sample width that differs
-    /// from earlier chunks.
+    /// Returns an error for a malformed chunk, a sample width that differs
+    /// from earlier chunks, or a chunk fed after a one-pass seal (when
+    /// [`CpaAccumulator::begin_second_pass`] returned `false`).
     pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
         match self.pass {
             CpaPass::Means => self.update_means(chunk),
             CpaPass::Moments => self.update_moments(chunk),
+            CpaPass::Sealed => Err(sealed_error()),
         }
     }
 
@@ -639,9 +715,42 @@ where
             return Ok(());
         }
         let samples = check_chunk(chunk, &mut self.samples)?;
+        if let Some(classes) = &mut self.classes {
+            if !classes.update(chunk, samples) {
+                if !self.wide {
+                    return Err(class_overflow_error());
+                }
+                self.drop_classes();
+            }
+        }
         if self.col_sum.is_empty() {
             self.col_sum = vec![0.0; samples];
         }
+        if self.classes.is_some() {
+            self.fold_shifted(chunk, samples);
+        } else {
+            self.fold_col_sum(chunk, samples);
+        }
+        if self.wide {
+            for (guess, hyp_sum) in self.hyp_sum.iter_mut().enumerate() {
+                for &input in chunk.inputs() {
+                    *hyp_sum += (self.model)(input, guess as u64);
+                }
+            }
+        }
+        self.traces += chunk.len();
+        Ok(())
+    }
+
+    /// Drops class aggregation for good, with the shifted sums only it
+    /// reads.
+    fn drop_classes(&mut self) {
+        self.classes = None;
+        self.shifted = Vec::new();
+    }
+
+    /// Folds a chunk into the column sums `Σv`.
+    fn fold_col_sum(&mut self, chunk: &TraceSet, samples: usize) {
         // Four-column unroll: one trace pass feeds four independent column
         // sums in trace order — bit-identical to summing column by column.
         let mut s = 0;
@@ -666,41 +775,93 @@ where
             }
             s += 1;
         }
-        if let Some(classes) = &mut self.classes {
-            if !classes.update(chunk, samples) {
-                if !self.wide {
-                    return Err(class_overflow_error());
-                }
-                self.classes = None;
-            }
-        }
-        if self.wide {
-            for (guess, hyp_sum) in self.hyp_sum.iter_mut().enumerate() {
-                for &input in chunk.inputs() {
-                    *hyp_sum += (self.model)(input, guess as u64);
-                }
-            }
-        }
-        self.traces += chunk.len();
-        Ok(())
     }
 
-    /// Seals the first-pass means and switches to moment accumulation.
+    /// Folds a chunk into the column sums `Σv` and, in the same trace
+    /// pass, the shifted sums of the one-pass seal, fixing each column's
+    /// shift `K` to its first sample on the first chunk.  Every
+    /// accumulator is fed in trace order, so any chunking of the same
+    /// traces gives the same bits (and `Σv` the same bits as
+    /// [`Self::fold_col_sum`]).
+    fn fold_shifted(&mut self, chunk: &TraceSet, samples: usize) {
+        if self.shifted.is_empty() {
+            self.shifted = (0..samples)
+                .map(|s| ShiftedColumn {
+                    k: chunk.sample_column(s)[0],
+                    sum: 0.0,
+                    sq: 0.0,
+                })
+                .collect();
+        }
+        let mut s = 0;
+        while s + 4 <= samples {
+            let c0 = chunk.sample_column(s);
+            let c1 = chunk.sample_column(s + 1);
+            let c2 = chunk.sample_column(s + 2);
+            let c3 = chunk.sample_column(s + 3);
+            let mut plain = [0.0f64; 4];
+            let mut columns = [ShiftedColumn::default(); 4];
+            plain.copy_from_slice(&self.col_sum[s..s + 4]);
+            columns.copy_from_slice(&self.shifted[s..s + 4]);
+            for (((&v0, &v1), &v2), &v3) in c0.iter().zip(c1).zip(c2).zip(c3) {
+                let lanes = plain.iter_mut().zip(&mut columns);
+                for ((p, column), v) in lanes.zip([v0, v1, v2, v3]) {
+                    *p += v;
+                    column.add(v);
+                }
+            }
+            self.col_sum[s..s + 4].copy_from_slice(&plain);
+            self.shifted[s..s + 4].copy_from_slice(&columns);
+            s += 4;
+        }
+        while s < samples {
+            let mut plain = self.col_sum[s];
+            let mut column = self.shifted[s];
+            for &v in chunk.sample_column(s) {
+                plain += v;
+                column.add(v);
+            }
+            self.col_sum[s] = plain;
+            self.shifted[s] = column;
+            s += 1;
+        }
+    }
+
+    /// Seals the first pass and reports whether the traces must be
+    /// replayed.
+    ///
+    /// Returns `false` when class aggregation survived a first pass of
+    /// more than [`MAX_INPUT_CLASSES`] traces: the column means and
+    /// centered sums of squares follow from the shifted sums, and the
+    /// accumulator is ready to finalize.  Returns `true` otherwise: the
+    /// means are sealed, and every first-pass chunk must be fed again, in
+    /// order, before finalizing.  That is the diverse-input path, and also
+    /// every set of at most [`MAX_INPUT_CLASSES`] traces, whose replay is
+    /// tiny and keeps all-distinct-input sets bit-identical to
+    /// [`crate::reference::cpa_attack`].  [`cpa_passes`] predicts the
+    /// answer from the input profile.
     ///
     /// # Errors
     ///
-    /// Returns an error if the second pass already began.
-    pub fn begin_second_pass(&mut self) -> Result<()> {
-        if self.pass == CpaPass::Moments {
+    /// Returns an error if the first pass was already sealed.
+    pub fn begin_second_pass(&mut self) -> Result<bool> {
+        if self.pass != CpaPass::Means {
             return Err(PowerError::AccumulatorMisuse {
-                message: "the CPA accumulator is already in its second pass".into(),
+                message: "the CPA accumulator's first pass is already sealed".into(),
             });
         }
-        self.pass = CpaPass::Moments;
-        if self.traces == 0 {
-            return Ok(());
-        }
         let n = self.traces as f64;
+        if self.classes.is_some() && self.traces > MAX_INPUT_CLASSES {
+            self.pass = CpaPass::Sealed;
+            self.col_mean = self.shifted.iter().map(|c| c.k + c.sum / n).collect();
+            self.col_css = self
+                .shifted
+                .iter()
+                .map(|c| c.sq - c.sum * c.sum / n)
+                .collect();
+            return Ok(false);
+        }
+        self.pass = CpaPass::Moments;
         let samples = self.samples.unwrap_or(0);
         self.col_mean = self.col_sum.iter().map(|&sum| sum / n).collect();
         self.col_css = vec![0.0; samples];
@@ -710,7 +871,7 @@ where
             self.hyp_css = vec![0.0; guesses];
             self.cov = vec![0.0; guesses * samples];
         }
-        Ok(())
+        Ok(true)
     }
 
     fn update_moments(&mut self, chunk: &TraceSet) -> Result<()> {
@@ -719,7 +880,7 @@ where
         }
         let samples = check_chunk(chunk, &mut self.samples)?;
         // Four-column unroll of the centered-sum-of-squares pass; each
-        // column's accumulator is fed in trace order (see `update_means`).
+        // column's accumulator is fed in trace order (see `fold_col_sum`).
         let mut s = 0;
         while s + 4 <= samples {
             let c0 = chunk.sample_column(s);
@@ -790,15 +951,17 @@ where
     /// Merges a partial accumulator in the same pass.
     ///
     /// In the first pass `other` must cover the trace range after this
-    /// one's; all pass-1 state is combined.  In the second pass `other` must
-    /// be a [`CpaAccumulator::fork`] of this accumulator that folded a later
-    /// share of the replayed chunks; only pass-2 sums are combined.  Merge
-    /// partials in trace-range order for deterministic results.
+    /// one's; all pass-1 state is combined, with `other`'s shifted sums
+    /// re-shifted onto this accumulator's first samples.  In the second
+    /// pass `other` must be a [`CpaAccumulator::fork`] of this accumulator
+    /// that folded a later share of the replayed chunks; only pass-2 sums
+    /// are combined.  Merge partials in trace-range order for deterministic
+    /// results.
     ///
     /// # Errors
     ///
     /// Returns an error for mismatched guess counts, passes, or sample
-    /// widths.
+    /// widths, or for accumulators sealed after one pass.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
         if self.key_guesses != other.key_guesses || self.wide != other.wide {
             return Err(PowerError::AccumulatorMisuse {
@@ -822,6 +985,7 @@ where
                     self.classes = other.classes.clone();
                     self.col_sum = other.col_sum.clone();
                     self.hyp_sum = other.hyp_sum.clone();
+                    self.shifted = other.shifted.clone();
                     return Ok(());
                 }
                 if self.samples != other.samples {
@@ -834,11 +998,16 @@ where
                     (Some(mine), Some(theirs)) => mine.merge(theirs, samples),
                     _ => false,
                 };
-                if !keep_classes {
+                if keep_classes {
+                    let n = other.traces as f64;
+                    for (mine, theirs) in self.shifted.iter_mut().zip(&other.shifted) {
+                        mine.merge(theirs, n);
+                    }
+                } else {
                     if !self.wide {
                         return Err(class_overflow_error());
                     }
-                    self.classes = None;
+                    self.drop_classes();
                 }
                 for (acc, &v) in self.col_sum.iter_mut().zip(&other.col_sum) {
                     *acc += v;
@@ -865,6 +1034,7 @@ where
                 }
                 self.second_pass_traces += other.second_pass_traces;
             }
+            CpaPass::Sealed => return Err(sealed_error()),
         }
         Ok(())
     }
@@ -875,14 +1045,16 @@ where
     ///
     /// # Errors
     ///
-    /// Returns an error if the second pass has not begun.
+    /// Returns an error unless a second pass has begun (that is,
+    /// [`CpaAccumulator::begin_second_pass`] returned `true`).
     pub fn fork(&self) -> Result<Self>
     where
         F: Clone,
     {
         if self.pass != CpaPass::Moments {
             return Err(PowerError::AccumulatorMisuse {
-                message: "fork() requires the second pass; call begin_second_pass first".into(),
+                message: "fork() requires a second pass; begin_second_pass must have returned true"
+                    .into(),
             });
         }
         let mut fork = self.clone();
@@ -897,34 +1069,40 @@ where
     ///
     /// # Errors
     ///
-    /// Returns an error if no traces were accumulated, or if the second pass
-    /// did not replay exactly the first pass's traces.
+    /// Returns an error if no traces were accumulated, if the first pass was
+    /// not sealed, or if a second pass did not replay exactly the first
+    /// pass's traces.
     pub fn finalize(self) -> Result<AttackResult> {
         self.evaluate()
     }
 
     /// Scores every key guess **without consuming** the accumulator (the
     /// non-destructive counterpart of [`CpaAccumulator::finalize`]).  Unlike
-    /// the one-pass DPA accumulator this is only valid once the second pass
-    /// has replayed every first-pass trace — Pearson centers on the final
-    /// means, so a mid-stream CPA snapshot has no well-defined value; prefix
-    /// sweeps use the raw-moment prefix evaluator in `dpl-eval` instead.
+    /// the one-pass DPA accumulator this is only valid once the first pass
+    /// is sealed and any second pass has replayed every first-pass trace —
+    /// Pearson centers on the final means, so a mid-stream CPA snapshot has
+    /// no well-defined value; prefix sweeps use the raw-moment prefix
+    /// evaluator in `dpl-eval` instead.
     ///
     /// # Errors
     ///
-    /// Returns an error if no traces were accumulated, or if the second pass
-    /// did not replay exactly the first pass's traces.
+    /// Returns an error if no traces were accumulated, if the first pass was
+    /// not sealed, or if a second pass did not replay exactly the first
+    /// pass's traces.
     pub fn evaluate(&self) -> Result<AttackResult> {
         if self.traces == 0 {
             return Err(empty_error());
         }
-        if self.pass != CpaPass::Moments || self.second_pass_traces != self.traces {
-            return Err(PowerError::AccumulatorMisuse {
-                message: format!(
-                    "the second pass covered {} of {} traces",
-                    self.second_pass_traces, self.traces
-                ),
-            });
+        let unfinished = match self.pass {
+            CpaPass::Means => Some("the first pass is not sealed; call begin_second_pass".into()),
+            CpaPass::Moments if self.second_pass_traces != self.traces => Some(format!(
+                "the second pass covered {} of {} traces",
+                self.second_pass_traces, self.traces
+            )),
+            CpaPass::Moments | CpaPass::Sealed => None,
+        };
+        if let Some(message) = unfinished {
+            return Err(PowerError::AccumulatorMisuse { message });
         }
         let samples = self.samples.unwrap_or(0);
         let n = self.traces;
@@ -1043,6 +1221,25 @@ mod tests {
         sbox(input ^ guess).count_ones() as f64
     }
 
+    /// Runs the CPA protocol over `chunks`: one pass, then a replay only
+    /// when the sealed accumulator asks for it.  Returns the scores and
+    /// whether a replay was taken.
+    fn fold_cpa<F: Fn(u64, u64) -> f64>(
+        mut acc: CpaAccumulator<F>,
+        chunks: &[TraceSet],
+    ) -> (AttackResult, bool) {
+        for chunk in chunks {
+            acc.update(chunk).unwrap();
+        }
+        let replay = acc.begin_second_pass().unwrap();
+        if replay {
+            for chunk in chunks {
+                acc.update(chunk).unwrap();
+            }
+        }
+        (acc.finalize().unwrap(), replay)
+    }
+
     #[test]
     fn chunked_dpa_is_bit_identical_to_in_memory() {
         for (wide, samples) in [(false, 1), (false, 3), (true, 2)] {
@@ -1069,16 +1266,9 @@ mod tests {
             let set = trace_set(77, 257, samples, wide);
             let whole = cpa_attack(&set, 16, model).unwrap();
             for chunk_size in [1, 13, 257] {
-                let mut acc = CpaAccumulator::new(16, model).unwrap();
-                let chunks = chunks_of(&set, chunk_size);
-                for chunk in &chunks {
-                    acc.update(chunk).unwrap();
-                }
-                acc.begin_second_pass().unwrap();
-                for chunk in &chunks {
-                    acc.update(chunk).unwrap();
-                }
-                let streamed = acc.finalize().unwrap();
+                let acc = CpaAccumulator::new(16, model).unwrap();
+                let (streamed, replay) = fold_cpa(acc, &chunks_of(&set, chunk_size));
+                assert_eq!(replay, wide, "only diverse inputs take a second pass");
                 assert_eq!(
                     streamed.scores, whole.scores,
                     "wide={wide} chunk={chunk_size}"
@@ -1123,11 +1313,13 @@ mod tests {
                 partial.update(chunk).unwrap();
                 acc.merge(&partial).unwrap();
             }
-            acc.begin_second_pass().unwrap();
-            for chunk in &chunks {
-                let mut fork = acc.fork().unwrap();
-                fork.update(chunk).unwrap();
-                acc.merge(&fork).unwrap();
+            assert_eq!(acc.begin_second_pass().unwrap(), wide);
+            if wide {
+                for chunk in &chunks {
+                    let mut fork = acc.fork().unwrap();
+                    fork.update(chunk).unwrap();
+                    acc.merge(&fork).unwrap();
+                }
             }
             let result = acc.finalize().unwrap();
             assert_eq!(result.best_guess, whole.best_guess, "wide={wide}");
@@ -1178,8 +1370,9 @@ mod tests {
             Err(PowerError::MalformedTraces { .. })
         ));
 
-        // Finalizing CPA without a complete second pass is misuse.
-        let set = trace_set(9, 20, 1, false);
+        // Finalizing CPA before sealing, or without the complete second
+        // pass the diverse-input path asks for, is misuse.
+        let set = trace_set(9, 80, 1, true);
         let mut acc = CpaAccumulator::new(4, model).unwrap();
         acc.update(&set).unwrap();
         assert!(matches!(
@@ -1187,12 +1380,37 @@ mod tests {
             Err(PowerError::AccumulatorMisuse { .. })
         ));
         assert!(acc.fork().is_err());
-        acc.begin_second_pass().unwrap();
+        assert!(acc.begin_second_pass().unwrap());
         assert!(acc.begin_second_pass().is_err());
         assert!(matches!(
             acc.clone().finalize(),
             Err(PowerError::AccumulatorMisuse { .. })
         ));
+
+        // A one-pass seal finalizes at once and refuses further traces,
+        // forks and merges: a replay would fold every trace twice.
+        let few = trace_set(9, 100, 1, false);
+        let mut acc = CpaAccumulator::new(4, model).unwrap();
+        acc.update(&few).unwrap();
+        assert!(matches!(
+            acc.clone().finalize(),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert!(!acc.begin_second_pass().unwrap());
+        assert!(acc.begin_second_pass().is_err());
+        assert!(acc.fork().is_err());
+        assert!(matches!(
+            acc.update(&few),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert!(matches!(
+            acc.clone().merge(&acc),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert_eq!(
+            acc.finalize().unwrap().scores,
+            cpa_attack(&few, 4, model).unwrap().scores
+        );
 
         // Mismatched widths across chunks are malformed.
         let mut acc = DpaAccumulator::new(4, |_, _| true).unwrap();
@@ -1253,16 +1471,9 @@ mod tests {
             assert_eq!(acc.finalize().unwrap().scores, expected.scores);
 
             let expected = cpa_attack(set, 16, model).unwrap();
-            let mut acc = CpaAccumulator::with_profile(16, model, profile).unwrap();
-            let chunks = chunks_of(set, 50);
-            for chunk in &chunks {
-                acc.update(chunk).unwrap();
-            }
-            acc.begin_second_pass().unwrap();
-            for chunk in &chunks {
-                acc.update(chunk).unwrap();
-            }
-            assert_eq!(acc.finalize().unwrap().scores, expected.scores);
+            let acc = CpaAccumulator::with_profile(16, model, profile).unwrap();
+            let (streamed, _) = fold_cpa(acc, &chunks_of(set, 50));
+            assert_eq!(streamed.scores, expected.scores);
         }
     }
 
@@ -1315,19 +1526,62 @@ mod tests {
 
     #[test]
     fn cpa_evaluate_requires_a_complete_second_pass() {
-        let set = trace_set(34, 120, 1, false);
-        let mut acc = CpaAccumulator::new(16, model).unwrap();
-        acc.update(&set).unwrap();
-        assert!(matches!(
-            acc.evaluate(),
-            Err(PowerError::AccumulatorMisuse { .. })
-        ));
-        acc.begin_second_pass().unwrap();
-        acc.update(&set).unwrap();
-        let snapshot = acc.evaluate().unwrap();
-        let whole = cpa_attack(&set, 16, model).unwrap();
-        assert_eq!(snapshot.scores, whole.scores);
-        assert_eq!(acc.finalize().unwrap().scores, snapshot.scores);
+        for wide in [false, true] {
+            let set = trace_set(34, 120, 1, wide);
+            let mut acc = CpaAccumulator::new(16, model).unwrap();
+            acc.update(&set).unwrap();
+            assert!(matches!(
+                acc.evaluate(),
+                Err(PowerError::AccumulatorMisuse { .. })
+            ));
+            if acc.begin_second_pass().unwrap() {
+                let chunks = chunks_of(&set, 60);
+                acc.update(&chunks[0]).unwrap();
+                assert!(matches!(
+                    acc.evaluate(),
+                    Err(PowerError::AccumulatorMisuse { .. })
+                ));
+                acc.update(&chunks[1]).unwrap();
+            }
+            let snapshot = acc.evaluate().unwrap();
+            let whole = cpa_attack(&set, 16, model).unwrap();
+            assert_eq!(snapshot.scores, whole.scores, "wide={wide}");
+            assert_eq!(acc.finalize().unwrap().scores, snapshot.scores);
+        }
+    }
+
+    #[test]
+    fn auto_cpa_that_overflows_mid_stream_replays_and_matches_diverse() {
+        // Few-class chunks first, then a 65th distinct input several chunks
+        // in: the Auto accumulator must drop its classes, ask for the
+        // replay, and land bit-for-bit on the Diverse accumulator.
+        let mut set = TraceSet::new();
+        for t in 0..300u64 {
+            let input = if t < 200 { t % 16 } else { t };
+            set.push_samples(
+                input,
+                &[model(input, 0xB) + (t % 7) as f64 * 0.125, t as f64],
+            );
+        }
+        let chunks = chunks_of(&set, 32);
+        let auto = CpaAccumulator::new(16, model).unwrap();
+        let (auto, replay) = fold_cpa(auto, &chunks);
+        assert!(replay, "an overflowed Auto accumulator must replay");
+        let diverse = CpaAccumulator::with_profile(16, model, InputProfile::Diverse).unwrap();
+        let (diverse, replay) = fold_cpa(diverse, &chunks);
+        assert!(replay);
+        assert_eq!(auto.scores, diverse.scores);
+        assert_eq!(auto.scores, cpa_attack(&set, 16, model).unwrap().scores);
+
+        // The same overflow discovered by a pass-1 merge.
+        let mut merged = CpaAccumulator::new(16, model).unwrap();
+        for chunk in &chunks {
+            let mut partial = CpaAccumulator::new(16, model).unwrap();
+            partial.update(chunk).unwrap();
+            merged.merge(&partial).unwrap();
+        }
+        assert!(merged.classes.is_none() && merged.shifted.is_empty());
+        assert!(merged.begin_second_pass().unwrap());
     }
 
     #[test]

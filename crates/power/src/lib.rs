@@ -43,7 +43,7 @@ pub mod metrics;
 pub mod stats;
 mod trace;
 
-pub use accumulate::{input_profile, CpaAccumulator, DpaAccumulator, InputProfile};
+pub use accumulate::{cpa_passes, input_profile, CpaAccumulator, DpaAccumulator, InputProfile};
 pub use attack::{best_result, cpa_attack, dpa_attack, reference, AttackResult};
 pub use classes::{InputClasses, MAX_INPUT_CLASSES};
 pub use trace::{Trace, TraceSet, TraceSink};

@@ -102,6 +102,16 @@ pub(crate) fn profile_of<S: ChunkSource + ?Sized>(source: &S) -> InputProfile {
     }
 }
 
+/// How many times a CPA fold over `source` reads the campaign: once when
+/// the header records few distinct inputs (the class-aggregated
+/// accumulator needs no replay), twice on the diverse-input path and for
+/// campaigns of at most `dpl_power::MAX_INPUT_CLASSES` traces (see
+/// `dpl_power::cpa_passes`).  Progress totals for [`cpa_attack_streaming`]
+/// are this times the trace count.
+pub fn cpa_passes<S: ChunkSource + ?Sized>(source: &S) -> u64 {
+    dpl_power::cpa_passes(profile_of(source), source.trace_count() as usize) as u64
+}
+
 /// Difference-of-means DPA folded chunk-by-chunk over any [`ChunkSource`]
 /// — a single archive or a sharded campaign.
 ///
@@ -133,9 +143,13 @@ where
     Ok(accumulator.finalize()?)
 }
 
-/// Correlation power analysis folded over any [`ChunkSource`] in two
-/// passes (the second pass re-reads the chunks to center on the sealed
-/// means).
+/// Correlation power analysis folded over any [`ChunkSource`].
+///
+/// A campaign whose header records few distinct inputs is read **once**:
+/// the class-aggregated accumulator seals its means and centered column
+/// norms from the first pass.  A diverse-input campaign is read twice (the
+/// second pass re-reads the chunks to center on the sealed means);
+/// [`cpa_passes`] tells which ahead of the fold.
 ///
 /// Bit-identical to `dpl_power::cpa_attack` over the same traces.
 ///
@@ -161,11 +175,12 @@ where
         fold.update(&chunk, samples);
         fold.accumulate(|| accumulator.update(&chunk))?;
     }
-    accumulator.begin_second_pass()?;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
+    if accumulator.begin_second_pass()? {
+        for index in 0..source.chunk_count() {
+            source.read_chunk_into(index, &mut chunk)?;
+            fold.update(&chunk, samples);
+            fold.accumulate(|| accumulator.update(&chunk))?;
+        }
     }
     fold.finish();
     Ok(accumulator.finalize()?)
@@ -301,8 +316,9 @@ where
 }
 
 /// Parallel out-of-core CPA: per-chunk pass-1 partials merged in chunk
-/// order, then per-chunk pass-2 forks of the sealed accumulator merged in
-/// chunk order.
+/// order; on the diverse-input path only, per-chunk pass-2 forks of the
+/// sealed accumulator merged in chunk order.  A few-class campaign skips
+/// the fork stage and is read once.
 ///
 /// Deterministic and worker-count independent; agrees with
 /// [`cpa_attack_streaming`] up to floating-point reassociation.
@@ -325,8 +341,8 @@ where
 
 /// [`cpa_attack_parallel`] over any reopenable [`ChunkSource`] — each
 /// worker opens its own source via `open` (e.g. a [`crate::ShardedReader`]
-/// manifest), so the same two-pass chunk-order merge runs over single
-/// archives and sharded campaigns alike.
+/// manifest), so the same chunk-order merge runs over single archives and
+/// sharded campaigns alike.
 ///
 /// # Errors
 ///
@@ -361,16 +377,16 @@ where
     for partial in &partials {
         total.merge(partial)?;
     }
-    total.begin_second_pass()?;
-
-    let total_ref = &total;
-    let forks = per_chunk_parallel(&open, chunks, workers, move |source: &mut S, index| {
-        let mut fork = total_ref.fork()?;
-        fork.update(&source.read_chunk(index)?)?;
-        Ok(fork)
-    })?;
-    for fork in &forks {
-        total.merge(fork)?;
+    if total.begin_second_pass()? {
+        let total_ref = &total;
+        let forks = per_chunk_parallel(&open, chunks, workers, move |source: &mut S, index| {
+            let mut fork = total_ref.fork()?;
+            fork.update(&source.read_chunk(index)?)?;
+            Ok(fork)
+        })?;
+        for fork in &forks {
+            total.merge(fork)?;
+        }
     }
     Ok(total.finalize()?)
 }

@@ -64,8 +64,8 @@ pub mod shard;
 mod writer;
 
 pub use attack::{
-    cpa_attack_parallel, cpa_attack_parallel_with, cpa_attack_streaming, dpa_attack_parallel,
-    dpa_attack_parallel_with, dpa_attack_streaming, FoldObs,
+    cpa_attack_parallel, cpa_attack_parallel_with, cpa_attack_streaming, cpa_passes,
+    dpa_attack_parallel, dpa_attack_parallel_with, dpa_attack_streaming, FoldObs,
 };
 pub use encode::{Compression, Quantization, SampleEncoding};
 pub use error::{ReadSite, Result, StoreError};

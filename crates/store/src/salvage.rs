@@ -289,9 +289,11 @@ where
     Ok((accumulator.finalize()?, report))
 }
 
-/// Correlation power analysis over the surviving chunks of an archive (two
-/// passes; the second pass re-reads only the chunks that survived the
-/// first).
+/// Correlation power analysis over the surviving chunks of an archive.
+///
+/// A few-class archive is read once, like [`crate::cpa_attack_streaming`].
+/// A diverse-input archive takes a second pass that re-reads only the
+/// chunks that survived the first.
 ///
 /// Bit-identical to [`crate::cpa_attack_streaming`] on a clean archive; on a
 /// damaged one, equals the strict attack over an archive written without the
@@ -300,8 +302,9 @@ where
 /// # Errors
 ///
 /// Returns an error for zero guesses, damage that leaves no usable traces,
-/// or a chunk that verified in pass 1 but failed in pass 2 — the two passes
-/// must fold the same traces, so that inconsistency fails closed.
+/// or (on a diverse-input archive) a chunk that verified in pass 1 but
+/// failed in pass 2 — the two passes must fold the same traces, so that
+/// inconsistency fails closed.
 pub fn cpa_attack_salvage<R, F>(
     reader: &mut ArchiveReader<R>,
     key_guesses: u64,
@@ -334,24 +337,25 @@ where
             }
         }
     }
-    accumulator.begin_second_pass()?;
-    for (index, flag) in damaged.iter().enumerate() {
-        if *flag {
-            continue;
-        }
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
+    if accumulator.begin_second_pass()? {
+        for (index, flag) in damaged.iter().enumerate() {
+            if *flag {
+                continue;
             }
-            SalvageOutcome::Damaged(d) => {
-                return Err(StoreError::FormatViolation {
-                    message: format!(
-                        "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                         refusing to finalize inconsistent passes",
-                        d.chunk, d.cause
-                    ),
-                });
+            match reader.read_chunk_salvage(index, retry)? {
+                SalvageOutcome::Intact(chunk) => {
+                    fold.update(&chunk, samples);
+                    accumulator.update(&chunk)?;
+                }
+                SalvageOutcome::Damaged(d) => {
+                    return Err(StoreError::FormatViolation {
+                        message: format!(
+                            "chunk {} verified in pass 1 but failed in pass 2 ({}); \
+                             refusing to finalize inconsistent passes",
+                            d.chunk, d.cause
+                        ),
+                    });
+                }
             }
         }
     }

@@ -5,12 +5,15 @@
 //! never a silently wrong archive.  Salvage reads over damaged archives
 //! must equal strict reads over archives written without the lost traces.
 
-use std::io::{Cursor, ErrorKind};
+use std::cell::Cell;
+use std::io::{Cursor, ErrorKind, Read, Seek, SeekFrom};
+use std::rc::Rc;
 use std::time::Duration;
 
 use dpl_eval::{
     interleaved_partition, tvla_salvage, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
 };
+use dpl_obs::{names, Obs};
 use dpl_store::{
     cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming, recover,
     repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, Compression, DamageCause,
@@ -365,13 +368,145 @@ fn salvage_attack_equals_strict_attack_without_the_lost_chunk() {
         assert_eq!(a.to_bits(), b.to_bits(), "DPA scores not bit-identical");
     }
 
-    // CPA (two passes; pass 2 must skip the same chunk).
+    // CPA.  Only 64 traces survive, so even these nibble inputs take the
+    // two-pass fold (sets of at most 64 traces replay), and pass 2 must
+    // skip the same chunk.  Larger few-class archives are read once; see
+    // `few_class_cpa_salvage_reads_each_intact_chunk_once`.
     let mut damaged = ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
         .expect("salvage open");
     let (salvaged, report) =
         cpa_attack_salvage(&mut damaged, 16, model, &retry).expect("salvage CPA");
     assert_eq!(report.damaged.len(), 1);
     assert_eq!(report.damaged[0].chunk, damaged_chunk);
+    let mut clean = ArchiveReader::new(Cursor::new(without)).expect("open");
+    let expected = cpa_attack_streaming(&mut clean, 16, model).expect("strict CPA");
+    assert_eq!(salvaged.best_guess, expected.best_guess);
+    for (a, b) in salvaged.scores.iter().zip(&expected.scores) {
+        assert_eq!(a.to_bits(), b.to_bits(), "CPA scores not bit-identical");
+    }
+}
+
+/// Counts stream operations the way [`FaultStream`] does (one per `read`
+/// or `seek` call) into a counter the test keeps, so it can locate the
+/// operations of one chunk read inside a longer workload.
+struct OpCounter<R> {
+    inner: R,
+    ops: Rc<Cell<u64>>,
+}
+
+impl<R: Read> Read for OpCounter<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.ops.set(self.ops.get() + 1);
+        self.inner.read(buf)
+    }
+}
+
+impl<R: Seek> Seek for OpCounter<R> {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.ops.set(self.ops.get() + 1);
+        self.inner.seek(pos)
+    }
+}
+
+/// A chunk that verifies on its first read but is corrupted on its second
+/// must fail a diverse-input salvage CPA closed: the two passes would fold
+/// different traces, so the call returns the error instead of scores.
+#[test]
+fn cpa_salvage_fails_closed_when_a_chunk_fails_only_its_second_read() {
+    let meta = attack_meta(2, 16);
+    // Full 64-bit inputs: 96 distinct values, past class aggregation, so
+    // the CPA takes its two-pass path.
+    let traces: Vec<(u64, Vec<f64>)> = nibble_traces(96, 2)
+        .into_iter()
+        .enumerate()
+        .map(|(t, (input, values))| ((t as u64) << 8 | input, values))
+        .collect();
+    let bytes = write_archive(&traces, meta);
+    let chunks = traces.len() / 16;
+    let target = 3usize;
+    let retry = instant_retry(0);
+
+    let mut clean = ArchiveReader::with_policy(Cursor::new(bytes.clone()), ReadPolicy::Salvage)
+        .expect("salvage open");
+    let (expected, report) = cpa_attack_salvage(&mut clean, 16, model, &retry).expect("clean");
+    assert!(report.is_clean());
+
+    // Locate the target chunk's pass-2 read: open, pass 1 over every
+    // chunk, pass 2 up to the target.
+    let ops = Rc::new(Cell::new(0));
+    let stream = OpCounter {
+        inner: Cursor::new(bytes.clone()),
+        ops: Rc::clone(&ops),
+    };
+    let mut probe = ArchiveReader::with_policy(stream, ReadPolicy::Salvage).expect("probe");
+    for index in (0..chunks).chain(0..target) {
+        probe.read_chunk_salvage(index, &retry).expect("probe read");
+    }
+    let start = ops.get();
+    probe
+        .read_chunk_salvage(target, &retry)
+        .expect("probe read");
+    let end = ops.get();
+    assert!(end > start);
+
+    let mut failed_closed = 0;
+    for op in start..end {
+        let stream = FaultStream::new(Cursor::new(bytes.clone()), FaultPlan::bit_flip_at(op, 0x40));
+        let mut reader =
+            ArchiveReader::with_policy(stream, ReadPolicy::Salvage).expect("salvage open");
+        match cpa_attack_salvage(&mut reader, 16, model, &retry) {
+            Err(StoreError::FormatViolation { message }) => {
+                assert!(
+                    message.contains(&format!(
+                        "chunk {target} verified in pass 1 but failed in pass 2"
+                    )),
+                    "op {op}: {message}"
+                );
+                failed_closed += 1;
+            }
+            // A flip on an operation that moves no bytes lands nowhere.
+            Ok((result, report)) => {
+                assert!(report.is_clean(), "op {op}");
+                assert_eq!(result.scores, expected.scores, "op {op}");
+            }
+            Err(other) => panic!("op {op}: unexpected error {other}"),
+        }
+    }
+    assert!(
+        failed_closed > 0,
+        "no flip in ops {start}..{end} hit the chunk"
+    );
+}
+
+/// A few-class salvage CPA takes the one-pass fold: every intact chunk is
+/// read and folded exactly once, and the scores equal the strict attack
+/// over the archive written without the lost chunk.
+#[test]
+fn few_class_cpa_salvage_reads_each_intact_chunk_once() {
+    let meta = attack_meta(2, 16);
+    let traces = nibble_traces(160, 2); // 10 full chunks, 16 classes
+    let damaged_chunk = 3usize;
+    let mut corrupt = write_archive(&traces, meta);
+    corrupt[chunk_offset(&meta, damaged_chunk) + 21] ^= 0x40;
+    let mut survivors = traces;
+    survivors.drain(damaged_chunk * 16..(damaged_chunk + 1) * 16);
+    let without = write_archive(&survivors, meta);
+
+    let obs = Obs::deterministic(10);
+    let mut damaged = ArchiveReader::with_policy(Cursor::new(corrupt), ReadPolicy::Salvage)
+        .expect("salvage open");
+    damaged.set_obs(&obs);
+    let (salvaged, report) =
+        cpa_attack_salvage(&mut damaged, 16, model, &instant_retry(1)).expect("salvage CPA");
+    assert_eq!(report.damaged.len(), 1);
+    assert_eq!(report.traces_read, survivors.len() as u64);
+    let metrics = obs.metrics();
+    assert_eq!(metrics.counter(names::STORE_CHUNK_READS), Some(9));
+    assert_eq!(
+        metrics.counter(names::FOLD_TRACES),
+        Some(survivors.len() as u64)
+    );
+
     let mut clean = ArchiveReader::new(Cursor::new(without)).expect("open");
     let expected = cpa_attack_streaming(&mut clean, 16, model).expect("strict CPA");
     assert_eq!(salvaged.best_guess, expected.best_guess);

@@ -14,7 +14,10 @@
 //! merge orders exposes a *bookkeeping* bug — double counting, class-table
 //! corruption, count/sum skew — rather than harmless rounding.
 
-use dpl_power::{CpaAccumulator, DpaAccumulator, TraceSet};
+use dpl_power::{
+    cpa_passes, input_profile, CpaAccumulator, DpaAccumulator, InputProfile, TraceSet,
+    MAX_INPUT_CLASSES,
+};
 use proptest::prelude::*;
 
 /// A cheap deterministic hash (same as tests/cross_crate_properties.rs).
@@ -111,10 +114,14 @@ proptest! {
         prop_assert_eq!(merged.best_guess, sequential.best_guess);
     }
 
-    /// CPA: pass-1 partials merged in any permutation, then pass-2 forks
-    /// merged in any (other) permutation, score bit-identically to the
-    /// sequential two-pass fold.  Trace counts are powers of two so the
-    /// sealed means stay exactly representable.
+    /// CPA: pass-1 partials merged in any permutation, then (when the
+    /// sealed accumulator asks for a replay) pass-2 forks merged in any
+    /// (other) permutation, score bit-identically to the sequential fold.
+    /// Trace counts are powers of two so the sealed means stay exactly
+    /// representable.  Few-class sets of 128 and 256 traces seal after one
+    /// pass, under `Auto` and under the hinted `FewClasses` profile; their
+    /// merges re-shift each partial's shifted column sums onto the
+    /// receiver's first samples, which the dyadic values keep exact too.
     #[test]
     fn cpa_merge_is_order_independent(
         seed in 0u64..50_000,
@@ -122,40 +129,57 @@ proptest! {
         samples in 1usize..3,
         chunk in 1usize..48,
         wide_bit in 0u64..2,
+        hinted_bit in 0u64..2,
         perm_seed in 0u64..10_000,
     ) {
         let traces = 1usize << traces_pow;
         let set = dyadic_trace_set(seed, traces, samples, wide_bit == 1);
-        let mut sequential = CpaAccumulator::new(12, model).unwrap();
+        let profile = if hinted_bit == 1 {
+            input_profile(set.inputs())
+        } else {
+            InputProfile::Auto
+        };
+        let new = || CpaAccumulator::with_profile(12, model, profile).unwrap();
+        let mut sequential = new();
         sequential.update(&set).unwrap();
-        sequential.begin_second_pass().unwrap();
-        sequential.update(&set).unwrap();
+        let replay = sequential.begin_second_pass().unwrap();
+        if replay {
+            sequential.update(&set).unwrap();
+        }
         let sequential = sequential.finalize().unwrap();
+        let one_pass = wide_bit == 0 && traces > MAX_INPUT_CLASSES;
+        prop_assert_eq!(replay, !one_pass);
+        if hinted_bit == 1 {
+            prop_assert_eq!(cpa_passes(profile, traces), 1 + usize::from(replay));
+        }
 
         let chunks = chunks_of(&set, chunk);
         let partials: Vec<_> = chunks
             .iter()
             .map(|part| {
-                let mut partial = CpaAccumulator::new(12, model).unwrap();
+                let mut partial = new();
                 partial.update(part).unwrap();
                 partial
             })
             .collect();
-        let mut merged = CpaAccumulator::new(12, model).unwrap();
+        let mut merged = new();
         for &index in &permutation(perm_seed, partials.len()) {
             merged.merge(&partials[index]).unwrap();
         }
-        merged.begin_second_pass().unwrap();
-        let forks: Vec<_> = chunks
-            .iter()
-            .map(|part| {
-                let mut fork = merged.fork().unwrap();
-                fork.update(part).unwrap();
-                fork
-            })
-            .collect();
-        for &index in &permutation(perm_seed ^ 0xA5A5, forks.len()) {
-            merged.merge(&forks[index]).unwrap();
+        prop_assert_eq!(merged.traces(), traces);
+        prop_assert_eq!(merged.begin_second_pass().unwrap(), replay);
+        if replay {
+            let forks: Vec<_> = chunks
+                .iter()
+                .map(|part| {
+                    let mut fork = merged.fork().unwrap();
+                    fork.update(part).unwrap();
+                    fork
+                })
+                .collect();
+            for &index in &permutation(perm_seed ^ 0xA5A5, forks.len()) {
+                merged.merge(&forks[index]).unwrap();
+            }
         }
         let merged = merged.finalize().unwrap();
         prop_assert_eq!(merged.scores, sequential.scores);

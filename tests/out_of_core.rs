@@ -9,10 +9,12 @@ use dpl_crypto::{
     present_sbox, simulate_traces_into, synthesize_sbox_with_key, GateEnergyTable, LeakageModel,
     LeakageOptions, Present80,
 };
+use dpl_obs::{names, Obs};
 use dpl_power::{cpa_attack, dpa_attack, TraceSet, TraceSink};
 use dpl_store::{
-    cpa_attack_parallel, cpa_attack_streaming, dpa_attack_parallel, dpa_attack_streaming,
-    ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression, ModelTag, SampleEncoding,
+    cpa_attack_parallel, cpa_attack_streaming, cpa_passes, dpa_attack_parallel,
+    dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, ChunkSource,
+    Compression, ModelTag, SampleEncoding,
 };
 
 fn temp_archive(name: &str) -> PathBuf {
@@ -159,4 +161,124 @@ fn multi_round_present80_archive_supports_out_of_core_dpa() {
     );
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// A [`ChunkSource`] that counts the chunk reads a fold asks for.
+struct CountingSource<S> {
+    inner: S,
+    reads: usize,
+}
+
+impl<S: ChunkSource> ChunkSource for CountingSource<S> {
+    fn meta(&self) -> &ArchiveMeta {
+        self.inner.meta()
+    }
+
+    fn trace_count(&self) -> u64 {
+        self.inner.trace_count()
+    }
+
+    fn chunk_count(&self) -> usize {
+        self.inner.chunk_count()
+    }
+
+    fn distinct_inputs(&self) -> Option<usize> {
+        self.inner.distinct_inputs()
+    }
+
+    fn read_chunk(&mut self, index: usize) -> dpl_store::Result<TraceSet> {
+        self.reads += 1;
+        self.inner.read_chunk(index)
+    }
+
+    fn read_chunk_into(&mut self, index: usize, set: &mut TraceSet) -> dpl_store::Result<()> {
+        self.reads += 1;
+        self.inner.read_chunk_into(index, set)
+    }
+
+    fn obs(&self) -> Option<&Obs> {
+        self.inner.obs()
+    }
+}
+
+/// In-memory archive bytes of `traces` (one sample each) in chunks of
+/// `chunk` traces.
+fn archive_bytes(traces: &TraceSet, chunk: usize) -> Vec<u8> {
+    let meta = ArchiveMeta::scalar(chunk, ModelTag::Unspecified, 5);
+    let mut writer = ArchiveWriter::new(std::io::Cursor::new(Vec::new()), meta).expect("writer");
+    for t in 0..traces.len() {
+        writer
+            .append(traces.inputs()[t], &traces.trace_samples(t))
+            .expect("append");
+    }
+    writer.finish().expect("finish");
+    writer.into_inner().into_inner()
+}
+
+/// Folds `bytes` with `cpa_attack_streaming` through a counting source
+/// under a telemetry context; returns the result, the chunk reads, the
+/// chunk count and the `fold.traces` counter.
+fn counted_cpa(bytes: Vec<u8>) -> (dpl_power::AttackResult, usize, usize, u64) {
+    let obs = Obs::deterministic(10);
+    let mut reader = ArchiveReader::new(std::io::Cursor::new(bytes)).expect("reader");
+    reader.set_obs(&obs);
+    let mut source = CountingSource {
+        inner: reader,
+        reads: 0,
+    };
+    let result = cpa_attack_streaming(&mut source, 16, model).expect("cpa");
+    let folded = obs
+        .metrics()
+        .counter(names::FOLD_TRACES)
+        .expect("fold.traces");
+    (result, source.reads, source.inner.chunk_count(), folded)
+}
+
+/// The one-pass CPA contract out of core: a campaign whose header records
+/// few distinct inputs is read once (one read per chunk, `fold.traces ==
+/// n`) and stays bit-identical to the in-memory attack for any chunk size;
+/// a diverse-input campaign, and a few-class one of at most 64 traces, is
+/// read twice.  `cpa_passes` predicts each count from the header.
+#[test]
+fn few_class_streaming_cpa_reads_each_chunk_once() {
+    let few = |n: usize| {
+        let mut set = TraceSet::new();
+        for t in 0..n as u64 {
+            let input = (t * 7 + 3) % 16;
+            let leak = model(input, 0x9) + ((t * 2_654_435_761) % 1000) as f64 / 250.0;
+            set.push_samples(input, &[leak + 3.0]);
+        }
+        set
+    };
+    let traces = few(3000);
+    let memory = cpa_attack(&traces, 16, model).expect("in-memory cpa");
+    assert_eq!(memory.best_guess, 0x9);
+    for chunk in [1, 7, 1024] {
+        let bytes = archive_bytes(&traces, chunk);
+        let reader = ArchiveReader::new(std::io::Cursor::new(bytes.clone())).expect("reader");
+        assert_eq!(cpa_passes(&reader), 1);
+        let (streamed, reads, chunks, folded) = counted_cpa(bytes);
+        assert_eq!(streamed.scores, memory.scores, "chunk = {chunk}");
+        assert_eq!(reads, chunks, "chunk = {chunk}: one read per chunk");
+        assert_eq!(folded, traces.len() as u64, "chunk = {chunk}");
+    }
+
+    // Two passes where the accumulator asks for the replay.
+    let mut diverse = TraceSet::new();
+    for t in 0..200u64 {
+        let input = t.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        diverse.push_samples(input, &[model(input, 0x9) + (t % 5) as f64]);
+    }
+    for (set, label) in [(&diverse, "diverse"), (&few(64), "64-trace few-class")] {
+        let bytes = archive_bytes(set, 16);
+        let reader = ArchiveReader::new(std::io::Cursor::new(bytes.clone())).expect("reader");
+        assert_eq!(cpa_passes(&reader), 2, "{label}");
+        let (streamed, reads, chunks, folded) = counted_cpa(bytes);
+        assert_eq!(
+            streamed.scores,
+            cpa_attack(set, 16, model).expect("cpa").scores
+        );
+        assert_eq!(reads, 2 * chunks, "{label}");
+        assert_eq!(folded, 2 * set.len() as u64, "{label}");
+    }
 }

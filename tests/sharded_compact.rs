@@ -18,9 +18,9 @@ use dpl_crypto::{
 };
 use dpl_eval::{interleaved_partition, tvla_streaming};
 use dpl_store::{
-    cpa_attack_streaming, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter,
-    CampaignKind, CampaignManifest, ChunkSource, Compression, ModelTag, Quantization,
-    SampleEncoding, ShardMeta, ShardedReader,
+    cpa_attack_parallel_with, cpa_attack_streaming, dpa_attack_streaming, ArchiveMeta,
+    ArchiveReader, ArchiveWriter, CampaignKind, CampaignManifest, ChunkSource, Compression,
+    ModelTag, Quantization, SampleEncoding, ShardMeta, ShardedReader,
 };
 use proptest::prelude::*;
 
@@ -311,6 +311,51 @@ proptest! {
             }
             remove_all(&files);
         }
+    }
+}
+
+/// The parallel CPA over a few-class campaign seals after its pass-1 merge
+/// (no fork stage): for 1-4 workers over 1-4 shards it is bit-identical
+/// across every layout, since the chunk-order merge sees the same partials,
+/// and within reassociation error of the sequential fold.
+#[test]
+fn parallel_one_pass_cpa_is_layout_independent_and_near_the_sequential_fold() {
+    let traces = bounded_traces(17, 1500, 3);
+    let meta = meta_with(
+        3,
+        64,
+        17,
+        CampaignKind::Attack,
+        SampleEncoding::F64,
+        Compression::None,
+    );
+    let mut single = ArchiveReader::new(Cursor::new(write_bytes(&traces, meta))).expect("reader");
+    assert_eq!(dpl_store::cpa_passes(&single), 1);
+    let sequential = cpa_attack_streaming(&mut single, 16, model).expect("sequential cpa");
+
+    let mut first: Option<Vec<f64>> = None;
+    for shards in 1..=4 {
+        let stem = temp_stem("parallel_cpa");
+        let (manifest, files) = write_campaign(&stem, &traces, meta, shards);
+        for workers in 1..=4 {
+            let parallel = cpa_attack_parallel_with(
+                || ShardedReader::open(&manifest),
+                16,
+                model,
+                Some(workers),
+            )
+            .expect("parallel cpa");
+            assert_eq!(parallel.best_guess, sequential.best_guess);
+            for (a, b) in parallel.scores.iter().zip(&sequential.scores) {
+                assert!(
+                    (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                    "shards={shards} workers={workers}: {a} vs {b}"
+                );
+            }
+            let first = first.get_or_insert_with(|| parallel.scores.clone());
+            assert_eq!(&parallel.scores, first, "shards={shards} workers={workers}");
+        }
+        remove_all(&files);
     }
 }
 
