@@ -12,14 +12,14 @@ use dpl_crypto::{
     EnergyCache, EnergyModel, GateEnergyTable, GateNetlist, LeakageModel, LeakageOptions,
 };
 use dpl_eval::{
-    interleaved_partition, mtd_campaign, mtd_campaign_observed, tvla_parallel_with, tvla_salvage,
-    tvla_streaming, tvla_streaming_second_order, MtdConfig, MtdCurve, PrefixCpa, PrefixDpa,
-    TvlaOrder, TvlaResult, TVLA_THRESHOLD,
+    interleaved_partition, mtd_campaign, mtd_campaign_observed, tvla_parallel_with, MtdConfig,
+    MtdCurve, PrefixCpa, PrefixDpa, SecondOrderWelchAccumulator, TvlaOrder, TvlaResult,
+    WelchAccumulator, TVLA_THRESHOLD,
 };
 use dpl_obs::{Json, Obs};
 use dpl_store::{
-    is_manifest_file, ArchiveMeta, ArchiveReader, CampaignKind, ChunkSource, Compression,
-    DamageReport, ReadPolicy, RetryPolicy, SampleEncoding, ShardedReader,
+    fold, is_manifest_file, ArchiveMeta, ArchiveReader, CampaignKind, ChunkSource, Compression,
+    DamageReport, ReadPolicy, Reading, RetryPolicy, SampleEncoding, ShardedReader, StoreError,
 };
 
 /// The fixed plaintext nibble of every CLI TVLA campaign (the random group
@@ -469,67 +469,77 @@ pub fn tvla_report(
     orders: &[TvlaOrder],
     workers: Option<usize>,
 ) -> Result<String, String> {
-    tvla_report_observed(path, orders, workers, None)
+    tvla_report_observed(path, orders, workers, false, None)
 }
 
-/// [`tvla_report`] with optional telemetry: the reader's chunk counters
-/// and the fold's span/throughput gauges land in `obs`.  The `--workers`
-/// path runs through [`dpl_eval::tvla_parallel_observed`], so the parallel fold's
-/// span, merge phase and reunion counters land there too (its shards still
+/// [`tvla_report`] over a single archive or a sharded campaign, with
+/// optional salvage and telemetry.  `salvage` folds whatever chunks of a
+/// damaged campaign survive and renders the damage alongside each
+/// statistic (`repro tvla <file> --salvage`); it runs single-threaded.
+/// With `obs`, the reader's chunk counters, salvage drops and the fold's
+/// span/throughput gauges land there; the `--workers` path records the
+/// parallel fold's span, merge phase and reunion counters (its workers
 /// open their own unobserved readers).
 ///
 /// # Errors
 ///
-/// As [`tvla_report`].
+/// As [`tvla_report`], plus `salvage` with `workers`, or damage that
+/// leaves no usable traces.
 pub fn tvla_report_observed(
     path: &str,
     orders: &[TvlaOrder],
     workers: Option<usize>,
+    salvage: bool,
     obs: Option<&Obs>,
 ) -> Result<String, String> {
+    if salvage && workers.is_some() {
+        return Err("a salvage t-test runs single-threaded; drop the workers".into());
+    }
+    let policy = if salvage {
+        ReadPolicy::Salvage
+    } else {
+        ReadPolicy::Strict
+    };
+    let opened = |e: StoreError| format!("cannot open {path}: {e}");
     if is_manifest_file(path) {
-        let mut source =
-            ShardedReader::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        let mut source = ShardedReader::open_with_policy(path, policy).map_err(opened)?;
         if let Some(obs) = obs {
             source.set_obs(obs);
         }
-        let shards = source.shard_count();
+        let layout = format!(" ({} shards)", source.shard_count());
+        let open = || ShardedReader::open(path);
         return tvla_report_body(
             path,
             &mut source,
-            || ShardedReader::open(path),
-            Some(shards),
+            open,
+            &layout,
             orders,
             workers,
+            salvage,
             obs,
         );
     }
-    let mut reader = ArchiveReader::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = ArchiveReader::open_with_policy(path, policy).map_err(opened)?;
     if let Some(obs) = obs {
         reader.set_obs(obs);
     }
-    tvla_report_body(
-        path,
-        &mut reader,
-        || ArchiveReader::open(path),
-        None,
-        orders,
-        workers,
-        obs,
-    )
+    let open = || ArchiveReader::open(path);
+    tvla_report_body(path, &mut reader, open, "", orders, workers, salvage, obs)
 }
 
 /// The shared body of [`tvla_report_observed`]: the campaign check, header
 /// line and per-order folds, generic over the chunk source (single archive
-/// or sharded campaign).  `open` re-opens the source for the parallel fold's
-/// per-worker readers.
+/// or sharded campaign, whose `layout` tags the header).  `open` re-opens
+/// the source for the parallel fold's per-worker readers.
+#[allow(clippy::too_many_arguments)]
 fn tvla_report_body<S, O>(
     path: &str,
     source: &mut S,
     open: O,
-    shards: Option<usize>,
+    layout: &str,
     orders: &[TvlaOrder],
     workers: Option<usize>,
+    salvage: bool,
     obs: Option<&Obs>,
 ) -> Result<String, String>
 where
@@ -544,86 +554,46 @@ where
             meta.campaign.label()
         ));
     }
-    let mut out = String::new();
-    let sharded = match shards {
-        Some(n) => format!(" ({n} shards)"),
-        None => String::new(),
+    let (title, traces, test) = if salvage {
+        ("TVLA (salvage)", "traces promised", "salvage t-test")
+    } else {
+        ("TVLA", "traces", "t-test")
     };
+    let mut out = String::new();
     let _ = writeln!(
         out,
-        "\n=== TVLA — Welch t-test over {path}{sharded} ===\n{} traces, {} samples/trace, \
+        "\n=== {title} — Welch t-test over {path}{layout} ===\n{} {traces}, {} samples/trace, \
          model = {}, seed = {}",
         source.trace_count(),
         source.samples_per_trace(),
         meta.model.label(),
         meta.seed
     );
-    for &order in orders {
-        let result = match workers {
-            Some(workers) => {
-                tvla_parallel_with(&open, interleaved_partition, order, Some(workers), obs)
-            }
-            None => match order {
-                TvlaOrder::First => tvla_streaming(source, interleaved_partition),
-                TvlaOrder::Second => tvla_streaming_second_order(source, interleaved_partition),
-            },
-        }
-        .map_err(|e| format!("t-test over {path} failed: {e}"))?;
-        render_tvla(&mut out, order, &result);
-    }
-    Ok(out)
-}
-
-/// Salvage-mode [`tvla_report`]: the t-test over whatever chunks of a
-/// damaged TVLA archive survive, with the damage rendered alongside the
-/// statistic (`repro tvla <file> --salvage`).
-///
-/// # Errors
-///
-/// Returns a rendered error message for unreadable archives, a non-TVLA
-/// campaign, or damage that leaves no usable traces.
-pub fn tvla_salvage_report(path: &str, orders: &[TvlaOrder]) -> Result<String, String> {
-    tvla_salvage_report_observed(path, orders, None)
-}
-
-/// [`tvla_salvage_report`] with optional telemetry: salvage drops, retry
-/// attempts and the fold's span/throughput gauges land in `obs`.
-///
-/// # Errors
-///
-/// As [`tvla_salvage_report`].
-pub fn tvla_salvage_report_observed(
-    path: &str,
-    orders: &[TvlaOrder],
-    obs: Option<&Obs>,
-) -> Result<String, String> {
-    let mut reader = ArchiveReader::open_with_policy(path, ReadPolicy::Salvage)
-        .map_err(|e| format!("cannot open {path}: {e}"))?;
-    if let Some(obs) = obs {
-        reader.set_obs(obs);
-    }
-    if reader.campaign() != CampaignKind::TvlaInterleaved {
-        return Err(format!(
-            "{path} records a `{}` campaign; the t-test needs an interleaved fixed-vs-random \
-             capture (repro capture --tvla)",
-            reader.campaign().label()
-        ));
-    }
     let retry = RetryPolicy::new(2);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "\n=== TVLA (salvage) — Welch t-test over {path} ===\n{} traces promised, {} \
-         samples/trace, model = {}, seed = {}",
-        reader.trace_count(),
-        reader.samples_per_trace(),
-        reader.meta().model.label(),
-        reader.meta().seed
-    );
+    let reading = if salvage {
+        Reading::Salvage(&retry)
+    } else {
+        Reading::Strict
+    };
     for &order in orders {
-        let (result, damage) = tvla_salvage(&mut reader, interleaved_partition, order, &retry)
-            .map_err(|e| format!("salvage t-test over {path} failed: {e}"))?;
-        let _ = writeln!(out, "salvage: {}", damage.render());
+        let folded = match (workers, order) {
+            (Some(workers), _) => {
+                tvla_parallel_with(&open, interleaved_partition, order, Some(workers), obs)
+                    .map(|result| (result, None))
+            }
+            (None, TvlaOrder::First) => {
+                let acc = WelchAccumulator::new(interleaved_partition);
+                fold(source, acc, reading).map(|(result, damage)| (result, Some(damage)))
+            }
+            (None, TvlaOrder::Second) => {
+                let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+                fold(source, acc, reading).map(|(result, damage)| (result, Some(damage)))
+            }
+        };
+        let (result, damage) = folded.map_err(|e| format!("{test} over {path} failed: {e}"))?;
+        if let (true, Some(damage)) = (salvage, damage) {
+            let _ = writeln!(out, "salvage: {}", damage.render());
+        }
         render_tvla(&mut out, order, &result);
     }
     Ok(out)

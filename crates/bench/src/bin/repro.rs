@@ -19,6 +19,7 @@
 //! cargo run -p dpl-bench --release --bin repro -- attack campaign.json --cpa --verify
 //! cargo run -p dpl-bench --release --bin repro -- attack m.dpltrc --cpa --circuit maj3
 //! cargo run -p dpl-bench --release --bin repro -- attack damaged.dpltrc --dpa --salvage
+//! cargo run -p dpl-bench --release --bin repro -- attack campaign.json --cpa --salvage
 //! cargo run -p dpl-bench --release --bin repro -- attack traces.dpltrc --dpa --metrics m.jsonl --report text
 //! cargo run -p dpl-bench --release --bin repro -- attack traces.dpltrc --dpa --trace t.json --progress
 //! cargo run -p dpl-bench --release --bin repro -- fsck traces.dpltrc --repair
@@ -49,12 +50,15 @@ use dpl_crypto::{
 };
 use dpl_eval::TvlaOrder;
 use dpl_obs::Obs;
-use dpl_power::{cpa_attack, dpa_attack, AttackResult, InputClasses, TraceSet, TraceSink};
+use dpl_power::{
+    cpa_attack, dpa_attack, AttackResult, CpaAccumulator, DpaAccumulator, InputClasses, TraceSet,
+    TraceSink,
+};
 use dpl_store::{
-    cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming,
-    is_manifest_file, repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignManifest,
-    ChunkSource, Compression, FaultPlan, FaultStream, ModelTag, Quantization, ReadPolicy, ReadSite,
-    RetryPolicy, SampleEncoding, ShardMeta, ShardedReader, StoreError, SyncWrite,
+    cpa_passes, fold, input_profile, is_manifest_file, repair_archive, ArchiveMeta, ArchiveReader,
+    ArchiveWriter, CampaignManifest, ChunkSource, Compression, FaultPlan, FaultStream, ModelTag,
+    Quantization, ReadPolicy, ReadSite, Reading, RetryPolicy, SampleEncoding, ShardMeta,
+    ShardedReader, StoreError, SyncWrite,
 };
 
 /// The fixed secret key nibble of every CLI campaign (printed by `capture`
@@ -1046,14 +1050,15 @@ fn attack_label(result: &AttackResult) -> String {
 
 /// `repro attack <file> [--dpa|--cpa] [--verify] [--salvage]
 /// [--budget <traces>] [--model <name>] [--circuit <name>]`: run an
-/// out-of-core attack over an archive.  The profiled-CPA hypothesis is
+/// out-of-core attack over an archive or a sharded campaign manifest.  The
+/// profiled-CPA hypothesis is
 /// rebuilt from the archive's recorded model tag (or `--model`), over
 /// `--circuit` (default: the S-box datapath); when the archive records an
 /// energy-table digest the rebuilt table must match it.  `--verify` also
 /// loads the archive in memory and demands bit-identical scores,
 /// `--budget` caps the reader's in-memory chunk budget (rejecting archives
-/// whose chunks exceed it), and `--salvage` attacks a damaged archive's
-/// surviving chunks, reporting exactly what was lost.
+/// whose chunks exceed it), and `--salvage` attacks a damaged archive's or
+/// campaign's surviving chunks, reporting exactly what was lost.
 fn run_attack(args: &[String]) -> ExitCode {
     let (args, telemetry) = match TelemetrySession::from_args(args) {
         Ok(parsed) => parsed,
@@ -1126,31 +1131,71 @@ fn attack_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Resu
         eprintln!("--verify and --salvage contradict each other: salvage may skip traces");
         return Err(());
     }
-    if is_manifest_file(&path) {
-        return attack_campaign(
-            &path,
-            use_cpa,
-            verify,
-            salvage,
-            budget,
-            model_override,
-            circuit,
-            telemetry,
-        );
-    }
+    let options = AttackOptions {
+        use_cpa,
+        verify,
+        salvage,
+        budget,
+        model_override,
+        circuit,
+    };
     let policy = if salvage {
         ReadPolicy::Salvage
     } else {
         ReadPolicy::Strict
     };
-    let mut reader = match ArchiveReader::open_with_policy(&path, policy) {
-        Ok(reader) => reader,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
+    if is_manifest_file(&path) {
+        if budget.is_some() {
+            eprintln!(
+                "--budget applies to single archives; a campaign already reads shard by shard"
+            );
             return Err(());
         }
-    };
-    if reader.campaign() == dpl_store::CampaignKind::TvlaInterleaved {
+        let mut source = ShardedReader::open_with_policy(&path, policy)
+            .map_err(|e| eprintln!("cannot open {path}: {e}"))?;
+        if let Some(session) = telemetry {
+            source.set_obs(session.obs());
+        }
+        let layout = format!("{} shards, ", source.shard_count());
+        return attack_source(&mut source, &path, &layout, &options, telemetry);
+    }
+    let mut reader = ArchiveReader::open_with_policy(&path, policy)
+        .map_err(|e| eprintln!("cannot open {path}: {e}"))?;
+    if let Some(budget) = budget {
+        reader = reader
+            .with_chunk_budget(budget)
+            .map_err(|e| eprintln!("cannot honour --budget {budget}: {e}"))?;
+    }
+    if let Some(session) = telemetry {
+        reader.set_obs(session.obs());
+    }
+    attack_source(&mut reader, &path, "", &options, telemetry)
+}
+
+/// The parsed flags of `repro attack`.
+struct AttackOptions {
+    use_cpa: bool,
+    verify: bool,
+    salvage: bool,
+    budget: Option<usize>,
+    model_override: Option<EnergyModel>,
+    circuit: CircuitChoice,
+}
+
+/// The body of `repro attack` over an opened single archive or sharded
+/// campaign (`layout` prefixes the header line with the shard count): one
+/// strict or salvage fold through the campaign's global-order chunk
+/// stream, so a sharded campaign scores bit-identically to a single
+/// archive of the same traces.
+fn attack_source<S: ChunkSource>(
+    source: &mut S,
+    path: &str,
+    layout: &str,
+    options: &AttackOptions,
+    telemetry: Option<&TelemetrySession>,
+) -> Result<(), ()> {
+    let meta = *source.meta();
+    if meta.campaign == dpl_store::CampaignKind::TvlaInterleaved {
         // Symmetric with `repro tvla` refusing attack archives: half the
         // traces of a TVLA capture share one fixed plaintext, so a
         // key-recovery attack over it is statistically meaningless.
@@ -1160,51 +1205,42 @@ fn attack_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Resu
         );
         return Err(());
     }
-    if let Some(budget) = budget {
-        reader = match reader.with_chunk_budget(budget) {
-            Ok(reader) => reader,
-            Err(e) => {
-                eprintln!("cannot honour --budget {budget}: {e}");
-                return Err(());
-            }
-        };
-    }
+    let use_cpa = options.use_cpa;
     if let Some(session) = telemetry {
-        reader.set_obs(session.obs());
-        // The streaming fold advances the progress plane per chunk; DPA
-        // reads the archive once, CPA once or twice by its input profile.
-        let passes = if use_cpa {
-            dpl_store::cpa_passes(&reader)
-        } else {
-            1
-        };
-        session.start_progress(Some(reader.trace_count() * passes), "traces");
+        // The fold advances the progress plane per chunk; DPA reads the
+        // campaign once, CPA once or twice by its input profile.
+        let passes = if use_cpa { cpa_passes(source) } else { 1 };
+        session.start_progress(Some(source.trace_count() * passes), "traces");
     }
     println!(
-        "{path}: {} traces, {} samples/trace, {} chunks of {} traces, model = {}, seed = {}",
-        reader.trace_count(),
-        reader.samples_per_trace(),
-        reader.chunk_count(),
-        reader.meta().chunk_traces,
-        reader.meta().model.label(),
-        reader.meta().seed
+        "{path}: {layout}{} traces, {} samples/trace, {} chunks of {} traces, model = {}, \
+         seed = {}",
+        source.trace_count(),
+        source.samples_per_trace(),
+        source.chunk_count(),
+        meta.chunk_traces,
+        meta.model.label(),
+        meta.seed
     );
-    if budget.is_some() {
-        println!(
-            "in-memory chunk budget: {} traces per resident chunk",
-            reader.chunk_budget()
-        );
+    if let Some(budget) = options.budget {
+        println!("in-memory chunk budget: {budget} traces per resident chunk");
     }
+    let circuit = options.circuit;
     if circuit != CircuitChoice::Sbox {
         println!("attack circuit: {} ({})", circuit.name(), circuit.label());
     }
-    if let Some(model) = model_override {
+    if let Some(model) = options.model_override {
         println!("hypothesis model override: {}", model.label());
     }
 
     let selection = circuit.dpa_selection();
-    let recorded = reader.table_digest();
-    let model = model_override.or_else(|| energy_model_of(reader.meta().model));
+    let recorded = match meta.table_digest {
+        0 => None,
+        digest => Some(digest),
+    };
+    let model = options
+        .model_override
+        .or_else(|| energy_model_of(meta.model));
     let profile = rebuild_hypothesis(use_cpa, recorded, model, circuit)?;
     // A profiled CPA needs the device's energy model, falling back to the
     // classic S-box Hamming-weight hypothesis when the tag is unspecified;
@@ -1222,43 +1258,45 @@ fn attack_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Resu
     };
 
     let kind = if use_cpa { "CPA" } else { "DPA" };
-    let streamed = if salvage {
-        let retry = RetryPolicy::new(2);
-        let salvaged = if use_cpa {
-            cpa_attack_salvage(&mut reader, 16, &model, &retry)
-        } else {
-            dpa_attack_salvage(&mut reader, 16, &selection, &retry)
-        };
-        match salvaged {
-            Ok((result, damage)) => {
-                println!("salvage: {}", damage.render());
-                result
-            }
-            Err(e) => {
-                eprintln!("salvage attack failed: {e}");
-                return Err(());
-            }
-        }
+    let retry = RetryPolicy::new(2);
+    let reading = if options.salvage {
+        Reading::Salvage(&retry)
     } else {
-        match if use_cpa {
-            cpa_attack_streaming(&mut reader, 16, &model)
-        } else {
-            dpa_attack_streaming(&mut reader, 16, &selection)
-        } {
-            Ok(result) => result,
-            Err(e) => {
-                eprintln!("out-of-core attack failed: {e}");
-                return Err(());
+        Reading::Strict
+    };
+    let bookkeeping = input_profile(source);
+    let folded = if use_cpa {
+        CpaAccumulator::with_profile(16, &model, bookkeeping)
+            .map_err(StoreError::from)
+            .and_then(|acc| fold(source, acc, reading))
+    } else {
+        DpaAccumulator::with_profile(16, &selection, bookkeeping)
+            .map_err(StoreError::from)
+            .and_then(|acc| fold(source, acc, reading))
+    };
+    let streamed = match folded {
+        Ok((result, damage)) => {
+            if options.salvage {
+                println!("salvage: {}", damage.render());
             }
+            result
+        }
+        Err(e) if options.salvage => {
+            eprintln!("salvage attack failed: {e}");
+            return Err(());
+        }
+        Err(e) => {
+            eprintln!("out-of-core attack failed: {e}");
+            return Err(());
         }
     };
     println!("out-of-core {kind}: {}", attack_label(&streamed));
 
-    if verify {
-        let traces = match reader.read_all() {
+    if options.verify {
+        let traces = match read_all_chunks(source) {
             Ok(traces) => traces,
             Err(e) => {
-                eprintln!("cannot load the archive in memory for --verify: {e}");
+                eprintln!("cannot load the campaign in memory for --verify: {e}");
                 return Err(());
             }
         };
@@ -1328,8 +1366,8 @@ fn rebuild_hypothesis(
     }
 }
 
-/// Loads every chunk of a source into one in-memory [`TraceSet`] — the
-/// sharded counterpart of `ArchiveReader::read_all`, for `--verify`.
+/// Loads every chunk of a source into one in-memory [`TraceSet`], for
+/// `--verify`.
 fn read_all_chunks<S: ChunkSource>(source: &mut S) -> Result<TraceSet, StoreError> {
     let mut all = TraceSet::new();
     let mut chunk = TraceSet::new();
@@ -1340,128 +1378,6 @@ fn read_all_chunks<S: ChunkSource>(source: &mut S) -> Result<TraceSet, StoreErro
         }
     }
     Ok(all)
-}
-
-/// The sharded-campaign body of `repro attack`: folds the whole campaign
-/// through the [`ShardedReader`]'s global-order chunk stream — the exact
-/// fold a single archive of the same traces would get, so scores are
-/// bit-identical to the unsharded twin.
-#[allow(clippy::too_many_arguments)]
-fn attack_campaign(
-    path: &str,
-    use_cpa: bool,
-    verify: bool,
-    salvage: bool,
-    budget: Option<usize>,
-    model_override: Option<EnergyModel>,
-    circuit: CircuitChoice,
-    telemetry: Option<&TelemetrySession>,
-) -> Result<(), ()> {
-    if salvage {
-        eprintln!(
-            "--salvage applies to single archives; scan the campaign with `repro fsck {path}` \
-             and salvage damaged shards individually"
-        );
-        return Err(());
-    }
-    if budget.is_some() {
-        eprintln!("--budget applies to single archives; a campaign already reads shard by shard");
-        return Err(());
-    }
-    let mut source = match ShardedReader::open(path) {
-        Ok(source) => source,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return Err(());
-        }
-    };
-    let meta = *source.meta();
-    if meta.campaign == dpl_store::CampaignKind::TvlaInterleaved {
-        eprintln!(
-            "{path} records an interleaved TVLA campaign; key-recovery attacks over it are \
-             meaningless — run `repro tvla {path}` instead"
-        );
-        return Err(());
-    }
-    if let Some(session) = telemetry {
-        source.set_obs(session.obs());
-        let passes = if use_cpa {
-            dpl_store::cpa_passes(&source)
-        } else {
-            1
-        };
-        session.start_progress(Some(source.trace_count() * passes), "traces");
-    }
-    println!(
-        "{path}: {} shards, {} traces, {} samples/trace, {} chunks of {} traces, model = {}, \
-         seed = {}",
-        source.shard_count(),
-        source.trace_count(),
-        source.samples_per_trace(),
-        source.chunk_count(),
-        meta.chunk_traces,
-        meta.model.label(),
-        meta.seed
-    );
-    if circuit != CircuitChoice::Sbox {
-        println!("attack circuit: {} ({})", circuit.name(), circuit.label());
-    }
-    if let Some(model) = model_override {
-        println!("hypothesis model override: {}", model.label());
-    }
-    let selection = circuit.dpa_selection();
-    let recorded = match meta.table_digest {
-        0 => None,
-        digest => Some(digest),
-    };
-    let model = model_override.or_else(|| energy_model_of(meta.model));
-    let profile = rebuild_hypothesis(use_cpa, recorded, model, circuit)?;
-    let cache = if use_cpa {
-        profile
-            .as_ref()
-            .map(|(netlist, table)| EnergyCache::new(netlist, table))
-    } else {
-        None
-    };
-    let model = move |plaintext: u64, guess: u64| match &cache {
-        Some(cache) => cache.energy(plaintext, guess as u8),
-        None => dpl_crypto::present_sbox((plaintext ^ guess) as u8).count_ones() as f64,
-    };
-    let kind = if use_cpa { "CPA" } else { "DPA" };
-    let streamed = match if use_cpa {
-        cpa_attack_streaming(&mut source, 16, &model)
-    } else {
-        dpa_attack_streaming(&mut source, 16, &selection)
-    } {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!("out-of-core attack failed: {e}");
-            return Err(());
-        }
-    };
-    println!("out-of-core {kind}: {}", attack_label(&streamed));
-    if verify {
-        let traces = match read_all_chunks(&mut source) {
-            Ok(traces) => traces,
-            Err(e) => {
-                eprintln!("cannot load the campaign in memory for --verify: {e}");
-                return Err(());
-            }
-        };
-        let in_memory = if use_cpa {
-            cpa_attack(&traces, 16, &model)
-        } else {
-            dpa_attack(&traces, 16, &selection)
-        }
-        .expect("in-memory attack");
-        println!("in-memory   {kind}: {}", attack_label(&in_memory));
-        if in_memory.scores != streamed.scores || in_memory.best_guess != streamed.best_guess {
-            eprintln!("MISMATCH: out-of-core scores differ from the in-memory attack");
-            return Err(());
-        }
-        println!("verify: out-of-core scores are bit-identical to the in-memory attack");
-    }
-    Ok(())
 }
 
 /// `repro info <file> [--json [--fsck]]`: print an archive's header
@@ -1571,8 +1487,8 @@ fn run_charac_table(args: &[String]) -> ExitCode {
 }
 
 /// `repro tvla <file> [--order 1|2|both] [--workers n] [--salvage]`:
-/// streaming Welch t-test over an interleaved fixed-vs-random archive;
-/// `--salvage` assesses a damaged archive's surviving chunks.
+/// streaming Welch t-test over an interleaved fixed-vs-random archive or
+/// campaign; `--salvage` assesses a damaged one's surviving chunks.
 fn run_tvla(args: &[String]) -> ExitCode {
     let (args, telemetry) = match TelemetrySession::from_args(args) {
         Ok(parsed) => parsed,
@@ -1628,16 +1544,9 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
         return Err(());
     };
     if salvage && workers.is_some() {
-        // The sample-column sharding of --workers re-reads every chunk per
-        // shard; the salvage fold is deliberately single-pass per order.
+        // Column workers each read every chunk, so they would classify
+        // damage independently; a salvage t-test is one sequential fold.
         eprintln!("--salvage runs single-threaded; drop --workers");
-        return Err(());
-    }
-    if salvage && is_manifest_file(&path) {
-        eprintln!(
-            "--salvage applies to single archives; scan the campaign with `repro fsck {path}` \
-             and salvage damaged shards individually"
-        );
         return Err(());
     }
     if let Some(session) = telemetry {
@@ -1654,7 +1563,7 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
             })
             .sum();
         let total = if is_manifest_file(&path) {
-            ShardedReader::open(&path)
+            ShardedReader::open_with_policy(&path, ReadPolicy::Salvage)
                 .ok()
                 .map(|reader| reader.trace_count() * passes)
         } else {
@@ -1665,12 +1574,7 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
         session.start_progress(total, "traces");
     }
     let obs = telemetry.map(|t| t.obs());
-    let report = if salvage {
-        dpl_bench::tvla_salvage_report_observed(&path, &orders, obs)
-    } else {
-        dpl_bench::tvla_report_observed(&path, &orders, workers, obs)
-    };
-    match report {
+    match dpl_bench::tvla_report_observed(&path, &orders, workers, salvage, obs) {
         Ok(report) => {
             print!("{report}");
             Ok(())

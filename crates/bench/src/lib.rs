@@ -18,8 +18,7 @@ pub mod telemetry;
 pub use assess::{
     charac_table_report, info_json, info_report, mtd_curves, mtd_curves_observed, mtd_experiment,
     mtd_experiment_for, mtd_experiment_for_observed, mtd_experiment_observed, tvla_report,
-    tvla_report_observed, tvla_salvage_report, tvla_salvage_report_observed, CircuitChoice,
-    MtdAttack, MTD_GRID, TVLA_FIXED_PLAINTEXT,
+    tvla_report_observed, CircuitChoice, MtdAttack, MTD_GRID, TVLA_FIXED_PLAINTEXT,
 };
 pub use compare::{
     append_history, history_line, Baseline, BaselineRow, BenchComparison, RowComparison,

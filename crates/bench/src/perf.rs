@@ -16,13 +16,13 @@ use dpl_crypto::{
     simulate_traces_parallel, simulate_traces_with_table, simulate_tvla_traces_into,
     synthesize_sbox_with_key, EnergyCache, GateEnergyTable, LeakageModel, LeakageOptions,
 };
-use dpl_eval::{interleaved_partition, tvla_streaming};
+use dpl_eval::{interleaved_partition, WelchAccumulator};
 use dpl_obs::Obs;
-use dpl_power::{cpa_attack, dpa_attack, reference, TraceSet};
+use dpl_power::{cpa_attack, dpa_attack, reference, DpaAccumulator, TraceSet};
 use dpl_store::{
-    dpa_attack_salvage, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter,
-    CampaignManifest, Compression, ModelTag, Quantization, ReadPolicy, RetryPolicy, SampleEncoding,
-    ShardMeta, ShardedReader,
+    dpa_attack_streaming, fold, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter,
+    CampaignManifest, Compression, ModelTag, Quantization, ReadPolicy, Reading, RetryPolicy,
+    SampleEncoding, ShardMeta, ShardedReader,
 };
 
 /// Workload sizes of one measurement run.
@@ -449,8 +449,10 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         || {
             let mut reader = ArchiveReader::open_with_policy(&archive_path, ReadPolicy::Salvage)
                 .expect("archive open");
+            let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader))
+                .expect("accumulator");
             let (result, report) =
-                dpa_attack_salvage(&mut reader, 16, selection, &retry).expect("attack");
+                fold(&mut reader, acc, Reading::Salvage(&retry)).expect("attack");
             std::hint::black_box((result.best_guess, report.traces_read));
         },
     ));
@@ -686,7 +688,8 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         repeats,
         || {
             let mut reader = ArchiveReader::open(&tvla_path).expect("archive open");
-            let result = tvla_streaming(&mut reader, interleaved_partition).expect("tvla");
+            let acc = WelchAccumulator::new(interleaved_partition);
+            let (result, _) = fold(&mut reader, acc, Reading::Strict).expect("tvla");
             std::hint::black_box(result.max_abs_t());
         },
     ));

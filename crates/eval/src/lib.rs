@@ -10,11 +10,11 @@
 //!   second-order (centered-product preprocessing), following the same
 //!   `update(chunk)` / `merge` / `fork` protocol as the attack accumulators
 //!   of `dpl-power`.  A single update over a whole
-//!   [`TraceSet`](dpl_power::TraceSet) defines the in-memory statistic;
-//!   chunk-by-chunk folds over a `dpl-store` archive are **bit-identical**
-//!   to it, and [`streaming::tvla_parallel`] shards by
-//!   *sample column* so even the multi-threaded fold is bit-identical for
-//!   any worker count.
+//!   [`TraceSet`](dpl_power::TraceSet) defines the in-memory statistic.
+//!   The accumulators are `dpl_store::Fold`s, so `dpl_store::fold` runs
+//!   them out of core (strict or salvage, single archive or sharded
+//!   campaign), and [`streaming::tvla_parallel_with`] shards by *sample
+//!   column*; the numeric contracts are stated in `dpl_store::fold`.
 //! * [`mtd`] — attack-efficiency estimation: a campaign runner replaying
 //!   DPA/CPA over a grid of trace counts × resampled repetitions
 //!   (deterministic per-repetition seeds) to produce success-rate and
@@ -44,10 +44,7 @@ pub use mtd::{
     mtd_campaign, mtd_campaign_observed, rep_seed, MtdConfig, MtdCurve, PrefixAttack, PrefixCpa,
     PrefixDpa,
 };
-pub use streaming::{
-    tvla_parallel, tvla_parallel_observed, tvla_parallel_with, tvla_salvage, tvla_streaming,
-    tvla_streaming_second_order, TvlaOrder,
-};
+pub use streaming::{tvla_parallel_with, TvlaOrder};
 pub use tvla::{
     fixed_vs_fixed, interleaved_partition, tvla, tvla_second_order, SecondOrderWelchAccumulator,
     TvlaGroup, TvlaResult, WelchAccumulator, TVLA_THRESHOLD,

@@ -1,34 +1,19 @@
-//! Out-of-core TVLA over `dpl-store` archives.
+//! Out-of-core TVLA over `dpl-store` campaigns.
 //!
-//! The sequential folds ([`tvla_streaming`], [`tvla_streaming_second_order`])
-//! feed the Welch accumulators chunk by chunk and are **bit-identical** to
-//! the in-memory [`crate::tvla()`] / [`crate::tvla_second_order`] over the
-//! same traces — the same guarantee the out-of-core attacks of `dpl-store`
-//! give.
-//!
-//! [`tvla_parallel`] goes one step further than the chunk-sharded parallel
-//! attacks: it shards work by **sample column**, not by chunk.  Every
-//! scoped-thread worker scans the chunks in order but accumulates only the
-//! columns it owns (`sample % workers == worker`), so each column's running
-//! sums see the *exact* addition sequence of the sequential fold, and the
-//! assembled result is **bit-identical to the sequential fold for any
-//! worker count** — no floating-point reassociation tolerance needed.  The
-//! price is that every worker reads (and checksums) every chunk, which is
-//! the right trade for the multi-sample traces TVLA sweeps target; for
-//! single-sample archives the fold degrades gracefully to one effective
-//! worker.
-
-use std::io::{Read, Seek};
-use std::path::Path;
+//! The Welch accumulators are [`dpl_store::Fold`]s, so a sequential or
+//! salvage t-test is one [`dpl_store::fold()`] call over any
+//! [`ChunkSource`].  [`tvla_parallel_with`] goes one step further than the
+//! chunk-parallel attacks: it shards work by **sample column**, not by
+//! chunk, and is bit-identical to the sequential fold for any worker count
+//! (contract 3 of [`dpl_store::fold`](mod@dpl_store::fold)).  The price is
+//! that every worker reads (and checksums) every chunk, which is the right
+//! trade for the multi-sample traces TVLA sweeps target; for single-sample
+//! archives the fold degrades gracefully to one effective worker.
 
 use dpl_obs::{names, Obs};
-use dpl_power::TraceSet;
-use dpl_store::{
-    ArchiveReader, ChunkSource, DamageReport, FoldObs, Result as StoreResult, RetryPolicy,
-    SalvageOutcome, StoreError,
-};
+use dpl_store::{fold, worker_count, ChunkSource, Reading, Result as StoreResult};
 
-use crate::tvla::{ColumnStats, SecondOrderWelchAccumulator, WelchAccumulator};
+use crate::tvla::{SecondOrderWelchAccumulator, WelchAccumulator};
 use crate::{EvalError, Result, TvlaGroup, TvlaResult};
 
 /// Which t-test a TVLA evaluation runs.
@@ -52,214 +37,20 @@ impl TvlaOrder {
     }
 }
 
-/// First-order Welch t-test folded chunk-by-chunk over any
-/// [`ChunkSource`] — a single archive or a sharded campaign
-/// ([`dpl_store::ShardedReader`]) alike, with one decode buffer reused
-/// across chunks.
+/// Scoped-thread parallel TVLA over any reopenable [`ChunkSource`] (a
+/// single archive or a [`dpl_store::ShardedReader`] campaign), sharded by
+/// **sample column**: worker `w` of `n` runs [`dpl_store::fold()`] over its
+/// own contiguous block of columns, and the blocks' t-values are stitched
+/// in column order.  Bit-identical to the sequential fold for any worker
+/// count.  Workers default to the available parallelism (capped at 8) and
+/// are clamped to the number of sample columns.
 ///
-/// Bit-identical to [`crate::tvla()`] over the same traces.
-///
-/// # Errors
-///
-/// Returns an error for an empty archive or any chunk failure (I/O,
-/// truncation, checksum mismatch).
-pub fn tvla_streaming<S, F>(source: &mut S, partition: F) -> Result<TvlaResult>
-where
-    S: ChunkSource + ?Sized,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut accumulator = WelchAccumulator::new(partition);
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "eval.tvla_streaming");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    accumulator.finalize()
-}
-
-/// Second-order (centered-product) t-test folded over an archive in two
-/// passes; the second pass re-reads the chunks to center on the sealed
-/// per-group means.
-///
-/// Bit-identical to [`crate::tvla_second_order`] over the same traces.
-///
-/// # Errors
-///
-/// Returns an error for an empty archive or any chunk failure.
-pub fn tvla_streaming_second_order<S, F>(source: &mut S, partition: F) -> Result<TvlaResult>
-where
-    S: ChunkSource + ?Sized,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut accumulator = SecondOrderWelchAccumulator::new(partition);
-    let samples = source.samples_per_trace();
-    let mut fold = FoldObs::start(source.obs(), "eval.tvla_streaming_second_order");
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    accumulator.begin_second_pass()?;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        fold.update(&chunk, samples);
-        fold.accumulate(|| accumulator.update(&chunk))?;
-    }
-    fold.finish();
-    accumulator.finalize()
-}
-
-/// TVLA over the surviving chunks of a damaged archive.
-///
-/// Bit-identical to [`tvla_streaming`] / [`tvla_streaming_second_order`] on
-/// a clean archive.  On a damaged one, surviving traces are folded in
-/// archive order with the lost traces simply absent — the partition
-/// function sees the *compacted* global index — so the result equals the
-/// strict statistic over an archive written without the lost chunks'
-/// traces.  Whole chunks are kept or excluded, never split.
-///
-/// # Errors
-///
-/// Returns an error when damage leaves no usable traces, or (second order)
-/// when a chunk that verified in pass 1 fails in pass 2 — the passes must
-/// fold the same traces, so that inconsistency fails closed.
-pub fn tvla_salvage<R, F>(
-    reader: &mut ArchiveReader<R>,
-    partition: F,
-    order: TvlaOrder,
-    retry: &RetryPolicy,
-) -> Result<(TvlaResult, DamageReport)>
-where
-    R: Read + Seek,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let chunks = reader.chunk_count();
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "eval.tvla_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: chunks,
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    let mut damaged = vec![false; chunks];
-    match order {
-        TvlaOrder::First => {
-            let mut accumulator = WelchAccumulator::new(partition);
-            for (index, flag) in damaged.iter_mut().enumerate() {
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        report.traces_read += chunk.len() as u64;
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        *flag = true;
-                        report.damaged.push(d);
-                    }
-                }
-            }
-            fold.finish();
-            Ok((accumulator.finalize()?, report))
-        }
-        TvlaOrder::Second => {
-            let mut accumulator = SecondOrderWelchAccumulator::new(partition);
-            for (index, flag) in damaged.iter_mut().enumerate() {
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        report.traces_read += chunk.len() as u64;
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        *flag = true;
-                        report.damaged.push(d);
-                    }
-                }
-            }
-            accumulator.begin_second_pass()?;
-            for (index, flag) in damaged.iter().enumerate() {
-                if *flag {
-                    continue;
-                }
-                match reader.read_chunk_salvage(index, retry)? {
-                    SalvageOutcome::Intact(chunk) => {
-                        fold.update(&chunk, samples);
-                        fold.accumulate(|| accumulator.update(&chunk))?;
-                    }
-                    SalvageOutcome::Damaged(d) => {
-                        return Err(EvalError::Store(StoreError::FormatViolation {
-                            message: format!(
-                                "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                                 refusing to finalize inconsistent passes",
-                                d.chunk, d.cause
-                            ),
-                        }));
-                    }
-                }
-            }
-            fold.finish();
-            Ok((accumulator.finalize()?, report))
-        }
-    }
-}
-
-fn default_worker_count() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-}
-
-fn classify<F>(partition: &F, base: u64, inputs: &[u64]) -> Vec<Option<TvlaGroup>>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(t, &input)| partition(base + t as u64, input))
-        .collect()
-}
-
-/// Per-worker output: the group counts (identical across workers) plus the
-/// per-sample per-group sums of the columns this worker owns (untouched
-/// defaults elsewhere).
-type WorkerStats = ([u64; 2], Vec<[ColumnStats; 2]>);
-
-/// Scoped-thread parallel TVLA over an archive file, sharded by **sample
-/// column**: worker `w` of `n` accumulates columns `w, w+n, w+2n, ...`
-/// while scanning the chunks in order, so every column's sums are built by
-/// the exact addition sequence of the sequential fold.
-///
-/// The result is **bit-identical to [`tvla_streaming`] /
-/// [`tvla_streaming_second_order`] (and hence to the in-memory statistic)
-/// for any worker count** — asserted by the integration tests.  Workers
-/// default to the available parallelism (capped at 8) and are clamped to
-/// the number of sample columns.
-///
-/// # Errors
-///
-/// Returns an error for an empty or unreadable archive, or any chunk
-/// failure in any worker.
-pub fn tvla_parallel<F>(
-    path: &Path,
-    partition: F,
-    order: TvlaOrder,
-    workers: Option<usize>,
-) -> Result<TvlaResult>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
-{
-    tvla_parallel_observed(path, partition, order, workers, None)
-}
-
-/// [`tvla_parallel`] over any reopenable [`ChunkSource`] — each worker
-/// opens its own source via `open` (e.g. a [`dpl_store::ShardedReader`]
-/// campaign manifest), so the same column-sharded fold runs over single
-/// archives and sharded campaigns alike, with the same bit-identity
-/// guarantee for any worker count.
+/// With a telemetry context, the whole fold runs under an
+/// `eval.tvla_parallel` span (annotated with the worker and trace counts),
+/// the stitching is attributed to a `fold.merge` phase span, and each
+/// reunion counts into `fold.merges`.  Workers fold through the sources
+/// `open` returns, so chunk-read counters reflect whatever context the
+/// opener attaches.
 ///
 /// # Errors
 ///
@@ -286,44 +77,47 @@ where
     let samples = probe.samples_per_trace();
     let traces = probe.trace_count();
     drop(probe);
-    let workers = workers
-        .unwrap_or_else(default_worker_count)
-        .clamp(1, samples.max(1));
+    let workers = worker_count(workers, samples);
     let span = obs.map(|o| o.span("eval.tvla_parallel"));
 
-    let open = &open;
-    let partition = &partition;
-    let mut outputs: Vec<Option<Result<WorkerStats>>> = Vec::with_capacity(workers);
-    outputs.resize_with(workers, || None);
-    std::thread::scope(|scope| {
-        for (worker, slot) in outputs.iter_mut().enumerate() {
-            scope.spawn(move || {
-                *slot = Some(match order {
-                    TvlaOrder::First => first_order_worker(open, partition, worker, workers),
-                    TvlaOrder::Second => second_order_worker(open, partition, worker, workers),
-                });
-            });
-        }
+    let (open, partition) = (&open, &partition);
+    let blocks: Vec<Result<TvlaResult>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let columns = worker * samples / workers..(worker + 1) * samples / workers;
+                scope.spawn(move || {
+                    let mut source = open()?;
+                    Ok(match order {
+                        TvlaOrder::First => {
+                            let acc = WelchAccumulator::new(partition).with_columns(columns);
+                            fold(&mut source, acc, Reading::Strict)?.0
+                        }
+                        TvlaOrder::Second => {
+                            let acc =
+                                SecondOrderWelchAccumulator::new(partition).with_columns(columns);
+                            fold(&mut source, acc, Reading::Strict)?.0
+                        }
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("TVLA worker panicked"))
+            .collect()
     });
 
     let merge_phase = obs.map(|o| o.phase("fold.merge", names::FOLD_MERGE_NS));
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
-    let mut counts = [0u64; 2];
-    for (worker, slot) in outputs.into_iter().enumerate() {
-        let (worker_counts, worker_stats) = slot.unwrap_or(Err(EvalError::Misuse {
-            message: format!("worker {worker} never ran"),
-        }))?;
-        if worker == 0 {
-            counts = worker_counts;
-        }
-        for s in (worker..samples).step_by(workers) {
-            stats[s] = worker_stats[s];
-        }
+    let mut result = TvlaResult {
+        t: Vec::with_capacity(samples),
+        counts: [0; 2],
+    };
+    for block in blocks {
+        let block = block?;
+        // Every worker classifies every trace, so the counts agree.
+        result.counts = block.counts;
+        result.t.extend(block.t);
     }
-    let t = stats
-        .iter()
-        .map(|column| crate::tvla::t_statistic(counts, &column[0], &column[1]))
-        .collect();
     drop(merge_phase);
     if let Some(obs) = obs {
         obs.counter_add(names::FOLD_MERGES, workers as u64);
@@ -334,132 +128,5 @@ where
         span.arg("traces", traces);
         span.finish();
     }
-    Ok(TvlaResult { t, counts })
-}
-
-/// [`tvla_parallel`] with a telemetry context: the whole fold runs under an
-/// `eval.tvla_parallel` span (annotated with the worker and trace counts),
-/// the assembly of the per-worker partials is attributed to a `fold.merge`
-/// phase span, and each reunion counts into `fold.merges`.  Worker threads
-/// open their own readers without the context, so chunk-read counters
-/// reflect only the probing open — the span and merge phase carry the
-/// parallel fold's timing story.
-///
-/// # Errors
-///
-/// Returns an error for an empty or unreadable archive, or any chunk
-/// failure in any worker.
-pub fn tvla_parallel_observed<F>(
-    path: &Path,
-    partition: F,
-    order: TvlaOrder,
-    workers: Option<usize>,
-    obs: Option<&Obs>,
-) -> Result<TvlaResult>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
-{
-    tvla_parallel_with(|| ArchiveReader::open(path), partition, order, workers, obs)
-}
-
-/// One first-order worker: scans every chunk in order (through one reused
-/// decode buffer), accumulates raw sums for its own columns only.
-fn first_order_worker<S, O, F>(
-    open: &O,
-    partition: &F,
-    worker: usize,
-    workers: usize,
-) -> Result<WorkerStats>
-where
-    S: ChunkSource,
-    O: Fn() -> StoreResult<S>,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut source = open()?;
-    let samples = source.samples_per_trace();
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
-    let mut counts = [0u64; 2];
-    let mut next = 0u64;
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for group in groups.iter().flatten() {
-            counts[group.index()] += 1;
-        }
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    stats[s][g.index()].push(v);
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    Ok((counts, stats))
-}
-
-/// One second-order worker: pass 1 accumulates the per-group sums of its
-/// columns, pass 2 the centered-product sums against the sealed means —
-/// the same arithmetic, in the same order, as the sequential
-/// [`SecondOrderWelchAccumulator`].
-fn second_order_worker<S, O, F>(
-    open: &O,
-    partition: &F,
-    worker: usize,
-    workers: usize,
-) -> Result<WorkerStats>
-where
-    S: ChunkSource,
-    O: Fn() -> StoreResult<S>,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    let mut source = open()?;
-    let samples = source.samples_per_trace();
-    let mut sums = vec![[0.0f64; 2]; samples];
-    let mut counts = [0u64; 2];
-    let mut next = 0u64;
-    let mut chunk = TraceSet::new();
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for group in groups.iter().flatten() {
-            counts[group.index()] += 1;
-        }
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    sums[s][g.index()] += v;
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    // Seal the means exactly like begin_second_pass does.
-    let mut means = vec![[0.0f64; 2]; samples];
-    for s in 0..samples {
-        for group in 0..2 {
-            let n = counts[group] as f64;
-            means[s][group] = if n > 0.0 { sums[s][group] / n } else { 0.0 };
-        }
-    }
-    let mut stats = vec![[ColumnStats::default(); 2]; samples];
-    let mut next = 0u64;
-    for index in 0..source.chunk_count() {
-        source.read_chunk_into(index, &mut chunk)?;
-        let groups = classify(partition, next, chunk.inputs());
-        for s in (worker..samples).step_by(workers) {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    let d = v - means[s][g.index()];
-                    stats[s][g.index()].push(d * d);
-                }
-            }
-        }
-        next += chunk.len() as u64;
-    }
-    Ok((counts, stats))
+    Ok(result)
 }

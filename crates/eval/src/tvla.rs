@@ -32,8 +32,11 @@
 //! `dpl_crypto::simulate_tvla_traces_into` and the
 //! `dpl_store::CampaignKind::TvlaInterleaved` archives.
 
+use std::ops::Range;
+
 use dpl_power::stats::welch_t_from_stats;
 use dpl_power::TraceSet;
+use dpl_store::{Fold, MergeFold};
 
 use crate::{EvalError, Result};
 
@@ -172,6 +175,11 @@ fn width_check(current: &mut Option<usize>, chunk: &TraceSet) -> Result<usize> {
     Ok(width)
 }
 
+/// The requested column range, clipped to a `samples`-wide chunk.
+fn clamp(columns: &Range<usize>, samples: usize) -> Range<usize> {
+    columns.start.min(samples)..columns.end.min(samples)
+}
+
 fn empty_error() -> EvalError {
     EvalError::Misuse {
         message: "no traces were accumulated".into(),
@@ -191,8 +199,10 @@ pub struct WelchAccumulator<F> {
     start: u64,
     next: u64,
     samples: Option<usize>,
+    /// The sample columns folded (all of them unless restricted).
+    columns: Range<usize>,
     counts: [u64; 2],
-    /// `stats[group][sample]` running sums.
+    /// `stats[group][column - columns.start]` running sums.
     stats: [Vec<ColumnStats>; 2],
 }
 
@@ -215,9 +225,18 @@ where
             start,
             next: start,
             samples: None,
+            columns: 0..usize::MAX,
             counts: [0; 2],
             stats: [Vec::new(), Vec::new()],
         }
+    }
+
+    /// Restricts the accumulator to the sample columns in `columns`: its
+    /// result holds their t-values only, each bit-identical to the
+    /// full-width fold's.
+    pub(crate) fn with_columns(mut self, columns: Range<usize>) -> Self {
+        self.columns = columns;
+        self
     }
 
     /// Traces folded in so far (across both groups, including discarded
@@ -238,10 +257,12 @@ where
             return Ok(());
         }
         let samples = width_check(&mut self.samples, chunk)?;
+        let columns = clamp(&self.columns, samples);
+        let width = columns.len();
         if self.stats[0].is_empty() {
             self.stats = [
-                vec![ColumnStats::default(); samples],
-                vec![ColumnStats::default(); samples],
+                vec![ColumnStats::default(); width],
+                vec![ColumnStats::default(); width],
             ];
         }
         let groups: Vec<Option<TvlaGroup>> = chunk
@@ -258,11 +279,11 @@ where
         // bit-identical to the column-at-a-time fold while amortizing the
         // per-trace group dispatch over four columns.
         let mut s = 0;
-        while s + 4 <= samples {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
+        while s + 4 <= width {
+            let c0 = chunk.sample_column(columns.start + s);
+            let c1 = chunk.sample_column(columns.start + s + 1);
+            let c2 = chunk.sample_column(columns.start + s + 2);
+            let c3 = chunk.sample_column(columns.start + s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let row = &mut self.stats[g.index()][s..s + 4];
@@ -273,8 +294,8 @@ where
             }
             s += 4;
         }
-        while s < samples {
-            let column = chunk.sample_column(s);
+        while s < width {
+            let column = chunk.sample_column(columns.start + s);
             let (fixed, random) = {
                 let [f, r] = &mut self.stats;
                 (&mut f[s], &mut r[s])
@@ -345,7 +366,7 @@ where
         if self.traces() == 0 {
             return Err(empty_error());
         }
-        let t = (0..self.samples.unwrap_or(0))
+        let t = (0..self.stats[0].len())
             .map(|s| t_statistic(self.counts, &self.stats[0][s], &self.stats[1][s]))
             .collect();
         Ok(TvlaResult {
@@ -391,8 +412,10 @@ pub struct SecondOrderWelchAccumulator<F> {
     next: u64,
     pass: Pass,
     samples: Option<usize>,
+    /// The sample columns folded (all of them unless restricted).
+    columns: Range<usize>,
     counts: [u64; 2],
-    /// Pass-1 per-group per-sample plain sums.
+    /// Pass-1 per-group per-column plain sums.
     sum: [Vec<f64>; 2],
     /// Sealed per-group per-sample means.
     mean: [Vec<f64>; 2],
@@ -417,6 +440,7 @@ where
             next: 0,
             pass: Pass::Means,
             samples: None,
+            columns: 0..usize::MAX,
             counts: [0; 2],
             sum: [Vec::new(), Vec::new()],
             mean: [Vec::new(), Vec::new()],
@@ -425,6 +449,13 @@ where
             second_next: 0,
             second_counts: [0; 2],
         }
+    }
+
+    /// Restricts the accumulator to the sample columns in `columns`, like
+    /// [`WelchAccumulator::with_columns`].
+    pub(crate) fn with_columns(mut self, columns: Range<usize>) -> Self {
+        self.columns = columns;
+        self
     }
 
     /// Traces folded into the first pass so far.
@@ -451,8 +482,10 @@ where
             return Ok(());
         }
         let samples = width_check(&mut self.samples, chunk)?;
+        let columns = clamp(&self.columns, samples);
+        let width = columns.len();
         if self.sum[0].is_empty() {
-            self.sum = [vec![0.0; samples], vec![0.0; samples]];
+            self.sum = [vec![0.0; width], vec![0.0; width]];
         }
         let groups: Vec<Option<TvlaGroup>> = chunk
             .inputs()
@@ -466,11 +499,11 @@ where
         // Same 4-wide column unroll as WelchAccumulator::update: each
         // (group, sample) sum is fed in trace order, so bit-identity holds.
         let mut s = 0;
-        while s + 4 <= samples {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
+        while s + 4 <= width {
+            let c0 = chunk.sample_column(columns.start + s);
+            let c1 = chunk.sample_column(columns.start + s + 1);
+            let c2 = chunk.sample_column(columns.start + s + 2);
+            let c3 = chunk.sample_column(columns.start + s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let row = &mut self.sum[g.index()][s..s + 4];
@@ -481,8 +514,8 @@ where
             }
             s += 4;
         }
-        while s < samples {
-            let column = chunk.sample_column(s);
+        while s < width {
+            let column = chunk.sample_column(columns.start + s);
             for (group, &v) in groups.iter().zip(column) {
                 if let Some(g) = group {
                     self.sum[g.index()][s] += v;
@@ -509,7 +542,7 @@ where
         self.pass = Pass::Centered;
         self.second_start = self.start;
         self.second_next = self.start;
-        let samples = self.samples.unwrap_or(0);
+        let width = self.sum[0].len();
         for group in 0..2 {
             let n = self.counts[group] as f64;
             self.mean[group] = self.sum[group]
@@ -518,8 +551,8 @@ where
                 .collect();
         }
         self.centered = [
-            vec![ColumnStats::default(); samples],
-            vec![ColumnStats::default(); samples],
+            vec![ColumnStats::default(); width],
+            vec![ColumnStats::default(); width],
         ];
         Ok(())
     }
@@ -529,6 +562,8 @@ where
             return Ok(());
         }
         let samples = width_check(&mut self.samples, chunk)?;
+        let columns = clamp(&self.columns, samples);
+        let width = columns.len();
         if self.second_next + chunk.len() as u64 > self.next {
             return Err(EvalError::Misuse {
                 message: "the second pass replayed more traces than the first pass folded".into(),
@@ -547,11 +582,11 @@ where
         // `v - mean` and its square use the same operands as the scalar loop
         // and each slot is fed in trace order — bit-identical.
         let mut s = 0;
-        while s + 4 <= samples {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
+        while s + 4 <= width {
+            let c0 = chunk.sample_column(columns.start + s);
+            let c1 = chunk.sample_column(columns.start + s + 1);
+            let c2 = chunk.sample_column(columns.start + s + 2);
+            let c3 = chunk.sample_column(columns.start + s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let g = g.index();
@@ -568,8 +603,8 @@ where
             }
             s += 4;
         }
-        while s < samples {
-            let column = chunk.sample_column(s);
+        while s < width {
+            let column = chunk.sample_column(columns.start + s);
             let (fixed, random) = {
                 let [f, r] = &mut self.centered;
                 (&mut f[s], &mut r[s])
@@ -613,10 +648,10 @@ where
             });
         }
         let mut fork = self.clone();
-        let samples = self.samples.unwrap_or(0);
+        let width = self.centered[0].len();
         fork.centered = [
-            vec![ColumnStats::default(); samples],
-            vec![ColumnStats::default(); samples],
+            vec![ColumnStats::default(); width],
+            vec![ColumnStats::default(); width],
         ];
         fork.second_counts = [0; 2];
         fork.second_start = replay_start;
@@ -675,7 +710,7 @@ where
                 ),
             });
         }
-        let t = (0..self.samples.unwrap_or(0))
+        let t = (0..self.centered[0].len())
             .map(|s| t_statistic(self.counts, &self.centered[0][s], &self.centered[1][s]))
             .collect();
         Ok(TvlaResult {
@@ -691,6 +726,111 @@ where
     /// See [`SecondOrderWelchAccumulator::evaluate`].
     pub fn finalize(self) -> Result<TvlaResult> {
         self.evaluate()
+    }
+}
+
+impl<F> Fold for WelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
+{
+    type Output = TvlaResult;
+    type Error = EvalError;
+    const SPAN: &'static str = "eval.tvla_streaming";
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        WelchAccumulator::update(self, chunk)
+    }
+
+    fn finalize(self) -> Result<TvlaResult> {
+        WelchAccumulator::finalize(self)
+    }
+}
+
+impl<F> MergeFold for WelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup> + Clone,
+{
+    fn partial(&self, first_trace: u64) -> Result<Self> {
+        Ok(Self::starting_at(self.partition.clone(), first_trace)
+            .with_columns(self.columns.clone()))
+    }
+
+    fn merge(&mut self, other: &Self) -> Result<()> {
+        WelchAccumulator::merge(self, other)
+    }
+}
+
+impl<F> Fold for SecondOrderWelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
+{
+    type Output = TvlaResult;
+    type Error = EvalError;
+    const SPAN: &'static str = "eval.tvla_second_order";
+
+    fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        SecondOrderWelchAccumulator::update(self, chunk)
+    }
+
+    fn begin_pass(&mut self) -> Result<bool> {
+        self.begin_second_pass()?;
+        Ok(true)
+    }
+
+    fn finalize(self) -> Result<TvlaResult> {
+        SecondOrderWelchAccumulator::finalize(self)
+    }
+}
+
+impl<F> MergeFold for SecondOrderWelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup> + Clone,
+{
+    fn partial(&self, first_trace: u64) -> Result<Self> {
+        match self.pass {
+            Pass::Means => Ok(SecondOrderWelchAccumulator {
+                start: first_trace,
+                next: first_trace,
+                ..Self::new(self.partition.clone()).with_columns(self.columns.clone())
+            }),
+            Pass::Centered => self.fork_at(first_trace),
+        }
+    }
+
+    /// Pass 1 combines the per-group sums of the next contiguous range;
+    /// pass 2 is [`SecondOrderWelchAccumulator::merge_fork`].
+    fn merge(&mut self, other: &Self) -> Result<()> {
+        if self.pass == Pass::Centered {
+            return self.merge_fork(other);
+        }
+        if other.pass != Pass::Means || other.start != self.next {
+            return Err(EvalError::Misuse {
+                message: "a first-pass merge requires a first-pass partial of the next \
+                          contiguous trace range"
+                    .into(),
+            });
+        }
+        if other.traces() == 0 {
+            return Ok(());
+        }
+        if self.traces() == 0 {
+            self.samples = other.samples;
+            self.counts = other.counts;
+            self.sum = other.sum.clone();
+        } else if self.samples != other.samples {
+            return Err(EvalError::Misuse {
+                message: "cannot merge accumulators with different sample widths".into(),
+            });
+        } else {
+            for group in 0..2 {
+                self.counts[group] += other.counts[group];
+                for (acc, v) in self.sum[group].iter_mut().zip(&other.sum[group]) {
+                    *acc += v;
+                }
+            }
+        }
+        self.next = other.next;
+        Ok(())
     }
 }
 

@@ -202,6 +202,16 @@ pub fn input_profile(inputs: &[u64]) -> InputProfile {
     }
 }
 
+/// The [`InputProfile`] whose bookkeeping keeps class sums when `classes`
+/// and the diverse-input fallback when `wide`.
+fn bookkeeping(classes: bool, wide: bool) -> InputProfile {
+    match (classes, wide) {
+        (false, _) => InputProfile::Diverse,
+        (true, true) => InputProfile::Auto,
+        (true, false) => InputProfile::FewClasses,
+    }
+}
+
 fn sealed_error() -> PowerError {
     PowerError::AccumulatorMisuse {
         message: "the CPA accumulator was sealed after one pass (class aggregation needs no \
@@ -301,6 +311,21 @@ where
     /// Number of traces folded in so far.
     pub fn traces(&self) -> usize {
         self.traces
+    }
+
+    /// An empty partial for a later trace range, to be
+    /// [`DpaAccumulator::merge`]d back in range order: this accumulator's
+    /// guess count, selection function and bookkeeping, no traces.
+    ///
+    /// # Errors
+    ///
+    /// None in practice; the guess count was validated on construction.
+    pub fn partial(&self) -> Result<Self>
+    where
+        F: Clone,
+    {
+        let profile = bookkeeping(self.classes.is_some(), self.wide);
+        Self::with_profile(self.key_guesses, self.selection.clone(), profile)
     }
 
     /// Folds one chunk of traces into the accumulator.
@@ -692,6 +717,25 @@ where
     /// Number of traces folded into the first pass so far.
     pub fn traces(&self) -> usize {
         self.traces
+    }
+
+    /// An empty partial for a later share of the current pass, to be
+    /// [`CpaAccumulator::merge`]d back in range order: in the first pass, a
+    /// fresh accumulator with this one's guess count, model and
+    /// bookkeeping; in the second, a [`CpaAccumulator::fork`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error after a one-pass seal.
+    pub fn partial(&self) -> Result<Self>
+    where
+        F: Clone,
+    {
+        if self.pass != CpaPass::Means {
+            return self.fork();
+        }
+        let profile = bookkeeping(self.classes.is_some(), self.wide);
+        Self::with_profile(self.key_guesses, self.model.clone(), profile)
     }
 
     /// Folds one chunk of traces into the current pass.  A second pass must

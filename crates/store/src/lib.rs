@@ -14,12 +14,12 @@
 //!   straight to disk without materializing a `TraceSet`,
 //! * [`ArchiveReader`] — header-validating, checksum-verifying chunk
 //!   iterator with a configurable in-memory chunk budget,
-//! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] — out-of-core
-//!   attacks, **bit-identical** to the in-memory
-//!   `dpl_power::dpa_attack`/`cpa_attack` on the same traces,
-//! * [`dpa_attack_parallel`] / [`cpa_attack_parallel`] — scoped-thread
-//!   folds that merge per-chunk partial accumulators in chunk order
-//!   (deterministic, worker-count independent).
+//! * [`mod@fold`] — the fold engine: [`fold()`] runs any [`Fold`] statistic
+//!   over a [`ChunkSource`] under a strict or salvage [`Reading`], and
+//!   [`fold_parallel`] runs a [`MergeFold`] across scoped threads; its
+//!   module docs state the numeric contracts of every out-of-core fold,
+//! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] /
+//!   [`cpa_attack_parallel_with`] — the out-of-core attacks built on it.
 //!
 //! Corruption anywhere — header or chunk — surfaces as a typed
 //! [`StoreError`], never as silently wrong scores.
@@ -30,9 +30,9 @@
 //!   capture's valid chunk prefix and [`ArchiveWriter::resume`] continues
 //!   appending to it, bit-identical to an uninterrupted capture,
 //! * [`mod@salvage`] — [`ReadPolicy::Salvage`] reads that skip damaged
-//!   chunks into a [`DamageReport`] and feed survivors to the attack
-//!   accumulators ([`dpa_attack_salvage`] / [`cpa_attack_salvage`]), plus
-//!   [`repair_archive`] for quarantined-clean copies,
+//!   chunks into a [`DamageReport`] and feed survivors to any fold
+//!   ([`Reading::Salvage`]), plus [`repair_archive`] for quarantined-clean
+//!   copies,
 //! * [`mod@fault`] — [`FaultStream`] deterministic fault injection and the
 //!   bounded [`RetryPolicy`], the machinery that proves the two layers
 //!   above by exhaustively failing every I/O operation.
@@ -56,6 +56,7 @@ mod attack;
 pub mod encode;
 mod error;
 pub mod fault;
+pub mod fold;
 pub mod format;
 mod reader;
 pub mod recover;
@@ -64,18 +65,17 @@ pub mod shard;
 mod writer;
 
 pub use attack::{
-    cpa_attack_parallel, cpa_attack_parallel_with, cpa_attack_streaming, cpa_passes,
-    dpa_attack_parallel, dpa_attack_parallel_with, dpa_attack_streaming, FoldObs,
+    cpa_attack_parallel_with, cpa_attack_streaming, cpa_passes, dpa_attack_streaming, input_profile,
 };
 pub use encode::{Compression, Quantization, SampleEncoding};
 pub use error::{ReadSite, Result, StoreError};
 pub use fault::{Fault, FaultPlan, FaultStream, RetryPolicy};
+pub use fold::{fold, fold_parallel, worker_count, Fold, MergeFold, Reading};
 pub use format::{ArchiveMeta, CampaignKind, ModelTag};
 pub use reader::{ArchiveReader, ChunkSource, Chunks};
 pub use recover::{recover, HeaderState, Recovery};
 pub use salvage::{
-    cpa_attack_salvage, dpa_attack_salvage, repair_archive, DamageCause, DamageReport,
-    DamagedChunk, ReadPolicy, SalvageOutcome,
+    repair_archive, DamageCause, DamageReport, DamagedChunk, ReadPolicy, SalvageOutcome,
 };
 pub use shard::{is_manifest_file, CampaignManifest, ShardMeta, ShardedReader};
 pub use writer::{ArchiveWriter, SyncWrite, Truncate};

@@ -2,31 +2,23 @@
 //!
 //! A strict read aborts on the first bad chunk; a salvage read skips it,
 //! records *what* was lost in a [`DamageReport`], and feeds every surviving
-//! chunk to the mergeable attack accumulators.  The guarantees:
-//!
-//! * **Fail closed per chunk.**  A chunk either verifies its checksum and is
-//!   used in full, or is excluded in full — partial chunk data never reaches
-//!   an accumulator.
-//! * **Bit-identical when clean.**  On an undamaged archive, salvage reads
-//!   perform the exact same reads and floating-point folds as strict reads.
-//! * **Compacted indexing when damaged.**  Surviving traces are folded in
-//!   archive order with the lost traces simply absent, so a salvage attack
-//!   over a damaged archive equals a strict attack over an archive that was
-//!   written without the lost chunk's traces.
-//!
-//! Transient I/O errors are retried under the caller's [`RetryPolicy`]
-//! before a chunk is declared damaged; corruption is never retried.
+//! chunk to the statistic — [`crate::fold()`] under
+//! [`crate::Reading::Salvage`], over a single archive or a sharded campaign
+//! alike; the salvage contracts are stated in
+//! [`crate::fold`](mod@crate::fold).  A chunk either verifies its checksum
+//! and is used in full, or is excluded in full.  Transient I/O errors are
+//! retried under the caller's [`RetryPolicy`] before a chunk is declared
+//! damaged; corruption is never retried.
 
 use std::io::{Read, Seek};
 use std::path::Path;
 
 use dpl_obs::names;
-use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator, TraceSet};
+use dpl_power::TraceSet;
 
-use crate::attack::{profile_of, FoldObs};
 use crate::error::{ReadSite, Result, StoreError};
 use crate::fault::RetryPolicy;
-use crate::reader::ArchiveReader;
+use crate::reader::{ArchiveReader, ChunkSource};
 use crate::writer::ArchiveWriter;
 
 /// How an [`ArchiveReader`] treats damage.
@@ -172,56 +164,10 @@ impl<R: Read + Seek> ArchiveReader<R> {
         retry: &RetryPolicy,
     ) -> Result<SalvageOutcome> {
         let mut set = TraceSet::new();
-        Ok(
-            match self.read_chunk_salvage_into(index, retry, &mut set)? {
-                None => SalvageOutcome::Intact(set),
-                Some(damaged) => SalvageOutcome::Damaged(damaged),
-            },
-        )
-    }
-
-    /// [`ArchiveReader::read_chunk_salvage`] into a reused set: `None` when
-    /// the chunk verified and now fills `set`, else the damage record (the
-    /// set's contents are then unspecified).
-    fn read_chunk_salvage_into(
-        &mut self,
-        index: usize,
-        retry: &RetryPolicy,
-        set: &mut TraceSet,
-    ) -> Result<Option<DamagedChunk>> {
-        if index >= self.chunk_count() {
-            return Err(StoreError::FormatViolation {
-                message: format!(
-                    "chunk {index} out of range (archive has {} chunks)",
-                    self.chunk_count()
-                ),
-            });
-        }
-        let traces = self.traces_in_chunk(index);
-        let obs = self.obs().cloned();
-        let mut attempts = 0u64;
-        let outcome = retry.run(|| {
-            attempts += 1;
-            self.read_chunk_into(index, set)
-        });
-        if let Some(obs) = &obs {
-            // Only the retries beyond the first attempt are "retry attempts".
-            obs.counter_add(names::STORE_RETRY_ATTEMPTS, attempts.saturating_sub(1));
-        }
-        match outcome {
-            Ok(()) => Ok(None),
-            Err(e) => {
-                let damaged = classify(e, index, traces)?;
-                if let Some(obs) = &obs {
-                    obs.counter_add(names::STORE_SALVAGE_DROPPED_CHUNKS, 1);
-                    obs.counter_add(
-                        names::STORE_SALVAGE_DROPPED_TRACES,
-                        damaged.traces_lost as u64,
-                    );
-                }
-                Ok(Some(damaged))
-            }
-        }
+        Ok(match read_salvage_into(self, index, retry, &mut set)? {
+            None => SalvageOutcome::Intact(set),
+            Some(damaged) => SalvageOutcome::Damaged(damaged),
+        })
     }
 
     /// Verifies every chunk (checksums included) without keeping any trace
@@ -238,7 +184,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
         };
         let mut set = TraceSet::new();
         for index in 0..self.chunk_count() {
-            match self.read_chunk_salvage_into(index, retry, &mut set)? {
+            match read_salvage_into(self, index, retry, &mut set)? {
                 None => report.traces_read += set.len() as u64,
                 Some(d) => report.damaged.push(d),
             }
@@ -247,120 +193,48 @@ impl<R: Read + Seek> ArchiveReader<R> {
     }
 }
 
-/// Difference-of-means DPA over the surviving chunks of an archive.
-///
-/// Bit-identical to [`crate::dpa_attack_streaming`] on a clean archive; on a
-/// damaged one, equals the strict attack over an archive written without the
-/// lost chunks' traces.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, or when damage leaves no usable
-/// traces.
-pub fn dpa_attack_salvage<R, F>(
-    reader: &mut ArchiveReader<R>,
-    key_guesses: u64,
-    selection: F,
+/// Reads chunk `index` of any [`ChunkSource`] into a reused set under
+/// salvage rules: `None` when the chunk verified and now fills `set`, else
+/// the damage record (the set's contents are then unspecified).  Transient
+/// I/O errors are retried under `retry` first.
+pub(crate) fn read_salvage_into<S: ChunkSource + ?Sized>(
+    source: &mut S,
+    index: usize,
     retry: &RetryPolicy,
-) -> Result<(AttackResult, DamageReport)>
-where
-    R: Read + Seek,
-    F: Fn(u64, u64) -> bool,
-{
-    let mut accumulator = DpaAccumulator::with_profile(key_guesses, selection, profile_of(reader))?;
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "store.dpa_attack_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: reader.chunk_count(),
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    for index in 0..reader.chunk_count() {
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                report.traces_read += chunk.len() as u64;
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
+    set: &mut TraceSet,
+) -> Result<Option<DamagedChunk>> {
+    let chunks = source.chunk_count();
+    if index >= chunks {
+        return Err(StoreError::FormatViolation {
+            message: format!("chunk {index} out of range (campaign has {chunks} chunks)"),
+        });
+    }
+    let chunk_traces = source.meta().chunk_traces as u64;
+    let traces = (source.trace_count() - index as u64 * chunk_traces).min(chunk_traces) as usize;
+    let obs = source.obs().cloned();
+    let mut attempts = 0u64;
+    let outcome = retry.run(|| {
+        attempts += 1;
+        source.read_chunk_into(index, set)
+    });
+    if let Some(obs) = &obs {
+        // Only the retries beyond the first attempt are "retry attempts".
+        obs.counter_add(names::STORE_RETRY_ATTEMPTS, attempts.saturating_sub(1));
+    }
+    match outcome {
+        Ok(()) => Ok(None),
+        Err(e) => {
+            let damaged = classify(e, index, traces)?;
+            if let Some(obs) = &obs {
+                obs.counter_add(names::STORE_SALVAGE_DROPPED_CHUNKS, 1);
+                obs.counter_add(
+                    names::STORE_SALVAGE_DROPPED_TRACES,
+                    damaged.traces_lost as u64,
+                );
             }
-            SalvageOutcome::Damaged(d) => report.damaged.push(d),
+            Ok(Some(damaged))
         }
     }
-    fold.finish();
-    Ok((accumulator.finalize()?, report))
-}
-
-/// Correlation power analysis over the surviving chunks of an archive.
-///
-/// A few-class archive is read once, like [`crate::cpa_attack_streaming`].
-/// A diverse-input archive takes a second pass that re-reads only the
-/// chunks that survived the first.
-///
-/// Bit-identical to [`crate::cpa_attack_streaming`] on a clean archive; on a
-/// damaged one, equals the strict attack over an archive written without the
-/// lost chunks' traces.
-///
-/// # Errors
-///
-/// Returns an error for zero guesses, damage that leaves no usable traces,
-/// or (on a diverse-input archive) a chunk that verified in pass 1 but
-/// failed in pass 2 — the two passes must fold the same traces, so that
-/// inconsistency fails closed.
-pub fn cpa_attack_salvage<R, F>(
-    reader: &mut ArchiveReader<R>,
-    key_guesses: u64,
-    model: F,
-    retry: &RetryPolicy,
-) -> Result<(AttackResult, DamageReport)>
-where
-    R: Read + Seek,
-    F: Fn(u64, u64) -> f64,
-{
-    let mut accumulator = CpaAccumulator::with_profile(key_guesses, model, profile_of(reader))?;
-    let samples = reader.samples_per_trace();
-    let mut fold = FoldObs::start(reader.obs(), "store.cpa_attack_salvage");
-    let mut report = DamageReport {
-        chunks_scanned: reader.chunk_count(),
-        traces_total: reader.trace_count(),
-        ..DamageReport::default()
-    };
-    let mut damaged = vec![false; reader.chunk_count()];
-    for (index, flag) in damaged.iter_mut().enumerate() {
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
-                report.traces_read += chunk.len() as u64;
-                fold.update(&chunk, samples);
-                accumulator.update(&chunk)?;
-            }
-            SalvageOutcome::Damaged(d) => {
-                *flag = true;
-                report.damaged.push(d);
-            }
-        }
-    }
-    if accumulator.begin_second_pass()? {
-        for (index, flag) in damaged.iter().enumerate() {
-            if *flag {
-                continue;
-            }
-            match reader.read_chunk_salvage(index, retry)? {
-                SalvageOutcome::Intact(chunk) => {
-                    fold.update(&chunk, samples);
-                    accumulator.update(&chunk)?;
-                }
-                SalvageOutcome::Damaged(d) => {
-                    return Err(StoreError::FormatViolation {
-                        message: format!(
-                            "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                             refusing to finalize inconsistent passes",
-                            d.chunk, d.cause
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    fold.finish();
-    Ok((accumulator.finalize()?, report))
 }
 
 /// Rewrites the salvageable traces of `src` into a fresh, clean archive at

@@ -288,6 +288,20 @@ impl Certificate {
         let input_count: u32 = lines.parse_field("inputs")?;
         let gate_count: usize = lines.parse_field("gates")?;
         let output_count: usize = lines.parse_field("outputs")?;
+        // The counts are untrusted (the checksum is unkeyed): every gate
+        // and output claims at least one line of its own, so a count the
+        // remaining body cannot hold is malformed, and no reservation below
+        // can exceed the input's size.
+        let remaining = lines.remaining();
+        let claimed = output_count
+            .checked_mul(2)
+            .and_then(|outputs| outputs.checked_add(gate_count));
+        if claimed.is_none_or(|claimed| claimed > remaining) {
+            return Err(lines.malformed_at(format!(
+                "{gate_count} gate(s) and {output_count} output(s) declared, but only \
+                 {remaining} line(s) follow"
+            )));
+        }
 
         let mut gates = Vec::with_capacity(gate_count);
         for _ in 0..gate_count {
@@ -520,6 +534,11 @@ impl<'a> LineCursor<'a> {
             .ok_or_else(|| self.malformed_at(format!("missing '{keyword}' line")))?;
         line.strip_prefix(keyword)
             .ok_or_else(|| self.malformed_at(format!("expected '{keyword}', found '{line}'")))
+    }
+
+    /// Lines not yet consumed.
+    fn remaining(&self) -> usize {
+        self.lines.clone().count()
     }
 
     fn peek_is(&mut self, keyword: &str) -> bool {

@@ -159,3 +159,59 @@ fn a_leaky_model_cannot_be_certified() {
         Err(VerifyError::Lint(_))
     ));
 }
+
+/// Rewrites one header line of a certificate and recomputes its checksum,
+/// as a forger would: the checksum is unkeyed, so only the parser's own
+/// checks stand between a forged count and the allocator.
+fn forge_header(text: &str, keyword: &str, value: &str) -> String {
+    let body = &text[..text.rfind("checksum ").expect("checksum line")];
+    let mut forged = String::new();
+    for line in body.lines() {
+        if line.starts_with(&format!("{keyword} ")) {
+            forged.push_str(&format!("{keyword} {value}\n"));
+        } else {
+            forged.push_str(line);
+            forged.push('\n');
+        }
+    }
+    assert_ne!(forged, body, "no `{keyword}` line to forge");
+    let checksum = dpl_store::format::fnv1a64(forged.as_bytes());
+    forged.push_str(&format!("checksum {checksum:016x}\n"));
+    forged
+}
+
+/// Header counts near `u32::MAX`/`u64::MAX` with a valid checksum must be
+/// rejected as malformed — never sized into an allocation (an abort) or a
+/// capacity overflow (a panic) — both by the parser and by the
+/// `dplcert-check` binary, which must exit 1.
+#[test]
+fn forged_header_counts_fail_closed() {
+    let request = CertificateRequest::parse("sbox", "enhanced").unwrap();
+    let text = emit_certificate(&request).unwrap().to_text();
+    let dir = std::env::temp_dir().join(format!("dplcert_forged_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (keyword, value) in [
+        ("gates", "4294967295"),
+        ("gates", "18446744073709551615"),
+        ("outputs", "4294967295"),
+    ] {
+        let forged = forge_header(&text, keyword, value);
+        assert!(
+            matches!(
+                dpl_verify::Certificate::parse(&forged),
+                Err(VerifyError::MalformedCertificate { .. })
+            ),
+            "{keyword} {value}"
+        );
+        assert!(check_certificate(&forged).is_err(), "{keyword} {value}");
+        let path = dir.join(format!("{keyword}-{value}.dplcert"));
+        std::fs::write(&path, &forged).unwrap();
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_dplcert-check"))
+            .arg(&path)
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run dplcert-check");
+        assert_eq!(status.code(), Some(1), "{keyword} {value}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -11,14 +11,16 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use dpl_eval::{
-    interleaved_partition, tvla_salvage, tvla_streaming, tvla_streaming_second_order, TvlaOrder,
+    interleaved_partition, EvalError, SecondOrderWelchAccumulator, TvlaOrder, TvlaResult,
+    WelchAccumulator,
 };
 use dpl_obs::{names, Obs};
+use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator};
 use dpl_store::{
-    cpa_attack_salvage, cpa_attack_streaming, dpa_attack_salvage, dpa_attack_streaming, recover,
-    repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, Compression, DamageCause,
+    cpa_attack_streaming, dpa_attack_streaming, fold, input_profile, recover, repair_archive,
+    ArchiveMeta, ArchiveReader, ArchiveWriter, ChunkSource, Compression, DamageCause, DamageReport,
     DamagedChunk, Fault, FaultPlan, FaultStream, HeaderState, ModelTag, ReadPolicy, ReadSite,
-    RetryPolicy, SampleEncoding, StoreError,
+    Reading, RetryPolicy, SampleEncoding, StoreError,
 };
 
 const SEED: u64 = 42;
@@ -117,6 +119,47 @@ fn model(input: u64, guess: u64) -> f64 {
 }
 
 /// Drives a full capture of `traces` through the given stream.
+type Salvaged<T, E> = Result<(T, DamageReport), E>;
+
+/// A salvage DPA through the fold engine, with the bookkeeping the strict
+/// entry points pick.
+fn salvage_dpa<S: ChunkSource>(
+    source: &mut S,
+    retry: &RetryPolicy,
+) -> Salvaged<AttackResult, StoreError> {
+    let acc = DpaAccumulator::with_profile(16, selection, input_profile(source))?;
+    fold(source, acc, Reading::Salvage(retry))
+}
+
+/// A salvage CPA through the fold engine.
+fn salvage_cpa<S: ChunkSource>(
+    source: &mut S,
+    retry: &RetryPolicy,
+) -> Salvaged<AttackResult, StoreError> {
+    let acc = CpaAccumulator::with_profile(16, model, input_profile(source))?;
+    fold(source, acc, Reading::Salvage(retry))
+}
+
+/// A TVLA of either order through the fold engine.
+fn tvla_fold<S: ChunkSource>(
+    source: &mut S,
+    order: TvlaOrder,
+    reading: Reading<'_>,
+) -> Salvaged<TvlaResult, EvalError> {
+    match order {
+        TvlaOrder::First => fold(
+            source,
+            WelchAccumulator::new(interleaved_partition),
+            reading,
+        ),
+        TvlaOrder::Second => fold(
+            source,
+            SecondOrderWelchAccumulator::new(interleaved_partition),
+            reading,
+        ),
+    }
+}
+
 fn capture_into<W: dpl_store::SyncWrite>(
     stream: W,
     meta: ArchiveMeta,
@@ -350,8 +393,7 @@ fn salvage_attack_equals_strict_attack_without_the_lost_chunk() {
     // DPA.
     let mut damaged = ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
         .expect("salvage open");
-    let (salvaged, report) =
-        dpa_attack_salvage(&mut damaged, 16, selection, &retry).expect("salvage DPA");
+    let (salvaged, report) = salvage_dpa(&mut damaged, &retry).expect("salvage DPA");
     assert_eq!(
         report.damaged,
         vec![DamagedChunk {
@@ -374,8 +416,7 @@ fn salvage_attack_equals_strict_attack_without_the_lost_chunk() {
     // `few_class_cpa_salvage_reads_each_intact_chunk_once`.
     let mut damaged = ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
         .expect("salvage open");
-    let (salvaged, report) =
-        cpa_attack_salvage(&mut damaged, 16, model, &retry).expect("salvage CPA");
+    let (salvaged, report) = salvage_cpa(&mut damaged, &retry).expect("salvage CPA");
     assert_eq!(report.damaged.len(), 1);
     assert_eq!(report.damaged[0].chunk, damaged_chunk);
     let mut clean = ArchiveReader::new(Cursor::new(without)).expect("open");
@@ -428,7 +469,7 @@ fn cpa_salvage_fails_closed_when_a_chunk_fails_only_its_second_read() {
 
     let mut clean = ArchiveReader::with_policy(Cursor::new(bytes.clone()), ReadPolicy::Salvage)
         .expect("salvage open");
-    let (expected, report) = cpa_attack_salvage(&mut clean, 16, model, &retry).expect("clean");
+    let (expected, report) = salvage_cpa(&mut clean, &retry).expect("clean");
     assert!(report.is_clean());
 
     // Locate the target chunk's pass-2 read: open, pass 1 over every
@@ -454,7 +495,7 @@ fn cpa_salvage_fails_closed_when_a_chunk_fails_only_its_second_read() {
         let stream = FaultStream::new(Cursor::new(bytes.clone()), FaultPlan::bit_flip_at(op, 0x40));
         let mut reader =
             ArchiveReader::with_policy(stream, ReadPolicy::Salvage).expect("salvage open");
-        match cpa_attack_salvage(&mut reader, 16, model, &retry) {
+        match salvage_cpa(&mut reader, &retry) {
             Err(StoreError::FormatViolation { message }) => {
                 assert!(
                     message.contains(&format!(
@@ -496,8 +537,7 @@ fn few_class_cpa_salvage_reads_each_intact_chunk_once() {
     let mut damaged = ArchiveReader::with_policy(Cursor::new(corrupt), ReadPolicy::Salvage)
         .expect("salvage open");
     damaged.set_obs(&obs);
-    let (salvaged, report) =
-        cpa_attack_salvage(&mut damaged, 16, model, &instant_retry(1)).expect("salvage CPA");
+    let (salvaged, report) = salvage_cpa(&mut damaged, &instant_retry(1)).expect("salvage CPA");
     assert_eq!(report.damaged.len(), 1);
     assert_eq!(report.traces_read, survivors.len() as u64);
     let metrics = obs.metrics();
@@ -539,17 +579,13 @@ fn salvage_tvla_equals_strict_tvla_without_the_lost_chunk() {
             ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
                 .expect("salvage open");
         let (salvaged, report) =
-            tvla_salvage(&mut damaged, interleaved_partition, order, &retry).expect("salvage TVLA");
+            tvla_fold(&mut damaged, order, Reading::Salvage(&retry)).expect("salvage TVLA");
         assert_eq!(report.damaged.len(), 1);
         assert_eq!(report.damaged[0].chunk, damaged_chunk);
         assert_eq!(report.traces_read, 80);
 
         let mut clean = ArchiveReader::new(Cursor::new(without.clone())).expect("open");
-        let expected = match order {
-            TvlaOrder::First => tvla_streaming(&mut clean, interleaved_partition),
-            TvlaOrder::Second => tvla_streaming_second_order(&mut clean, interleaved_partition),
-        }
-        .expect("strict");
+        let (expected, _) = tvla_fold(&mut clean, order, Reading::Strict).expect("strict");
         assert_eq!(salvaged.counts, expected.counts);
         for (a, b) in salvaged.t.iter().zip(&expected.t) {
             assert_eq!(

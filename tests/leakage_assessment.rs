@@ -19,12 +19,13 @@ use dpl_crypto::{
     LeakageOptions,
 };
 use dpl_eval::{
-    interleaved_partition, tvla, tvla_parallel, tvla_second_order, tvla_streaming,
-    tvla_streaming_second_order, TvlaOrder,
+    interleaved_partition, tvla, tvla_parallel_with, tvla_second_order,
+    SecondOrderWelchAccumulator, TvlaOrder, WelchAccumulator,
 };
 use dpl_power::{TraceSet, TraceSink};
 use dpl_store::{
-    ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression, ModelTag, SampleEncoding,
+    fold, fold_parallel, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression,
+    ModelTag, Reading, SampleEncoding,
 };
 
 fn temp_archive(name: &str) -> PathBuf {
@@ -94,41 +95,106 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
 
     // Sequential streaming == in-memory, bit for bit, both orders.
     let first_mem = tvla(&oracle, interleaved_partition).expect("in-memory");
-    let first_stream = tvla_streaming(&mut reader, interleaved_partition).expect("streaming");
+    let first_acc = WelchAccumulator::new(interleaved_partition);
+    let (first_stream, _) = fold(&mut reader, first_acc, Reading::Strict).expect("streaming");
     assert_eq!(first_stream, first_mem);
     assert_eq!(first_mem.counts, [550, 550]);
     assert!(first_mem.leaks(), "max |t| = {}", first_mem.max_abs_t());
 
     let second_mem = tvla_second_order(&oracle, interleaved_partition).expect("in-memory 2nd");
-    let second_stream =
-        tvla_streaming_second_order(&mut reader, interleaved_partition).expect("streaming 2nd");
+    let second_acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+    let (second_stream, _) = fold(&mut reader, second_acc, Reading::Strict).expect("streaming 2nd");
     assert_eq!(second_stream, second_mem);
     assert!(second_mem.leaks(), "max |t| = {}", second_mem.max_abs_t());
 
     // The sample-sharded parallel fold is bit-identical to the sequential
     // one for every worker count — including more workers than samples.
+    let open = || ArchiveReader::open(&path);
     for workers in [1, 2, 3, 5, 8] {
-        let parallel = tvla_parallel(
-            &path,
+        let parallel = tvla_parallel_with(
+            open,
             interleaved_partition,
             TvlaOrder::First,
             Some(workers),
+            None,
         )
         .expect("parallel");
         assert_eq!(parallel, first_mem, "first order, workers = {workers}");
-        let parallel = tvla_parallel(
-            &path,
+        let parallel = tvla_parallel_with(
+            open,
             interleaved_partition,
             TvlaOrder::Second,
             Some(workers),
+            None,
         )
         .expect("parallel 2nd");
         assert_eq!(parallel, second_mem, "second order, workers = {workers}");
     }
     let default_workers =
-        tvla_parallel(&path, interleaved_partition, TvlaOrder::First, None).expect("parallel");
+        tvla_parallel_with(open, interleaved_partition, TvlaOrder::First, None, None)
+            .expect("parallel");
     assert_eq!(default_workers, first_mem);
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The Welch accumulators are also chunk-mergeable folds: `fold_parallel`
+/// over either order is independent of the worker count and within
+/// reassociation error of the sequential (in-memory) statistic.
+#[test]
+fn chunk_parallel_tvla_folds_are_worker_independent_and_near_sequential() {
+    const TRACES: usize = 700;
+    const SAMPLES: usize = 5;
+    let traces = synthetic_tvla_traces(TRACES, SAMPLES);
+    let path = temp_archive("tvla_chunk_parallel");
+    let meta = ArchiveMeta {
+        samples_per_trace: SAMPLES,
+        ..ArchiveMeta::scalar_tvla(64, ModelTag::Unspecified, 0)
+    };
+    let mut writer = ArchiveWriter::create(&path, meta).expect("create");
+    let mut oracle = TraceSet::new();
+    for (input, samples) in &traces {
+        writer.append(*input, samples).expect("append");
+        TraceSink::record(&mut oracle, *input, samples).expect("oracle");
+    }
+    writer.finish().expect("finish");
+    let open = || ArchiveReader::open(&path);
+    let near = |a: &[f64], b: &[f64]| {
+        a.iter()
+            .zip(b)
+            .all(|(x, y)| (x - y).abs() <= 1e-12 * x.abs().max(1.0))
+    };
+
+    let first_mem = tvla(&oracle, interleaved_partition).expect("in-memory");
+    let second_mem = tvla_second_order(&oracle, interleaved_partition).expect("in-memory 2nd");
+    let first_one = fold_parallel(open, WelchAccumulator::new(interleaved_partition), Some(1))
+        .expect("first order");
+    let second_one = fold_parallel(
+        open,
+        SecondOrderWelchAccumulator::new(interleaved_partition),
+        Some(1),
+    )
+    .expect("second order");
+    assert_eq!(first_one.counts, first_mem.counts);
+    assert_eq!(second_one.counts, second_mem.counts);
+    assert!(near(&first_one.t, &first_mem.t), "first order");
+    assert!(near(&second_one.t, &second_mem.t), "second order");
+    for workers in [2, 3, 4] {
+        let first = fold_parallel(
+            open,
+            WelchAccumulator::new(interleaved_partition),
+            Some(workers),
+        )
+        .expect("first order");
+        assert_eq!(first, first_one, "first order, workers = {workers}");
+        let second = fold_parallel(
+            open,
+            SecondOrderWelchAccumulator::new(interleaved_partition),
+            Some(workers),
+        )
+        .expect("second order");
+        assert_eq!(second, second_one, "second order, workers = {workers}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -168,7 +234,8 @@ fn tvla_flags_the_leaky_model_and_clears_the_constant_power_model() {
 
         let mut reader = ArchiveReader::open(&path).expect("open");
         assert_eq!(reader.campaign(), CampaignKind::TvlaInterleaved);
-        let result = tvla_streaming(&mut reader, interleaved_partition).expect("t-test");
+        let acc = WelchAccumulator::new(interleaved_partition);
+        let (result, _) = fold(&mut reader, acc, Reading::Strict).expect("t-test");
 
         // The in-memory campaign (same seed, same RNG discipline) gives the
         // identical statistic.

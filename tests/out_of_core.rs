@@ -10,11 +10,11 @@ use dpl_crypto::{
     LeakageOptions, Present80,
 };
 use dpl_obs::{names, Obs};
-use dpl_power::{cpa_attack, dpa_attack, TraceSet, TraceSink};
+use dpl_power::{cpa_attack, dpa_attack, DpaAccumulator, TraceSet, TraceSink};
 use dpl_store::{
-    cpa_attack_parallel, cpa_attack_streaming, cpa_passes, dpa_attack_parallel,
-    dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, ChunkSource,
-    Compression, ModelTag, SampleEncoding,
+    cpa_attack_parallel_with, cpa_attack_streaming, cpa_passes, dpa_attack_streaming,
+    fold_parallel, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind,
+    ChunkSource, Compression, ModelTag, SampleEncoding,
 };
 
 fn temp_archive(name: &str) -> PathBuf {
@@ -80,10 +80,13 @@ fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
     // The scoped-thread folds merge per-chunk partials in chunk order:
     // worker-count independent, same recovered key, scores within
     // floating-point reassociation error of the sequential fold.
-    let dpa_one = dpa_attack_parallel(&path, 16, selection, Some(1)).expect("dpa 1 worker");
+    let dpa_parallel = |workers| {
+        let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader))?;
+        fold_parallel(|| ArchiveReader::open(&path), acc, Some(workers))
+    };
+    let dpa_one = dpa_parallel(1).expect("dpa 1 worker");
     for workers in [2, 3, 5] {
-        let dpa_n =
-            dpa_attack_parallel(&path, 16, selection, Some(workers)).expect("dpa n workers");
+        let dpa_n = dpa_parallel(workers).expect("dpa n workers");
         assert_eq!(dpa_n.scores, dpa_one.scores, "workers = {workers}");
     }
     assert_eq!(dpa_one.best_guess, dpa_memory.best_guess);
@@ -91,8 +94,9 @@ fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
         assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
     }
 
-    let cpa_one = cpa_attack_parallel(&path, 16, model, Some(1)).expect("cpa 1 worker");
-    let cpa_four = cpa_attack_parallel(&path, 16, model, Some(4)).expect("cpa 4 workers");
+    let open = || ArchiveReader::open(&path);
+    let cpa_one = cpa_attack_parallel_with(open, 16, model, Some(1)).expect("cpa 1 worker");
+    let cpa_four = cpa_attack_parallel_with(open, 16, model, Some(4)).expect("cpa 4 workers");
     assert_eq!(cpa_one.scores, cpa_four.scores);
     assert_eq!(cpa_one.best_guess, cpa_memory.best_guess);
     for (a, b) in cpa_one.scores.iter().zip(&cpa_memory.scores) {

@@ -16,11 +16,14 @@ use dpl_crypto::{
     present_sbox, simulate_trace_range_into, simulate_tvla_trace_range_into,
     synthesize_sbox_with_key, GateEnergyTable, LeakageModel, LeakageOptions,
 };
-use dpl_eval::{interleaved_partition, tvla_streaming};
+use dpl_eval::{interleaved_partition, SecondOrderWelchAccumulator, TvlaOrder, WelchAccumulator};
+use dpl_obs::Obs;
+use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile, TraceSet};
 use dpl_store::{
-    cpa_attack_parallel_with, cpa_attack_streaming, dpa_attack_streaming, ArchiveMeta,
-    ArchiveReader, ArchiveWriter, CampaignKind, CampaignManifest, ChunkSource, Compression,
-    ModelTag, Quantization, SampleEncoding, ShardMeta, ShardedReader,
+    cpa_attack_parallel_with, cpa_attack_streaming, dpa_attack_streaming, fold, input_profile,
+    ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, CampaignManifest, ChunkSource,
+    Compression, DamageCause, DamageReport, DamagedChunk, ModelTag, Quantization, ReadPolicy,
+    Reading, RetryPolicy, SampleEncoding, ShardMeta, ShardedReader, StoreError,
 };
 use proptest::prelude::*;
 
@@ -304,8 +307,10 @@ proptest! {
                 prop_assert_eq!(a.best_guess, b.best_guess);
                 prop_assert_eq!(&a.scores, &b.scores);
             } else {
-                let a = tvla_streaming(&mut single_reader, interleaved_partition).expect("tvla");
-                let b = tvla_streaming(&mut sharded, interleaved_partition).expect("tvla");
+                let acc = WelchAccumulator::new(interleaved_partition);
+                let (a, _) = fold(&mut single_reader, acc, Reading::Strict).expect("tvla");
+                let acc = WelchAccumulator::new(interleaved_partition);
+                let (b, _) = fold(&mut sharded, acc, Reading::Strict).expect("tvla");
                 prop_assert_eq!(a.counts, b.counts);
                 prop_assert_eq!(&a.t, &b.t);
             }
@@ -354,6 +359,148 @@ fn parallel_one_pass_cpa_is_layout_independent_and_near_the_sequential_fold() {
             }
             let first = first.get_or_insert_with(|| parallel.scores.clone());
             assert_eq!(&parallel.scores, first, "shards={shards} workers={workers}");
+        }
+        remove_all(&files);
+    }
+}
+
+/// Fails the second read of one chunk — bit rot between a fold's passes.
+struct FailsOnReplay {
+    inner: ShardedReader,
+    chunk: usize,
+    reads: usize,
+}
+
+impl ChunkSource for FailsOnReplay {
+    fn meta(&self) -> &ArchiveMeta {
+        self.inner.meta()
+    }
+    fn trace_count(&self) -> u64 {
+        self.inner.trace_count()
+    }
+    fn chunk_count(&self) -> usize {
+        self.inner.chunk_count()
+    }
+    fn distinct_inputs(&self) -> Option<usize> {
+        self.inner.distinct_inputs()
+    }
+    fn read_chunk(&mut self, index: usize) -> dpl_store::Result<TraceSet> {
+        if index == self.chunk {
+            self.reads += 1;
+            if self.reads == 2 {
+                return Err(StoreError::ChecksumMismatch { chunk: index });
+            }
+        }
+        self.inner.read_chunk(index)
+    }
+    fn obs(&self) -> Option<&Obs> {
+        None
+    }
+}
+
+/// Salvage reads over a manifest: with one chunk of shard 2 of a 4-shard
+/// campaign corrupted, salvage DPA, CPA (diverse-input path) and TVLA at
+/// both orders over the `ShardedReader` equal the strict folds over the
+/// campaign written without that chunk's traces, and the damage report
+/// names the global chunk index.  A chunk that verifies in pass 1 but
+/// fails its pass-2 read fails the fold closed.
+#[test]
+fn salvage_over_a_sharded_campaign_equals_the_strict_fold_without_the_lost_chunk() {
+    const CHUNK: usize = 16;
+    const LOCAL: usize = 1; // chunk 1 of shard 2 = global chunk 11
+    let retry = RetryPolicy::new(0);
+    // 320 traces = 20 chunks = 4 shards of 5 chunks.  The attack campaign's
+    // inputs are all distinct, so CPA takes its two-pass path.
+    let traces: Vec<(u64, Vec<f64>)> = bounded_traces(23, 320, 3)
+        .into_iter()
+        .enumerate()
+        .map(|(t, (input, values))| ((t as u64) << 8 | input, values))
+        .collect();
+    for campaign in [CampaignKind::Attack, CampaignKind::TvlaInterleaved] {
+        let meta = meta_with(
+            3,
+            CHUNK,
+            23,
+            campaign,
+            SampleEncoding::F64,
+            Compression::None,
+        );
+        let (manifest, files) = write_campaign(&temp_stem("salvage"), &traces, meta, 4);
+        let lost = 2 * 5 + LOCAL;
+        let chunk_bytes = 8 + CHUNK * 8 + CHUNK * 3 * 8 + 8;
+        let mut shard = std::fs::read(&files[2]).expect("read shard");
+        shard[meta.header_len() + LOCAL * chunk_bytes + chunk_bytes / 2] ^= 0x10;
+        std::fs::write(&files[2], shard).expect("corrupt shard");
+        let mut survivors = traces.clone();
+        survivors.drain(lost * CHUNK..(lost + 1) * CHUNK);
+        let without = write_bytes(&survivors, meta);
+        let damaged = || ShardedReader::open_with_policy(&manifest, ReadPolicy::Salvage);
+        let check = |report: &DamageReport| {
+            assert_eq!(
+                report.damaged,
+                vec![DamagedChunk {
+                    chunk: lost,
+                    cause: DamageCause::ChecksumMismatch,
+                    traces_lost: CHUNK,
+                }]
+            );
+            assert_eq!(report.traces_read, survivors.len() as u64);
+        };
+
+        if campaign == CampaignKind::Attack {
+            let mut source = damaged().expect("salvage open");
+            let acc = DpaAccumulator::with_profile(16, selection, input_profile(&source)).unwrap();
+            let (salvaged, report) = fold(&mut source, acc, Reading::Salvage(&retry)).unwrap();
+            check(&report);
+            let mut clean = ArchiveReader::new(Cursor::new(without.clone())).expect("open");
+            let expected = dpa_attack_streaming(&mut clean, 16, selection).expect("strict DPA");
+            assert_eq!(salvaged.scores, expected.scores, "DPA");
+
+            let mut source = damaged().expect("salvage open");
+            assert_eq!(input_profile(&source), InputProfile::Diverse);
+            let acc = CpaAccumulator::with_profile(16, model, input_profile(&source)).unwrap();
+            let (salvaged, report) = fold(&mut source, acc, Reading::Salvage(&retry)).unwrap();
+            check(&report);
+            let mut clean = ArchiveReader::new(Cursor::new(without.clone())).expect("open");
+            let expected = cpa_attack_streaming(&mut clean, 16, model).expect("strict CPA");
+            assert_eq!(salvaged.scores, expected.scores, "CPA");
+
+            let mut flaky = FailsOnReplay {
+                inner: damaged().expect("salvage open"),
+                chunk: 4,
+                reads: 0,
+            };
+            let acc = CpaAccumulator::with_profile(16, model, InputProfile::Diverse).unwrap();
+            match fold(&mut flaky, acc, Reading::Salvage(&retry)) {
+                Err(StoreError::FormatViolation { message }) => assert!(
+                    message.contains("chunk 4 verified in pass 1 but failed in pass 2"),
+                    "{message}"
+                ),
+                other => panic!("expected a fail-closed error, got {other:?}"),
+            }
+        } else {
+            for order in [TvlaOrder::First, TvlaOrder::Second] {
+                let mut source = damaged().expect("salvage open");
+                let mut clean = ArchiveReader::new(Cursor::new(without.clone())).expect("open");
+                let ((salvaged, report), (expected, _)) = match order {
+                    TvlaOrder::First => {
+                        let acc = || WelchAccumulator::new(interleaved_partition);
+                        (
+                            fold(&mut source, acc(), Reading::Salvage(&retry)).unwrap(),
+                            fold(&mut clean, acc(), Reading::Strict).unwrap(),
+                        )
+                    }
+                    TvlaOrder::Second => {
+                        let acc = || SecondOrderWelchAccumulator::new(interleaved_partition);
+                        (
+                            fold(&mut source, acc(), Reading::Salvage(&retry)).unwrap(),
+                            fold(&mut clean, acc(), Reading::Strict).unwrap(),
+                        )
+                    }
+                };
+                check(&report);
+                assert_eq!(salvaged, expected, "{order:?}");
+            }
         }
         remove_all(&files);
     }
@@ -457,8 +604,10 @@ fn sharded_capture_matches_single_block_seeded_archive() {
         let mut sharded = ShardedReader::open(&manifest_path).expect("campaign open");
 
         if tvla {
-            let a = tvla_streaming(&mut single_reader, interleaved_partition).expect("tvla");
-            let b = tvla_streaming(&mut sharded, interleaved_partition).expect("tvla");
+            let acc = WelchAccumulator::new(interleaved_partition);
+            let (a, _) = fold(&mut single_reader, acc, Reading::Strict).expect("tvla");
+            let acc = WelchAccumulator::new(interleaved_partition);
+            let (b, _) = fold(&mut sharded, acc, Reading::Strict).expect("tvla");
             assert_eq!(a.counts, b.counts);
             assert_eq!(a.t, b.t);
         } else {

@@ -7,9 +7,10 @@
 use std::io::Cursor;
 
 use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, TraceEventJson};
+use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile};
 use dpl_store::{
-    dpa_attack_salvage, dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, ModelTag,
-    ReadPolicy, RetryPolicy,
+    dpa_attack_streaming, fold, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, ModelTag,
+    ReadPolicy, Reading, RetryPolicy,
 };
 
 const TRACES: usize = 600;
@@ -104,7 +105,8 @@ fn one_corrupted_chunk_drops_exactly_one_salvage_chunk() {
         ArchiveReader::with_policy(Cursor::new(corrupt), ReadPolicy::Salvage).expect("reader");
     reader.set_obs(&obs);
     let retry = RetryPolicy::new(2);
-    let (_, damage) = dpa_attack_salvage(&mut reader, 16, selection, &retry).expect("salvage");
+    let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader)).expect("dpa");
+    let (_, damage) = fold(&mut reader, acc, Reading::Salvage(&retry)).expect("salvage");
     assert_eq!(damage.damaged.len(), 1);
 
     let metrics = obs.metrics();
@@ -124,6 +126,45 @@ fn one_corrupted_chunk_drops_exactly_one_salvage_chunk() {
         metrics.counter(names::FOLD_TRACES),
         Some(TRACES as u64 - damage.traces_lost())
     );
+}
+
+/// Salvage folds attribute their accumulator arithmetic like strict ones:
+/// one `fold.update` phase per intact chunk per pass, so `--report` does
+/// not lose a salvage attack's fold time.
+#[test]
+fn salvage_folds_record_one_update_phase_per_intact_chunk_per_pass() {
+    let mut corrupt = build_archive(None);
+    let target = corrupt.len() / 2;
+    corrupt[target] ^= 0xFF;
+    let retry = RetryPolicy::new(0);
+    let open = |obs: &Obs| {
+        let mut reader =
+            ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
+                .expect("reader");
+        reader.set_obs(obs);
+        reader
+    };
+    let update_phases = |obs: &Obs| {
+        obs.metrics()
+            .histogram(names::FOLD_UPDATE_NS)
+            .map_or(0, |h| h.count())
+    };
+
+    let obs = Obs::deterministic(50);
+    let mut reader = open(&obs);
+    let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader)).expect("dpa");
+    let (_, damage) = fold(&mut reader, acc, Reading::Salvage(&retry)).expect("salvage DPA");
+    assert_eq!(damage.damaged.len(), 1);
+    assert_eq!(update_phases(&obs), CHUNKS as u64 - 1);
+
+    // The diverse-input CPA replays the intact chunks: two passes.
+    let obs = Obs::deterministic(50);
+    let mut reader = open(&obs);
+    let model = |input: u64, guess: u64| (input ^ guess).count_ones() as f64;
+    let acc = CpaAccumulator::with_profile(16, model, InputProfile::Diverse).expect("cpa");
+    let (_, damage) = fold(&mut reader, acc, Reading::Salvage(&retry)).expect("salvage CPA");
+    assert_eq!(damage.damaged.len(), 1);
+    assert_eq!(update_phases(&obs), 2 * (CHUNKS as u64 - 1));
 }
 
 #[test]
