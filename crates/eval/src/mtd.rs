@@ -22,7 +22,7 @@
 //! raw moments so Pearson is evaluable at any prefix, which the exact CPA
 //! accumulator cannot do: it scores only once its first pass is sealed).
 
-use dpl_power::{AttackResult, DpaAccumulator, TraceSet};
+use dpl_power::{fold_cross_moments, AttackResult, CrossSums, DpaAccumulator, TraceSet};
 
 use crate::{EvalError, Result};
 
@@ -100,6 +100,10 @@ where
 /// identity; guess *ranking* — what disclosure is judged on — is the same
 /// in practice.  Non-positive variance terms score `0.0`, matching the
 /// degenerate-input convention of `dpl_power::stats::pearson`.
+///
+/// The moments fold through [`dpl_power::fold_cross_moments`] without
+/// centers: every `(guess, sample)` slot takes its products in trace
+/// order, exactly as a per-guess loop over the chunk would.
 #[derive(Debug, Clone)]
 pub struct PrefixCpa<F> {
     model: F,
@@ -167,32 +171,22 @@ where
             }
             _ => {}
         }
-        for (s, (sy, syy)) in self.sy.iter_mut().zip(&mut self.syy).enumerate() {
+        for (s, sy) in self.sy.iter_mut().enumerate() {
             for &v in chunk.sample_column(s) {
                 *sy += v;
-                *syy += v * v;
             }
         }
-        let mut hypothesis = vec![0.0f64; chunk.len()];
-        for guess in 0..self.key_guesses {
-            let g = guess as usize;
-            let (mut sx, mut sxx) = (self.sx[g], self.sxx[g]);
-            for (h, &input) in hypothesis.iter_mut().zip(chunk.inputs()) {
-                *h = (self.model)(input, guess);
-                sx += *h;
-                sxx += *h * *h;
-            }
-            self.sx[g] = sx;
-            self.sxx[g] = sxx;
-            let row = g * samples;
-            for s in 0..samples {
-                let mut sxy = self.sxy[row + s];
-                for (&h, &v) in hypothesis.iter().zip(chunk.sample_column(s)) {
-                    sxy += h * v;
-                }
-                self.sxy[row + s] = sxy;
-            }
-        }
+        fold_cross_moments(
+            chunk,
+            &self.model,
+            None,
+            CrossSums {
+                hyp_sum: Some(&mut self.sx),
+                hyp_sq: &mut self.sxx,
+                col_sq: &mut self.syy,
+                cross: &mut self.sxy,
+            },
+        );
         self.traces += chunk.len();
         Ok(())
     }
@@ -513,6 +507,101 @@ mod tests {
                 assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
             }
         }
+    }
+
+    /// `PrefixCpa`'s pre-kernel update, kept as the oracle: per-column raw
+    /// sums, then per guess a hypothesis vector and its raw moments.
+    struct PerGuessCpa<F>(PrefixCpa<F>);
+
+    impl<F: Fn(u64, u64) -> f64> PrefixAttack for PerGuessCpa<F> {
+        fn update(&mut self, chunk: &TraceSet) -> dpl_power::Result<()> {
+            let engine = &mut self.0;
+            let samples = chunk.sample_count()?;
+            if engine.samples.is_none() {
+                engine.samples = Some(samples);
+                engine.sy = vec![0.0; samples];
+                engine.syy = vec![0.0; samples];
+                engine.sxy = vec![0.0; engine.key_guesses as usize * samples];
+            }
+            for (s, (sy, syy)) in engine.sy.iter_mut().zip(&mut engine.syy).enumerate() {
+                for &v in chunk.sample_column(s) {
+                    *sy += v;
+                    *syy += v * v;
+                }
+            }
+            let mut hypothesis = vec![0.0f64; chunk.len()];
+            for guess in 0..engine.key_guesses {
+                let g = guess as usize;
+                let (mut sx, mut sxx) = (engine.sx[g], engine.sxx[g]);
+                for (h, &input) in hypothesis.iter_mut().zip(chunk.inputs()) {
+                    *h = (engine.model)(input, guess);
+                    sx += *h;
+                    sxx += *h * *h;
+                }
+                engine.sx[g] = sx;
+                engine.sxx[g] = sxx;
+                let row = g * samples;
+                for s in 0..samples {
+                    let mut sxy = engine.sxy[row + s];
+                    for (&h, &v) in hypothesis.iter().zip(chunk.sample_column(s)) {
+                        sxy += h * v;
+                    }
+                    engine.sxy[row + s] = sxy;
+                }
+            }
+            engine.traces += chunk.len();
+            Ok(())
+        }
+
+        fn evaluate(&self) -> dpl_power::Result<AttackResult> {
+            self.0.evaluate()
+        }
+    }
+
+    #[test]
+    fn prefix_cpa_is_bit_identical_to_the_per_guess_loop() {
+        // Multi-sample, diverse-input traces: 64-bit plaintexts, five
+        // samples on different scales.
+        let generator = |seed: u64, n: usize| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut set = TraceSet::with_capacity(5, n);
+            for _ in 0..n {
+                let plaintext = rng.gen_range(0..u64::MAX);
+                let leak = sbox(plaintext ^ KEY).count_ones() as f64;
+                let samples: Vec<f64> = (0..5)
+                    .map(|s| leak * s as f64 + rng.gen_range(-3.0..3.0) * 10f64.powi(s))
+                    .collect();
+                set.push_samples(plaintext, &samples);
+            }
+            set
+        };
+        let set = generator(3, 700);
+        let mut engine = PrefixCpa::new(16, model).unwrap();
+        let mut oracle = PerGuessCpa(PrefixCpa::new(16, model).unwrap());
+        for (start, end) in [(0, 1), (1, 130), (130, 300), (300, 700)] {
+            let chunk = set.slice(start, end);
+            engine.update(&chunk).unwrap();
+            oracle.update(&chunk).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (mine, theirs) in [
+                (&engine.sx, &oracle.0.sx),
+                (&engine.sxx, &oracle.0.sxx),
+                (&engine.sy, &oracle.0.sy),
+                (&engine.syy, &oracle.0.syy),
+                (&engine.sxy, &oracle.0.sxy),
+            ] {
+                assert_eq!(bits(mine), bits(theirs), "prefix {end}");
+            }
+            let (a, b) = (engine.evaluate().unwrap(), oracle.evaluate().unwrap());
+            assert_eq!(bits(&a.scores), bits(&b.scores), "prefix {end}");
+        }
+        let config = MtdConfig::new(vec![40, 130, 300], 3, 17);
+        let curve = mtd_campaign(&config, KEY, generator, || PrefixCpa::new(16, model)).unwrap();
+        let per_guess = mtd_campaign(&config, KEY, generator, || {
+            PrefixCpa::new(16, model).map(PerGuessCpa)
+        })
+        .unwrap();
+        assert_eq!(curve, per_guess);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! archives the fold degrades gracefully to one effective worker.
 
 use dpl_obs::{names, Obs};
-use dpl_store::{fold, worker_count, ChunkSource, Reading, Result as StoreResult};
+use dpl_power::TraceSet;
+use dpl_store::{fold, worker_count, ChunkSource, Fold, Reading, Result as StoreResult};
 
 use crate::tvla::{SecondOrderWelchAccumulator, WelchAccumulator};
 use crate::{EvalError, Result, TvlaGroup, TvlaResult};
@@ -48,9 +49,12 @@ impl TvlaOrder {
 /// With a telemetry context, the whole fold runs under an
 /// `eval.tvla_parallel` span (annotated with the worker and trace counts),
 /// the stitching is attributed to a `fold.merge` phase span, and each
-/// reunion counts into `fold.merges`.  Workers fold through the sources
-/// `open` returns, so chunk-read counters reflect whatever context the
-/// opener attaches.
+/// reunion counts into `fold.merges`.  Every worker reads every chunk of
+/// every pass, so worker 0 alone speaks for the campaign: it advances the
+/// progress plane chunk by chunk and its trace-passes (traces × passes,
+/// as in the sequential fold) count into `fold.traces`.  Workers fold
+/// through the sources `open` returns, so chunk-read counters reflect
+/// whatever context the opener attaches.
 ///
 /// # Errors
 ///
@@ -81,23 +85,24 @@ where
     let span = obs.map(|o| o.span("eval.tvla_parallel"));
 
     let (open, partition) = (&open, &partition);
-    let blocks: Vec<Result<TvlaResult>> = std::thread::scope(|scope| {
+    let blocks: Vec<Result<(TvlaResult, u64)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 let columns = worker * samples / workers..(worker + 1) * samples / workers;
+                let obs = obs.filter(|_| worker == 0).cloned();
                 scope.spawn(move || {
                     let mut source = open()?;
-                    Ok(match order {
+                    match order {
                         TvlaOrder::First => {
                             let acc = WelchAccumulator::new(partition).with_columns(columns);
-                            fold(&mut source, acc, Reading::Strict)?.0
+                            fold_counted(&mut source, acc, obs)
                         }
                         TvlaOrder::Second => {
                             let acc =
                                 SecondOrderWelchAccumulator::new(partition).with_columns(columns);
-                            fold(&mut source, acc, Reading::Strict)?.0
+                            fold_counted(&mut source, acc, obs)
                         }
-                    })
+                    }
                 })
             })
             .collect();
@@ -112,16 +117,19 @@ where
         t: Vec::with_capacity(samples),
         counts: [0; 2],
     };
+    let mut folded = 0;
     for block in blocks {
-        let block = block?;
+        let (block, trace_passes) = block?;
         // Every worker classifies every trace, so the counts agree.
         result.counts = block.counts;
         result.t.extend(block.t);
+        // ...and read the same trace-passes.
+        folded = trace_passes;
     }
     drop(merge_phase);
     if let Some(obs) = obs {
         obs.counter_add(names::FOLD_MERGES, workers as u64);
-        obs.counter_add(names::FOLD_TRACES, traces);
+        obs.counter_add(names::FOLD_TRACES, folded);
     }
     if let Some(span) = span {
         span.arg("workers", workers as u64);
@@ -129,4 +137,49 @@ where
         span.finish();
     }
     Ok(result)
+}
+
+/// A column worker's fold that also counts the trace-passes it reads and,
+/// given a context, advances its progress plane chunk by chunk.
+struct Counted<A> {
+    acc: A,
+    obs: Option<Obs>,
+    trace_passes: u64,
+}
+
+impl<A: Fold> Fold for Counted<A> {
+    type Output = (A::Output, u64);
+    type Error = A::Error;
+    const SPAN: &'static str = A::SPAN;
+
+    fn update(&mut self, chunk: &TraceSet) -> std::result::Result<(), A::Error> {
+        self.trace_passes += chunk.len() as u64;
+        if let Some(obs) = &self.obs {
+            obs.progress_advance(chunk.len() as u64);
+        }
+        self.acc.update(chunk)
+    }
+
+    fn begin_pass(&mut self) -> std::result::Result<bool, A::Error> {
+        self.acc.begin_pass()
+    }
+
+    fn finalize(self) -> std::result::Result<(A::Output, u64), A::Error> {
+        Ok((self.acc.finalize()?, self.trace_passes))
+    }
+}
+
+/// Runs one column worker's strict fold, returning its block of t-values
+/// and the trace-passes it read.
+fn fold_counted<S, A>(source: &mut S, acc: A, obs: Option<Obs>) -> Result<(TvlaResult, u64)>
+where
+    S: ChunkSource,
+    A: Fold<Output = TvlaResult, Error = EvalError>,
+{
+    let counted = Counted {
+        acc,
+        obs,
+        trace_passes: 0,
+    };
+    Ok(fold(source, counted, Reading::Strict)?.0)
 }

@@ -30,6 +30,7 @@
 
 use crate::attack::{best_result, AttackResult};
 use crate::classes::{InputClasses, MAX_INPUT_CLASSES};
+use crate::cross::{fold_cross_moments, Centers, CrossSums};
 use crate::trace::TraceSet;
 use crate::{PowerError, Result};
 
@@ -631,6 +632,19 @@ enum CpaPass {
 ///   cross-products need the sealed means, so feed every chunk again in
 ///   the same order, then [`CpaAccumulator::finalize`].
 ///
+/// The first pass adds `model(x, g)` into the per-guess sums with guesses
+/// as independent lanes.  The replay runs [`crate::fold_cross_moments`]
+/// over blocks of 128 traces: it centers the block's columns and tabulates its centered
+/// hypotheses once, then walks a 4-guess × 4-column register tile over the
+/// block for every tile of the guess × sample grid.  The invariant that
+/// keeps every fold bit-identical is trace order: each `(guess, sample)`
+/// cross-product and each sum of squares receives exactly the products a
+/// trace-by-trace loop gives it, in trace order, with no fused
+/// multiply-add and no reassociation.  Only the interleaving between slots
+/// differs, so chunk size and shard layout leave no trace in the bits;
+/// chunk-parallel folds differ from the sequential one only through their
+/// merges.
+///
 /// Replaying identical chunks is trivial for an on-disk archive and free
 /// for an in-memory set.  Running this protocol over one whole
 /// [`TraceSet`] is exactly the in-memory [`crate::cpa_attack`], and chunked
@@ -776,9 +790,11 @@ where
             self.fold_col_sum(chunk, samples);
         }
         if self.wide {
-            for (guess, hyp_sum) in self.hyp_sum.iter_mut().enumerate() {
-                for &input in chunk.inputs() {
-                    *hyp_sum += (self.model)(input, guess as u64);
+            // Guesses are the inner loop: independent addition lanes, each
+            // fed in trace order.
+            for &input in chunk.inputs() {
+                for (guess, sum) in self.hyp_sum.iter_mut().enumerate() {
+                    *sum += (self.model)(input, guess as u64);
                 }
             }
         }
@@ -922,72 +938,23 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = check_chunk(chunk, &mut self.samples)?;
-        // Four-column unroll of the centered-sum-of-squares pass; each
-        // column's accumulator is fed in trace order (see `fold_col_sum`).
-        let mut s = 0;
-        while s + 4 <= samples {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
-            let my = &self.col_mean[s..s + 4];
-            let acc = &mut self.col_css[s..s + 4];
-            for t in 0..chunk.len() {
-                acc[0] += (c0[t] - my[0]) * (c0[t] - my[0]);
-                acc[1] += (c1[t] - my[1]) * (c1[t] - my[1]);
-                acc[2] += (c2[t] - my[2]) * (c2[t] - my[2]);
-                acc[3] += (c3[t] - my[3]) * (c3[t] - my[3]);
-            }
-            s += 4;
-        }
-        while s < samples {
-            let my = self.col_mean[s];
-            let col_css = &mut self.col_css[s];
-            for &v in chunk.sample_column(s) {
-                *col_css += (v - my) * (v - my);
-            }
-            s += 1;
-        }
-        if self.classes.is_none() {
-            let mut hypothesis = vec![0.0f64; chunk.len()];
-            for guess in 0..self.key_guesses {
-                let mh = self.hyp_mean[guess as usize];
-                let mut css = self.hyp_css[guess as usize];
-                for (h, &input) in hypothesis.iter_mut().zip(chunk.inputs()) {
-                    *h = (self.model)(input, guess);
-                    css += (*h - mh) * (*h - mh);
-                }
-                self.hyp_css[guess as usize] = css;
-                let row = guess as usize * samples;
-                let mut s = 0;
-                while s + 4 <= samples {
-                    let c0 = chunk.sample_column(s);
-                    let c1 = chunk.sample_column(s + 1);
-                    let c2 = chunk.sample_column(s + 2);
-                    let c3 = chunk.sample_column(s + 3);
-                    let my = &self.col_mean[s..s + 4];
-                    let acc = &mut self.cov[row + s..row + s + 4];
-                    for (t, &h) in hypothesis.iter().enumerate() {
-                        let ch = h - mh;
-                        acc[0] += ch * (c0[t] - my[0]);
-                        acc[1] += ch * (c1[t] - my[1]);
-                        acc[2] += ch * (c2[t] - my[2]);
-                        acc[3] += ch * (c3[t] - my[3]);
-                    }
-                    s += 4;
-                }
-                while s < samples {
-                    let my = self.col_mean[s];
-                    let mut cov = self.cov[row + s];
-                    for (&h, &v) in hypothesis.iter().zip(chunk.sample_column(s)) {
-                        cov += (h - mh) * (v - my);
-                    }
-                    self.cov[row + s] = cov;
-                    s += 1;
-                }
-            }
-        }
+        check_chunk(chunk, &mut self.samples)?;
+        // With class aggregation alive there are no guesses to fold
+        // (`hyp_css` and `cov` are empty): the kernel folds `col_css` alone.
+        fold_cross_moments(
+            chunk,
+            &self.model,
+            Some(Centers {
+                cols: &self.col_mean,
+                hyps: &self.hyp_mean,
+            }),
+            CrossSums {
+                hyp_sum: None,
+                hyp_sq: &mut self.hyp_css,
+                col_sq: &mut self.col_css,
+                cross: &mut self.cov,
+            },
+        );
         self.second_pass_traces += chunk.len();
         Ok(())
     }

@@ -29,7 +29,9 @@
 //! over disjoint trace ranges can be [`DpaAccumulator::merge`]d for parallel
 //! out-of-core folds.  [`InputClasses`] is the bounded distinct-input table
 //! behind their class aggregation, also used by `dpl-store` to record an
-//! archive's distinct-input count.  [`TraceSink`] is the write-side
+//! archive's distinct-input count.  [`fold_cross_moments`] is the blocked
+//! cross-moment kernel behind CPA's diverse-input pass, also used by the
+//! prefix CPA of `dpl-eval`.  [`TraceSink`] is the write-side
 //! counterpart: trace generators stream measurements into any sink
 //! ([`TraceSet`] or an archive writer) without materializing the full set.
 
@@ -39,6 +41,7 @@
 mod accumulate;
 mod attack;
 mod classes;
+mod cross;
 pub mod metrics;
 pub mod stats;
 mod trace;
@@ -46,6 +49,7 @@ mod trace;
 pub use accumulate::{cpa_passes, input_profile, CpaAccumulator, DpaAccumulator, InputProfile};
 pub use attack::{best_result, cpa_attack, dpa_attack, reference, AttackResult};
 pub use classes::{InputClasses, MAX_INPUT_CLASSES};
+pub use cross::{fold_cross_moments, Centers, CrossSums};
 pub use trace::{Trace, TraceSet, TraceSink};
 
 /// Errors produced by the power-analysis layer.

@@ -325,7 +325,24 @@ proptest! {
 /// and within reassociation error of the sequential fold.
 #[test]
 fn parallel_one_pass_cpa_is_layout_independent_and_near_the_sequential_fold() {
-    let traces = bounded_traces(17, 1500, 3);
+    parallel_cpa_is_layout_independent(&bounded_traces(17, 1500, 3), 1);
+}
+
+/// The same contract on the diverse-input path: every trace carries its
+/// own plaintext (same low nibble, so the same key leaks), the fold takes
+/// a second pass, and each chunk's fork runs the blocked cross-product
+/// kernel before the chunk-order merge.
+#[test]
+fn parallel_two_pass_cpa_is_layout_independent_and_near_the_sequential_fold() {
+    let traces: Vec<(u64, Vec<f64>)> = bounded_traces(18, 1500, 3)
+        .into_iter()
+        .enumerate()
+        .map(|(t, (input, values))| (input | (t as u64) << 4, values))
+        .collect();
+    parallel_cpa_is_layout_independent(&traces, 2);
+}
+
+fn parallel_cpa_is_layout_independent(traces: &[(u64, Vec<f64>)], passes: u64) {
     let meta = meta_with(
         3,
         64,
@@ -334,14 +351,14 @@ fn parallel_one_pass_cpa_is_layout_independent_and_near_the_sequential_fold() {
         SampleEncoding::F64,
         Compression::None,
     );
-    let mut single = ArchiveReader::new(Cursor::new(write_bytes(&traces, meta))).expect("reader");
-    assert_eq!(dpl_store::cpa_passes(&single), 1);
+    let mut single = ArchiveReader::new(Cursor::new(write_bytes(traces, meta))).expect("reader");
+    assert_eq!(dpl_store::cpa_passes(&single), passes);
     let sequential = cpa_attack_streaming(&mut single, 16, model).expect("sequential cpa");
 
     let mut first: Option<Vec<f64>> = None;
     for shards in 1..=4 {
         let stem = temp_stem("parallel_cpa");
-        let (manifest, files) = write_campaign(&stem, &traces, meta, shards);
+        let (manifest, files) = write_campaign(&stem, traces, meta, shards);
         for workers in 1..=4 {
             let parallel = cpa_attack_parallel_with(
                 || ShardedReader::open(&manifest),

@@ -6,6 +6,10 @@
 
 use std::io::Cursor;
 
+use dpl_eval::{
+    interleaved_partition, tvla_parallel_with, SecondOrderWelchAccumulator, TvlaOrder,
+    WelchAccumulator,
+};
 use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, TraceEventJson};
 use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile};
 use dpl_store::{
@@ -283,6 +287,81 @@ fn progress_lines_stream_chunk_by_chunk_during_the_fold() {
     );
     // The deterministic clock pins the rendered rates and ETAs too.
     assert_eq!(text, run(), "progress lines must be deterministic");
+}
+
+/// A three-sample fixed-vs-random archive (even traces fixed, odd random)
+/// for the t-tests.
+fn build_tvla_archive() -> Vec<u8> {
+    let meta = ArchiveMeta {
+        samples_per_trace: 3,
+        ..ArchiveMeta::scalar_tvla(CHUNK, ModelTag::HammingWeight, 7)
+    };
+    let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+    for t in 0..TRACES as u64 {
+        let input = if t % 2 == 0 { 5 } else { (t * 7) % 16 };
+        let base = input as f64 * 0.25;
+        writer
+            .append(input, &[base, base + (t % 5) as f64, (t % 3) as f64])
+            .expect("append");
+    }
+    writer.finish().expect("finish");
+    writer.into_inner().into_inner()
+}
+
+#[test]
+fn tvla_counts_trace_passes_and_finishes_progress_with_or_without_workers() {
+    let bytes = build_tvla_archive();
+    let open = || ArchiveReader::new(Cursor::new(bytes.clone()));
+    for (order, passes) in [(TvlaOrder::First, 1), (TvlaOrder::Second, 2)] {
+        let total = TRACES as u64 * passes;
+        let mut t_values = Vec::new();
+        for workers in [None, Some(2)] {
+            let sink = SharedSink::default();
+            let obs = Obs::deterministic(50);
+            obs.enable_progress(Some(total), "traces", Box::new(sink.clone()));
+            let result = match workers {
+                Some(workers) => tvla_parallel_with(
+                    open,
+                    interleaved_partition,
+                    order,
+                    Some(workers),
+                    Some(&obs),
+                ),
+                None => {
+                    let mut reader = open().expect("reader");
+                    reader.set_obs(&obs);
+                    match order {
+                        TvlaOrder::First => {
+                            let acc = WelchAccumulator::new(interleaved_partition);
+                            fold(&mut reader, acc, Reading::Strict).map(|(r, _)| r)
+                        }
+                        TvlaOrder::Second => {
+                            let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+                            fold(&mut reader, acc, Reading::Strict).map(|(r, _)| r)
+                        }
+                    }
+                }
+            }
+            .expect("t-test");
+            let case = format!("{order:?}, workers {workers:?}");
+            assert_eq!(
+                obs.metrics().counter(names::FOLD_TRACES),
+                Some(total),
+                "{case}"
+            );
+            let text = String::from_utf8(sink.0.lock().expect("sink lock").clone()).expect("utf8");
+            let last = text.lines().last().unwrap_or_default();
+            assert!(
+                last.starts_with(&format!("progress: {total}/{total} traces (100.0%)")),
+                "{case}: last line {last:?}"
+            );
+            t_values.push(result.t);
+        }
+        assert_eq!(
+            t_values[0], t_values[1],
+            "{order:?}: column-parallel t-values"
+        );
+    }
 }
 
 #[test]
