@@ -188,29 +188,15 @@ fn mtd_curve_for(
 
 /// Runs the measurements-to-disclosure sweep for every built-in leakage
 /// model over the S-box datapath and returns the per-model curves,
-/// deterministically in `seed`.
+/// deterministically in `seed`.  When `obs` is given, every per-model
+/// campaign runs through the observed sweep (spans plus
+/// grid/repetition/trace counters).
 ///
 /// # Panics
 ///
 /// Panics if the S-box datapath cannot be synthesised or the sweep
 /// configuration is invalid (both would be bugs, not input errors).
 pub fn mtd_curves(
-    seed: u64,
-    grid: &[usize],
-    repetitions: usize,
-    attack: MtdAttack,
-) -> Vec<(LeakageModel, MtdCurve)> {
-    mtd_curves_observed(seed, grid, repetitions, attack, None)
-}
-
-/// [`mtd_curves`] with optional telemetry: when `obs` is given, every
-/// per-model campaign runs through the observed sweep (spans plus
-/// grid/repetition/trace counters).
-///
-/// # Panics
-///
-/// As [`mtd_curves`].
-pub fn mtd_curves_observed(
     seed: u64,
     grid: &[usize],
     repetitions: usize,
@@ -241,14 +227,9 @@ pub fn mtd_curves_observed(
 }
 
 /// Experiment: measurements-to-disclosure across every leakage model —
-/// the paper's core quantitative comparison (`repro mtd`).
-pub fn mtd_experiment(seed: u64, grid: &[usize], repetitions: usize, attack: MtdAttack) -> String {
-    mtd_experiment_observed(seed, grid, repetitions, attack, None)
-}
-
-/// [`mtd_experiment`] with optional telemetry (the `repro mtd --metrics`
-/// path).
-pub fn mtd_experiment_observed(
+/// the paper's core quantitative comparison (`repro mtd`), with optional
+/// telemetry (the `repro mtd --metrics` path).
+pub fn mtd_experiment(
     seed: u64,
     grid: &[usize],
     repetitions: usize,
@@ -267,7 +248,7 @@ pub fn mtd_experiment_observed(
          seed = {seed}, disclosure threshold = 80 % success rate"
     );
     let _ = writeln!(out, "trace grid: {grid:?}");
-    for (model, curve) in mtd_curves_observed(seed, grid, repetitions, attack, obs) {
+    for (model, curve) in mtd_curves(seed, grid, repetitions, attack, obs) {
         render_mtd_curve(&mut out, model.label(), &curve, grid);
     }
     let _ = writeln!(
@@ -303,31 +284,15 @@ fn render_mtd_curve(out: &mut String, label: &str, curve: &MtdCurve, grid: &[usi
 
 /// Experiment: measurements-to-disclosure of a **single energy model** —
 /// including characterisation-derived models — over any CLI circuit
-/// (`repro mtd --model <name> [--circuit <name>]`).
+/// (`repro mtd --model <name> [--circuit <name>]`), with optional
+/// telemetry (the `repro mtd --model ... --metrics` path).
 ///
 /// # Panics
 ///
 /// Panics if synthesis, table construction or the sweep fail (bugs, not
 /// input errors).
-pub fn mtd_experiment_for(
-    model: EnergyModel,
-    circuit: CircuitChoice,
-    seed: u64,
-    grid: &[usize],
-    repetitions: usize,
-    attack: MtdAttack,
-) -> String {
-    mtd_experiment_for_observed(model, circuit, seed, grid, repetitions, attack, None)
-}
-
-/// [`mtd_experiment_for`] with optional telemetry (the
-/// `repro mtd --model ... --metrics` path).
-///
-/// # Panics
-///
-/// As [`mtd_experiment_for`].
 #[allow(clippy::too_many_arguments)]
-pub fn mtd_experiment_for_observed(
+pub fn mtd_experiment_for(
     model: EnergyModel,
     circuit: CircuitChoice,
     seed: u64,
@@ -457,23 +422,9 @@ fn render_tvla(out: &mut String, order: TvlaOrder, result: &TvlaResult) {
 }
 
 /// Experiment: streaming TVLA over an interleaved fixed-vs-random archive
-/// (`repro tvla <file>`).  `orders` selects first-order, second-order or
-/// both; `workers` switches to the sample-sharded parallel fold.
-///
-/// # Errors
-///
-/// Returns a rendered error message for unreadable archives or a
-/// non-TVLA campaign.
-pub fn tvla_report(
-    path: &str,
-    orders: &[TvlaOrder],
-    workers: Option<usize>,
-) -> Result<String, String> {
-    tvla_report_observed(path, orders, workers, false, None)
-}
-
-/// [`tvla_report`] over a single archive or a sharded campaign, with
-/// optional salvage and telemetry.  `salvage` folds whatever chunks of a
+/// or sharded campaign (`repro tvla <file>`).  `orders` selects
+/// first-order, second-order or both; `workers` switches to the
+/// sample-sharded parallel fold.  `salvage` folds whatever chunks of a
 /// damaged campaign survive and renders the damage alongside each
 /// statistic (`repro tvla <file> --salvage`); it runs single-threaded.
 /// With `obs`, the reader's chunk counters, salvage drops and the fold's
@@ -483,9 +434,10 @@ pub fn tvla_report(
 ///
 /// # Errors
 ///
-/// As [`tvla_report`], plus `salvage` with `workers`, or damage that
-/// leaves no usable traces.
-pub fn tvla_report_observed(
+/// Returns a rendered error message for unreadable archives, a non-TVLA
+/// campaign, `salvage` with `workers`, or damage that leaves no usable
+/// traces.
+pub fn tvla_report(
     path: &str,
     orders: &[TvlaOrder],
     workers: Option<usize>,
@@ -527,7 +479,7 @@ pub fn tvla_report_observed(
     tvla_report_body(path, &mut reader, open, "", orders, workers, salvage, obs)
 }
 
-/// The shared body of [`tvla_report_observed`]: the campaign check, header
+/// The shared body of [`tvla_report`]: the campaign check, header
 /// line and per-order folds, generic over the chunk source (single archive
 /// or sharded campaign, whose `layout` tags the header).  `open` re-opens
 /// the source for the parallel fold's per-worker readers.
@@ -942,20 +894,20 @@ mod tests {
     fn mtd_experiment_reproduces_the_resistance_ordering() {
         // A deliberately small sweep (CI-sized); the full-grid ordering is
         // asserted by tests/leakage_assessment.rs.
-        let report = mtd_experiment(7, &[50, 200, 800], 3, MtdAttack::Cpa);
+        let report = mtd_experiment(7, &[50, 200, 800], 3, MtdAttack::Cpa, None);
         assert!(report.contains("seed = 7"));
         assert!(report.contains("MTD = "));
         assert!(report.contains("no disclosure observed"));
         // Deterministic in the seed.
         assert_eq!(
             report,
-            mtd_experiment(7, &[50, 200, 800], 3, MtdAttack::Cpa)
+            mtd_experiment(7, &[50, 200, 800], 3, MtdAttack::Cpa, None)
         );
     }
 
     #[test]
     fn mtd_hw_discloses_before_the_sabl_styles() {
-        let curves = mtd_curves(11, &[50, 200, 800], 3, MtdAttack::Cpa);
+        let curves = mtd_curves(11, &[50, 200, 800], 3, MtdAttack::Cpa, None);
         let mtd_of = |model: LeakageModel| {
             curves
                 .iter()

@@ -30,9 +30,6 @@
 //! cargo run -p dpl-bench --release --bin repro -- mtd --model fc-charac --circuit oai22
 //! cargo run -p dpl-bench --release --bin repro -- verify all    # prove + certify + replay
 //! cargo run -p dpl-bench --release --bin repro -- verify sbox --model fc
-//! cargo run -p dpl-bench --release --bin repro -- bench         # perf -> BENCH_dpa.json
-//! cargo run -p dpl-bench --release --bin repro -- bench --quick --compare BENCH_dpa.json
-//! cargo run -p dpl-bench --release --bin repro -- bench --history BENCH_history.jsonl
 //! ```
 
 use std::env;
@@ -94,11 +91,6 @@ const FLAG_SCOPES: &[(&str, &[&str])] = &[
     ("--workers", &["tvla"]),
     ("--attack", &["mtd"]),
     ("--reps", &["mtd"]),
-    ("--quick", &["bench"]),
-    ("--out", &["bench"]),
-    ("--history", &["bench"]),
-    ("--compare", &["bench"]),
-    ("--max-regression", &["bench"]),
     ("--tolerance", &["verify"]),
     ("--metrics", &["capture", "attack", "tvla", "mtd", "verify"]),
     ("--report", &["capture", "attack", "tvla", "mtd", "verify"]),
@@ -243,104 +235,6 @@ fn parse_circuit_arg(value: Option<&String>) -> Result<CircuitChoice, String> {
     value
         .and_then(|name| CircuitChoice::parse(name))
         .ok_or_else(|| "--circuit needs `sbox` or a library gate name (e.g. oai22, maj3)".into())
-}
-
-/// `repro bench [--quick] [--out <path>] [--history <file>]
-/// [--compare <baseline.json>] [--max-regression <pct>]`: run the perf
-/// suite, write the stamped report, optionally append a compact record to
-/// a bench-history JSON-lines ledger, and optionally gate the run against
-/// a committed baseline — exiting non-zero when any row's throughput
-/// regressed past the threshold.
-fn run_bench(args: &[String]) -> ExitCode {
-    const USAGE: &str = "repro bench [--quick] [--out <path>] [--history <file>] \
-                         [--compare <baseline.json>] [--max-regression <pct>]";
-    let mut config = dpl_bench::PerfConfig::full();
-    let mut out_path: Option<String> = None;
-    let mut history_path: Option<String> = None;
-    let mut compare_path: Option<String> = None;
-    let mut max_regression_pct = 25.0f64;
-    let mut max_regression_given = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => config = dpl_bench::PerfConfig::quick(),
-            "--out" => match iter.next() {
-                Some(path) => out_path = Some(path.clone()),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--history" => match iter.next() {
-                Some(path) => history_path = Some(path.clone()),
-                None => {
-                    eprintln!("--history needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare" => match iter.next() {
-                Some(path) => compare_path = Some(path.clone()),
-                None => {
-                    eprintln!("--compare needs a baseline JSON path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-regression" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) if pct > 0.0 => {
-                    max_regression_pct = pct;
-                    max_regression_given = true;
-                }
-                _ => {
-                    eprintln!("--max-regression needs a positive percentage (e.g. 25)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("{}", unknown_flag("bench", other, USAGE));
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if max_regression_given && compare_path.is_none() {
-        eprintln!("--max-regression only applies together with --compare");
-        return ExitCode::FAILURE;
-    }
-    let report = dpl_bench::perf::run(&config);
-    print!("{}", report.render());
-    // A comparison run leaves the committed baseline alone unless --out
-    // says otherwise — the common CI shape is `--out target/... --compare
-    // BENCH_dpa.json`, which must not clobber the file it gates against.
-    let out_path = out_path.or_else(|| compare_path.is_none().then(|| "BENCH_dpa.json".into()));
-    if let Some(out_path) = &out_path {
-        if let Err(e) = std::fs::write(out_path, report.to_json()) {
-            eprintln!("failed to write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {out_path}");
-    }
-    if let Some(history_path) = &history_path {
-        if let Err(message) = dpl_bench::append_history(history_path, &report) {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
-        println!("appended bench record to {history_path}");
-    }
-    if let Some(baseline_path) = &compare_path {
-        let baseline = match dpl_bench::Baseline::load(baseline_path) {
-            Ok(baseline) => baseline,
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let comparison =
-            dpl_bench::BenchComparison::compare(&report, &baseline, max_regression_pct / 100.0);
-        print!("{}", comparison.render());
-        if !comparison.passed() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// Forwards a campaign's trace stream to an archive writer, discarding the
@@ -1574,7 +1468,7 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
         session.start_progress(total, "traces");
     }
     let obs = telemetry.map(|t| t.obs());
-    match dpl_bench::tvla_report_observed(&path, &orders, workers, salvage, obs) {
+    match dpl_bench::tvla_report(&path, &orders, workers, salvage, obs) {
         Ok(report) => {
             print!("{report}");
             Ok(())
@@ -1807,11 +1701,11 @@ fn mtd_command(
         // The historical sweep: every built-in model over the S-box
         // datapath (byte-identical output).
         (None, CircuitChoice::Sbox) => {
-            dpl_bench::mtd_experiment_observed(seed, dpl_bench::MTD_GRID, repetitions, attack, obs)
+            dpl_bench::mtd_experiment(seed, dpl_bench::MTD_GRID, repetitions, attack, obs)
         }
         (maybe_model, circuit) => {
             let model = maybe_model.unwrap_or(EnergyModel::builtin(LeakageModel::HammingWeight));
-            dpl_bench::mtd_experiment_for_observed(
+            dpl_bench::mtd_experiment_for(
                 model,
                 circuit,
                 seed,
@@ -1963,7 +1857,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     match which {
-        "bench" => return run_bench(&args[1..]),
         "capture" => return run_capture(&args[1..]),
         "attack" => return run_attack(&args[1..]),
         "info" => return run_info(&args[1..]),
@@ -2007,8 +1900,8 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "unknown experiment `{other}`; expected one of: all, fig2, fig3, fig4, fig5, \
-                 fig6, cvsl, dpa, cpa, library, bench, capture, attack, info, charac-table, \
-                 tvla, fsck, mtd, verify"
+                 fig6, cvsl, dpa, cpa, library, capture, attack, info, charac-table, tvla, \
+                 fsck, mtd, verify"
             );
             return ExitCode::FAILURE;
         }

@@ -17,41 +17,6 @@ fn run_all_emits_every_report_section() {
 }
 
 #[test]
-fn perf_harness_smoke_run() {
-    // The exact code path of `repro bench --quick`, scaled down further.
-    let config = dpl_bench::PerfConfig {
-        gen_traces: 30,
-        attack_traces: 30,
-        repeats: 1,
-    };
-    let report = dpl_bench::perf::run(&config);
-    assert_eq!(report.rows.len(), 22);
-    let json = report.to_json();
-    for needle in [
-        "\"bench\": \"dpa_pipeline\"",
-        "simulate_traces_parallel",
-        "dpa_attack_reference",
-        "archive_capture",
-        "dpa_attack_outofcore",
-        "archive_fsck_scan",
-        "salvage_read",
-        "capture_sharded",
-        "shard_merge",
-        "trace_fold_gbps",
-        "encoded_bytes_per_trace",
-        "capture_dpa_baseline",
-        "instrumentation_overhead",
-        "tvla_streaming",
-        "mtd_curve",
-        "characterized_table_build",
-        "bdd_equivalence_check",
-        "energy_cache_bitsliced",
-    ] {
-        assert!(json.contains(needle), "missing {needle} in:\n{json}");
-    }
-}
-
-#[test]
 fn fig3_transient_reports_matching_waveforms() {
     let report = dpl_bench::fig3_transient();
     assert!(report.contains("supply current"), "report:\n{report}");

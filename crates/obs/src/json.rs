@@ -4,8 +4,8 @@
 //! (JSON-lines metrics, run reports, `repro info --json`), so escaping and
 //! number formatting are decided in exactly one place. Objects preserve
 //! insertion order, which keeps output deterministic. The matching
-//! [`Json::parse`] reads documents back — what `repro bench --compare`
-//! uses to load a committed baseline.
+//! [`Json::parse`] reads documents back — what `dpl-store` uses to load a
+//! sharded campaign's manifest.
 
 use std::fmt::Write as _;
 

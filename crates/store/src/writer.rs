@@ -323,6 +323,10 @@ impl<W: SyncWrite> ArchiveWriter<W> {
     /// leave either a recoverable unfinished file or a complete one,
     /// never a header that promises chunks the disk does not hold.
     ///
+    /// When instrumented, the whole commit runs under one `store.finish`
+    /// span, so the final chunk's serialize/write and both fsyncs nest
+    /// there instead of landing as separate report roots.
+    ///
     /// Returns the total trace count.
     ///
     /// # Errors
@@ -334,6 +338,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
                 message: "archive is already finished".into(),
             });
         }
+        let _span = self.obs.as_ref().map(|o| o.span("store.finish"));
         self.flush_chunk()?;
         self.sync()?;
         let distinct = self.distinct_inputs.distinct().map_or(0, |n| n as u32);

@@ -274,7 +274,7 @@ fn mtd_reproduces_the_resistance_ordering_deterministically() {
     let repetitions = 4;
     let seed = 7;
 
-    let curves = mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa);
+    let curves = mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa, None);
     assert_eq!(curves.len(), 4);
     let mtd_of = |model: LeakageModel| {
         curves
@@ -302,17 +302,20 @@ fn mtd_reproduces_the_resistance_ordering_deterministically() {
 
     // Bit-for-bit determinism of the whole sweep, and of the rendered
     // report `repro mtd --seed 7` prints.
-    assert_eq!(curves, mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa));
-    let report = mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa);
+    assert_eq!(
+        curves,
+        mtd_curves(seed, &grid, repetitions, MtdAttack::Cpa, None)
+    );
+    let report = mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa, None);
     assert_eq!(
         report,
-        mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa)
+        mtd_experiment(seed, &grid, repetitions, MtdAttack::Cpa, None)
     );
     assert!(report.contains("seed = 7"));
 
     // The DPA engine agrees on the headline: CMOS discloses, constant
     // power does not.
-    let dpa_curves = mtd_curves(seed, &[100, 400], 3, MtdAttack::Dpa);
+    let dpa_curves = mtd_curves(seed, &[100, 400], 3, MtdAttack::Dpa, None);
     let dpa_hw = dpa_curves
         .iter()
         .find(|(m, _)| *m == LeakageModel::HammingWeight)

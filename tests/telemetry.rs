@@ -1,16 +1,22 @@
 //! Integration tests for the observability plane: with an injected test
 //! clock, an instrumented capture + attack produces **byte-identical**
 //! JSON-lines telemetry across runs; the counters agree exactly with the
-//! archive's ground truth (chunk counts, fsyncs, trace totals); and a
-//! single corrupted chunk surfaces as a salvage-drop counter of exactly 1.
+//! archive's ground truth (chunk counts, fsyncs, trace totals); a
+//! single corrupted chunk surfaces as a salvage-drop counter of exactly 1;
+//! and telemetry volume follows the chunk count, never the trace count.
 
 use std::io::Cursor;
 
+use dpl_cells::CapacitanceModel;
+use dpl_crypto::{
+    simulate_traces_into_observed, synthesize_sbox_with_key, GateEnergyTable, LeakageModel,
+    LeakageOptions,
+};
 use dpl_eval::{
     interleaved_partition, tvla_parallel_with, SecondOrderWelchAccumulator, TvlaOrder,
     WelchAccumulator,
 };
-use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, TraceEventJson};
+use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, SpanRecord, TraceEventJson};
 use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile};
 use dpl_store::{
     dpa_attack_streaming, fold, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, ModelTag,
@@ -380,4 +386,100 @@ fn run_report_renders_both_formats_deterministically() {
     let report_again = RunReport::new("repro attack", again.snapshot());
     assert_eq!(json, report_again.render_json());
     assert_eq!(text, report_again.render_text());
+}
+
+/// Step of the deterministic clock in the capture tests below.
+const STEP_NS: u64 = 50;
+
+/// An observed in-memory capture of `traces` simulated S-box traces at
+/// `chunk` traces per chunk — the span shape of `repro capture`: the
+/// simulator's span, the writer's per-chunk phases, then `finish`.
+fn observed_capture(traces: usize, chunk: usize, obs: &Obs) -> Vec<u8> {
+    let netlist = synthesize_sbox_with_key().expect("synthesis");
+    let table = GateEnergyTable::build(LeakageModel::HammingWeight, &CapacitanceModel::default())
+        .expect("table");
+    let options = LeakageOptions {
+        relative_noise: 0.02,
+        seed: 99,
+    };
+    let meta = ArchiveMeta::scalar(chunk, ModelTag::HammingWeight, options.seed);
+    let mut writer = ArchiveWriter::new(Cursor::new(Vec::new()), meta).expect("writer");
+    writer.set_obs(obs);
+    simulate_traces_into_observed(&netlist, &table, 0xA, traces, &options, &mut writer, obs)
+        .expect("capture");
+    writer.finish().expect("finish");
+    writer.into_inner().into_inner()
+}
+
+/// The root span a span nests under.
+fn root_of<'a>(spans: &'a [SpanRecord], span: &'a SpanRecord) -> &'a SpanRecord {
+    let mut cursor = span;
+    while let Some(parent) = cursor.parent {
+        cursor = &spans[parent as usize];
+    }
+    cursor
+}
+
+#[test]
+fn a_capture_with_a_partial_last_chunk_has_exactly_two_roots() {
+    assert_ne!(TRACES % CHUNK, 0, "the last chunk must be partial");
+    let obs = Obs::deterministic(STEP_NS);
+    observed_capture(TRACES, CHUNK, &obs);
+    let spans = obs.snapshot().spans;
+    let roots: Vec<&str> = spans
+        .iter()
+        .filter(|s| s.parent.is_none())
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(roots, ["crypto.simulate_traces", "store.finish"]);
+
+    // Every full chunk flushes inside the simulation; the partial chunk
+    // and both durable commits flush inside `finish`.
+    let phases_under = |root: &str| -> Vec<&str> {
+        spans
+            .iter()
+            .filter(|s| s.parent.is_some() && root_of(&spans, s).name == root)
+            .map(|s| s.name.as_str())
+            .collect()
+    };
+    let full_chunk = ["store.chunk_serialize", "store.chunk_write"];
+    assert_eq!(
+        phases_under("crypto.simulate_traces"),
+        full_chunk.repeat(CHUNKS - 1)
+    );
+    assert_eq!(
+        phases_under("store.finish"),
+        [
+            "store.chunk_serialize",
+            "store.chunk_write",
+            "store.fsync",
+            "store.fsync"
+        ]
+    );
+}
+
+#[test]
+fn telemetry_volume_scales_with_chunks_never_with_traces() {
+    // Capture + DPA of N traces at chunk C, then of 2N traces at chunk 2C:
+    // the same chunk count, so the same spans and the same clock reads.
+    // A per-trace span or clock read anywhere on the path breaks this.
+    let run = |traces: usize, chunk: usize| {
+        let obs = Obs::deterministic(STEP_NS);
+        let bytes = observed_capture(traces, chunk, &obs);
+        let mut reader = ArchiveReader::new(Cursor::new(bytes)).expect("reader");
+        reader.set_obs(&obs);
+        dpa_attack_streaming(&mut reader, 16, selection).expect("attack");
+        assert_eq!(
+            obs.metrics().counter(names::FOLD_TRACES),
+            Some(traces as u64)
+        );
+        // The test clock advances one step per read; this read is one more.
+        let clock_reads = obs.now_ns() / STEP_NS - 1;
+        let spans: Vec<String> = obs.snapshot().spans.into_iter().map(|s| s.name).collect();
+        (spans, clock_reads)
+    };
+    let (spans, clock_reads) = run(TRACES, CHUNK);
+    let (doubled_spans, doubled_clock_reads) = run(2 * TRACES, 2 * CHUNK);
+    assert_eq!(spans, doubled_spans);
+    assert_eq!(clock_reads, doubled_clock_reads);
 }
