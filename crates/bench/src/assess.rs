@@ -12,14 +12,15 @@ use dpl_crypto::{
     EnergyCache, EnergyModel, GateEnergyTable, GateNetlist, LeakageModel, LeakageOptions,
 };
 use dpl_eval::{
-    interleaved_partition, mtd_campaign, mtd_campaign_observed, tvla_parallel_with, MtdConfig,
-    MtdCurve, PrefixCpa, PrefixDpa, SecondOrderWelchAccumulator, TvlaOrder, TvlaResult,
-    WelchAccumulator, TVLA_THRESHOLD,
+    interleaved_partition, mtd_campaign, mtd_campaign_observed, MtdConfig, MtdCurve, PrefixCpa,
+    PrefixDpa, SecondOrderWelchAccumulator, TvlaOrder, TvlaResult, WelchAccumulator,
+    TVLA_THRESHOLD,
 };
 use dpl_obs::{Json, Obs};
 use dpl_store::{
-    fold, is_manifest_file, ArchiveMeta, ArchiveReader, CampaignKind, ChunkSource, Compression,
-    DamageReport, ReadPolicy, Reading, RetryPolicy, SampleEncoding, ShardedReader, StoreError,
+    fold, fold_read_ahead, is_manifest_file, ArchiveMeta, ArchiveReader, CampaignKind, ChunkSource,
+    Compression, DamageReport, Fold, ReadPolicy, Reading, RetryPolicy, SampleEncoding,
+    ShardedReader, StoreError,
 };
 
 /// The fixed plaintext nibble of every CLI TVLA campaign (the random group
@@ -423,20 +424,18 @@ fn render_tvla(out: &mut String, order: TvlaOrder, result: &TvlaResult) {
 
 /// Experiment: streaming TVLA over an interleaved fixed-vs-random archive
 /// or sharded campaign (`repro tvla <file>`).  `orders` selects
-/// first-order, second-order or both; `workers` switches to the
-/// sample-sharded parallel fold.  `salvage` folds whatever chunks of a
+/// first-order, second-order or both; `workers` switches to the read-ahead
+/// fold, whose worker threads decode chunks ahead of the t-test (the
+/// result is the same, bit for bit).  `salvage` folds whatever chunks of a
 /// damaged campaign survive and renders the damage alongside each
-/// statistic (`repro tvla <file> --salvage`); it runs single-threaded.
-/// With `obs`, the reader's chunk counters, salvage drops and the fold's
-/// span/throughput gauges land there; the `--workers` path records the
-/// parallel fold's span, merge phase and reunion counters (its workers
-/// open their own unobserved readers).
+/// statistic (`repro tvla <file> --salvage`), with or without workers.
+/// With `obs`, the fold's span and throughput gauges land there, and so do
+/// the chunk counters and salvage drops of every reader, workers' included.
 ///
 /// # Errors
 ///
 /// Returns a rendered error message for unreadable archives, a non-TVLA
-/// campaign, `salvage` with `workers`, or damage that leaves no usable
-/// traces.
+/// campaign, or damage that leaves no usable traces.
 pub fn tvla_report(
     path: &str,
     orders: &[TvlaOrder],
@@ -444,9 +443,6 @@ pub fn tvla_report(
     salvage: bool,
     obs: Option<&Obs>,
 ) -> Result<String, String> {
-    if salvage && workers.is_some() {
-        return Err("a salvage t-test runs single-threaded; drop the workers".into());
-    }
     let policy = if salvage {
         ReadPolicy::Salvage
     } else {
@@ -454,12 +450,15 @@ pub fn tvla_report(
     };
     let opened = |e: StoreError| format!("cannot open {path}: {e}");
     if is_manifest_file(path) {
-        let mut source = ShardedReader::open_with_policy(path, policy).map_err(opened)?;
-        if let Some(obs) = obs {
-            source.set_obs(obs);
-        }
+        let open = || {
+            let mut source = ShardedReader::open_with_policy(path, policy)?;
+            if let Some(obs) = obs {
+                source.set_obs(obs);
+            }
+            Ok(source)
+        };
+        let mut source = open().map_err(opened)?;
         let layout = format!(" ({} shards)", source.shard_count());
-        let open = || ShardedReader::open(path);
         return tvla_report_body(
             path,
             &mut source,
@@ -471,18 +470,21 @@ pub fn tvla_report(
             obs,
         );
     }
-    let mut reader = ArchiveReader::open_with_policy(path, policy).map_err(opened)?;
-    if let Some(obs) = obs {
-        reader.set_obs(obs);
-    }
-    let open = || ArchiveReader::open(path);
+    let open = || {
+        let mut reader = ArchiveReader::open_with_policy(path, policy)?;
+        if let Some(obs) = obs {
+            reader.set_obs(obs);
+        }
+        Ok(reader)
+    };
+    let mut reader = open().map_err(opened)?;
     tvla_report_body(path, &mut reader, open, "", orders, workers, salvage, obs)
 }
 
 /// The shared body of [`tvla_report`]: the campaign check, header
 /// line and per-order folds, generic over the chunk source (single archive
-/// or sharded campaign, whose `layout` tags the header).  `open` re-opens
-/// the source for the parallel fold's per-worker readers.
+/// or sharded campaign, whose `layout` tags the header).  `open` opens
+/// sources like `source` for the read-ahead workers.
 #[allow(clippy::too_many_arguments)]
 fn tvla_report_body<S, O>(
     path: &str,
@@ -528,27 +530,44 @@ where
         Reading::Strict
     };
     for &order in orders {
-        let folded = match (workers, order) {
-            (Some(workers), _) => {
-                tvla_parallel_with(&open, interleaved_partition, order, Some(workers), obs)
-                    .map(|result| (result, None))
-            }
-            (None, TvlaOrder::First) => {
+        let folded = match order {
+            TvlaOrder::First => {
                 let acc = WelchAccumulator::new(interleaved_partition);
-                fold(source, acc, reading).map(|(result, damage)| (result, Some(damage)))
+                fold_with(source, &open, acc, reading, workers, obs)
             }
-            (None, TvlaOrder::Second) => {
+            TvlaOrder::Second => {
                 let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-                fold(source, acc, reading).map(|(result, damage)| (result, Some(damage)))
+                fold_with(source, &open, acc, reading, workers, obs)
             }
         };
         let (result, damage) = folded.map_err(|e| format!("{test} over {path} failed: {e}"))?;
-        if let (true, Some(damage)) = (salvage, damage) {
+        if salvage {
             let _ = writeln!(out, "salvage: {}", damage.render());
         }
         render_tvla(&mut out, order, &result);
     }
     Ok(out)
+}
+
+/// Folds `acc` inline over `source`, or with `workers` read-ahead over
+/// sources from `open`.
+fn fold_with<S, O, A>(
+    source: &mut S,
+    open: &O,
+    acc: A,
+    reading: Reading<'_>,
+    workers: Option<usize>,
+    obs: Option<&Obs>,
+) -> Result<(A::Output, DamageReport), A::Error>
+where
+    S: ChunkSource,
+    O: Fn() -> dpl_store::Result<S> + Sync,
+    A: Fold,
+{
+    match workers {
+        Some(_) => fold_read_ahead(open, acc, reading, workers, obs),
+        None => fold(source, acc, reading),
+    }
 }
 
 /// `repro info <file>`: renders an archive's header metadata without

@@ -1437,12 +1437,6 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
         eprintln!("usage: {USAGE}");
         return Err(());
     };
-    if salvage && workers.is_some() {
-        // Column workers each read every chunk, so they would classify
-        // damage independently; a salvage t-test is one sequential fold.
-        eprintln!("--salvage runs single-threaded; drop --workers");
-        return Err(());
-    }
     if let Some(session) = telemetry {
         // The fold advances the progress plane per chunk; a first-order
         // t-test is one pass over the archive, a second-order test two

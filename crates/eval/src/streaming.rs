@@ -2,20 +2,18 @@
 //!
 //! The Welch accumulators are [`dpl_store::Fold`]s, so a sequential or
 //! salvage t-test is one [`dpl_store::fold()`] call over any
-//! [`ChunkSource`].  [`tvla_parallel_with`] goes one step further than the
-//! chunk-parallel attacks: it shards work by **sample column**, not by
-//! chunk, and is bit-identical to the sequential fold for any worker count
-//! (contract 3 of [`dpl_store::fold`](mod@dpl_store::fold)).  The price is
-//! that every worker reads (and checksums) every chunk, which is the right
-//! trade for the multi-sample traces TVLA sweeps target; for single-sample
-//! archives the fold degrades gracefully to one effective worker.
+//! [`ChunkSource`], and [`tvla_parallel_with`] is one
+//! [`dpl_store::fold_read_ahead`] call: worker threads read and decode the
+//! chunks while the caller folds them in trace order, so it is
+//! bit-identical to the sequential fold for any worker count (contract 1
+//! of [`dpl_store::fold`](mod@dpl_store::fold)), and each chunk is read
+//! once per pass.
 
-use dpl_obs::{names, Obs};
-use dpl_power::TraceSet;
-use dpl_store::{fold, worker_count, ChunkSource, Fold, Reading, Result as StoreResult};
+use dpl_obs::Obs;
+use dpl_store::{fold_read_ahead, ChunkSource, Reading, Result as StoreResult};
 
 use crate::tvla::{SecondOrderWelchAccumulator, WelchAccumulator};
-use crate::{EvalError, Result, TvlaGroup, TvlaResult};
+use crate::{Result, TvlaGroup, TvlaResult};
 
 /// Which t-test a TVLA evaluation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,27 +37,21 @@ impl TvlaOrder {
 }
 
 /// Scoped-thread parallel TVLA over any reopenable [`ChunkSource`] (a
-/// single archive or a [`dpl_store::ShardedReader`] campaign), sharded by
-/// **sample column**: worker `w` of `n` runs [`dpl_store::fold()`] over its
-/// own contiguous block of columns, and the blocks' t-values are stitched
-/// in column order.  Bit-identical to the sequential fold for any worker
-/// count.  Workers default to the available parallelism (capped at 8) and
-/// are clamped to the number of sample columns.
+/// single archive or a [`dpl_store::ShardedReader`] campaign): a strict
+/// [`dpl_store::fold_read_ahead`], whose workers each open their own source
+/// via `open` and decode chunks ahead of the fold.  Bit-identical to the
+/// sequential fold for any worker count.  Workers default to the available
+/// parallelism (capped at 8) and are clamped to the chunk count.
 ///
-/// With a telemetry context, the whole fold runs under an
-/// `eval.tvla_parallel` span (annotated with the worker and trace counts),
-/// the stitching is attributed to a `fold.merge` phase span, and each
-/// reunion counts into `fold.merges`.  Every worker reads every chunk of
-/// every pass, so worker 0 alone speaks for the campaign: it advances the
-/// progress plane chunk by chunk and its trace-passes (traces × passes,
-/// as in the sequential fold) count into `fold.traces`.  Workers fold
-/// through the sources `open` returns, so chunk-read counters reflect
-/// whatever context the opener attaches.
+/// With a telemetry context, the fold records its span, advances the
+/// progress plane chunk by chunk, and counts its trace-passes (traces ×
+/// passes) into `fold.traces`, exactly like the sequential fold.  Chunk-read
+/// counters reflect whatever context the opener attaches.
 ///
 /// # Errors
 ///
 /// Returns an error for an empty or unopenable campaign, or any chunk
-/// failure in any worker.
+/// failure.
 pub fn tvla_parallel_with<S, O, F>(
     open: O,
     partition: F,
@@ -70,116 +62,17 @@ pub fn tvla_parallel_with<S, O, F>(
 where
     S: ChunkSource,
     O: Fn() -> StoreResult<S> + Sync,
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Sync,
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    let probe = open()?;
-    if probe.trace_count() == 0 {
-        return Err(EvalError::Misuse {
-            message: "no traces were accumulated".into(),
-        });
-    }
-    let samples = probe.samples_per_trace();
-    let traces = probe.trace_count();
-    drop(probe);
-    let workers = worker_count(workers, samples);
-    let span = obs.map(|o| o.span("eval.tvla_parallel"));
-
-    let (open, partition) = (&open, &partition);
-    let blocks: Vec<Result<(TvlaResult, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let columns = worker * samples / workers..(worker + 1) * samples / workers;
-                let obs = obs.filter(|_| worker == 0).cloned();
-                scope.spawn(move || {
-                    let mut source = open()?;
-                    match order {
-                        TvlaOrder::First => {
-                            let acc = WelchAccumulator::new(partition).with_columns(columns);
-                            fold_counted(&mut source, acc, obs)
-                        }
-                        TvlaOrder::Second => {
-                            let acc =
-                                SecondOrderWelchAccumulator::new(partition).with_columns(columns);
-                            fold_counted(&mut source, acc, obs)
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("TVLA worker panicked"))
-            .collect()
-    });
-
-    let merge_phase = obs.map(|o| o.phase("fold.merge", names::FOLD_MERGE_NS));
-    let mut result = TvlaResult {
-        t: Vec::with_capacity(samples),
-        counts: [0; 2],
-    };
-    let mut folded = 0;
-    for block in blocks {
-        let (block, trace_passes) = block?;
-        // Every worker classifies every trace, so the counts agree.
-        result.counts = block.counts;
-        result.t.extend(block.t);
-        // ...and read the same trace-passes.
-        folded = trace_passes;
-    }
-    drop(merge_phase);
-    if let Some(obs) = obs {
-        obs.counter_add(names::FOLD_MERGES, workers as u64);
-        obs.counter_add(names::FOLD_TRACES, folded);
-    }
-    if let Some(span) = span {
-        span.arg("workers", workers as u64);
-        span.arg("traces", traces);
-        span.finish();
-    }
-    Ok(result)
-}
-
-/// A column worker's fold that also counts the trace-passes it reads and,
-/// given a context, advances its progress plane chunk by chunk.
-struct Counted<A> {
-    acc: A,
-    obs: Option<Obs>,
-    trace_passes: u64,
-}
-
-impl<A: Fold> Fold for Counted<A> {
-    type Output = (A::Output, u64);
-    type Error = A::Error;
-    const SPAN: &'static str = A::SPAN;
-
-    fn update(&mut self, chunk: &TraceSet) -> std::result::Result<(), A::Error> {
-        self.trace_passes += chunk.len() as u64;
-        if let Some(obs) = &self.obs {
-            obs.progress_advance(chunk.len() as u64);
+    let folded = match order {
+        TvlaOrder::First => {
+            let acc = WelchAccumulator::new(partition);
+            fold_read_ahead(open, acc, Reading::Strict, workers, obs)
         }
-        self.acc.update(chunk)
-    }
-
-    fn begin_pass(&mut self) -> std::result::Result<bool, A::Error> {
-        self.acc.begin_pass()
-    }
-
-    fn finalize(self) -> std::result::Result<(A::Output, u64), A::Error> {
-        Ok((self.acc.finalize()?, self.trace_passes))
-    }
-}
-
-/// Runs one column worker's strict fold, returning its block of t-values
-/// and the trace-passes it read.
-fn fold_counted<S, A>(source: &mut S, acc: A, obs: Option<Obs>) -> Result<(TvlaResult, u64)>
-where
-    S: ChunkSource,
-    A: Fold<Output = TvlaResult, Error = EvalError>,
-{
-    let counted = Counted {
-        acc,
-        obs,
-        trace_passes: 0,
+        TvlaOrder::Second => {
+            let acc = SecondOrderWelchAccumulator::new(partition);
+            fold_read_ahead(open, acc, Reading::Strict, workers, obs)
+        }
     };
-    Ok(fold(source, counted, Reading::Strict)?.0)
+    Ok(folded?.0)
 }

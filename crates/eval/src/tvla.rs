@@ -32,8 +32,6 @@
 //! `dpl_crypto::simulate_tvla_traces_into` and the
 //! `dpl_store::CampaignKind::TvlaInterleaved` archives.
 
-use std::ops::Range;
-
 use dpl_power::stats::welch_t_from_stats;
 use dpl_power::TraceSet;
 use dpl_store::{Fold, MergeFold};
@@ -94,10 +92,9 @@ pub fn fixed_vs_fixed(a: u64, b: u64) -> impl Fn(u64, u64) -> Option<TvlaGroup> 
     }
 }
 
-/// Per-sample running sums shared by every Welch accumulator and the
-/// sample-sharded parallel fold: plain `sum`/`sum of squares`, accumulated
-/// strictly in trace order so any chunking (or column ownership) performs
-/// the identical addition sequence per slot.
+/// Per-sample running sums shared by every Welch accumulator: plain
+/// `sum`/`sum of squares`, accumulated strictly in trace order so any
+/// chunking performs the identical addition sequence per slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct ColumnStats {
     pub(crate) sum: f64,
@@ -175,11 +172,6 @@ fn width_check(current: &mut Option<usize>, chunk: &TraceSet) -> Result<usize> {
     Ok(width)
 }
 
-/// The requested column range, clipped to a `samples`-wide chunk.
-fn clamp(columns: &Range<usize>, samples: usize) -> Range<usize> {
-    columns.start.min(samples)..columns.end.min(samples)
-}
-
 fn empty_error() -> EvalError {
     EvalError::Misuse {
         message: "no traces were accumulated".into(),
@@ -199,10 +191,8 @@ pub struct WelchAccumulator<F> {
     start: u64,
     next: u64,
     samples: Option<usize>,
-    /// The sample columns folded (all of them unless restricted).
-    columns: Range<usize>,
     counts: [u64; 2],
-    /// `stats[group][column - columns.start]` running sums.
+    /// `stats[group][column]` running sums.
     stats: [Vec<ColumnStats>; 2],
 }
 
@@ -225,18 +215,9 @@ where
             start,
             next: start,
             samples: None,
-            columns: 0..usize::MAX,
             counts: [0; 2],
             stats: [Vec::new(), Vec::new()],
         }
-    }
-
-    /// Restricts the accumulator to the sample columns in `columns`: its
-    /// result holds their t-values only, each bit-identical to the
-    /// full-width fold's.
-    pub(crate) fn with_columns(mut self, columns: Range<usize>) -> Self {
-        self.columns = columns;
-        self
     }
 
     /// Traces folded in so far (across both groups, including discarded
@@ -256,9 +237,7 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = width_check(&mut self.samples, chunk)?;
-        let columns = clamp(&self.columns, samples);
-        let width = columns.len();
+        let width = width_check(&mut self.samples, chunk)?;
         if self.stats[0].is_empty() {
             self.stats = [
                 vec![ColumnStats::default(); width],
@@ -280,10 +259,10 @@ where
         // per-trace group dispatch over four columns.
         let mut s = 0;
         while s + 4 <= width {
-            let c0 = chunk.sample_column(columns.start + s);
-            let c1 = chunk.sample_column(columns.start + s + 1);
-            let c2 = chunk.sample_column(columns.start + s + 2);
-            let c3 = chunk.sample_column(columns.start + s + 3);
+            let c0 = chunk.sample_column(s);
+            let c1 = chunk.sample_column(s + 1);
+            let c2 = chunk.sample_column(s + 2);
+            let c3 = chunk.sample_column(s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let row = &mut self.stats[g.index()][s..s + 4];
@@ -295,7 +274,7 @@ where
             s += 4;
         }
         while s < width {
-            let column = chunk.sample_column(columns.start + s);
+            let column = chunk.sample_column(s);
             let (fixed, random) = {
                 let [f, r] = &mut self.stats;
                 (&mut f[s], &mut r[s])
@@ -412,8 +391,6 @@ pub struct SecondOrderWelchAccumulator<F> {
     next: u64,
     pass: Pass,
     samples: Option<usize>,
-    /// The sample columns folded (all of them unless restricted).
-    columns: Range<usize>,
     counts: [u64; 2],
     /// Pass-1 per-group per-column plain sums.
     sum: [Vec<f64>; 2],
@@ -440,7 +417,6 @@ where
             next: 0,
             pass: Pass::Means,
             samples: None,
-            columns: 0..usize::MAX,
             counts: [0; 2],
             sum: [Vec::new(), Vec::new()],
             mean: [Vec::new(), Vec::new()],
@@ -449,13 +425,6 @@ where
             second_next: 0,
             second_counts: [0; 2],
         }
-    }
-
-    /// Restricts the accumulator to the sample columns in `columns`, like
-    /// [`WelchAccumulator::with_columns`].
-    pub(crate) fn with_columns(mut self, columns: Range<usize>) -> Self {
-        self.columns = columns;
-        self
     }
 
     /// Traces folded into the first pass so far.
@@ -481,9 +450,7 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = width_check(&mut self.samples, chunk)?;
-        let columns = clamp(&self.columns, samples);
-        let width = columns.len();
+        let width = width_check(&mut self.samples, chunk)?;
         if self.sum[0].is_empty() {
             self.sum = [vec![0.0; width], vec![0.0; width]];
         }
@@ -500,10 +467,10 @@ where
         // (group, sample) sum is fed in trace order, so bit-identity holds.
         let mut s = 0;
         while s + 4 <= width {
-            let c0 = chunk.sample_column(columns.start + s);
-            let c1 = chunk.sample_column(columns.start + s + 1);
-            let c2 = chunk.sample_column(columns.start + s + 2);
-            let c3 = chunk.sample_column(columns.start + s + 3);
+            let c0 = chunk.sample_column(s);
+            let c1 = chunk.sample_column(s + 1);
+            let c2 = chunk.sample_column(s + 2);
+            let c3 = chunk.sample_column(s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let row = &mut self.sum[g.index()][s..s + 4];
@@ -515,7 +482,7 @@ where
             s += 4;
         }
         while s < width {
-            let column = chunk.sample_column(columns.start + s);
+            let column = chunk.sample_column(s);
             for (group, &v) in groups.iter().zip(column) {
                 if let Some(g) = group {
                     self.sum[g.index()][s] += v;
@@ -561,9 +528,7 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = width_check(&mut self.samples, chunk)?;
-        let columns = clamp(&self.columns, samples);
-        let width = columns.len();
+        let width = width_check(&mut self.samples, chunk)?;
         if self.second_next + chunk.len() as u64 > self.next {
             return Err(EvalError::Misuse {
                 message: "the second pass replayed more traces than the first pass folded".into(),
@@ -583,10 +548,10 @@ where
         // and each slot is fed in trace order — bit-identical.
         let mut s = 0;
         while s + 4 <= width {
-            let c0 = chunk.sample_column(columns.start + s);
-            let c1 = chunk.sample_column(columns.start + s + 1);
-            let c2 = chunk.sample_column(columns.start + s + 2);
-            let c3 = chunk.sample_column(columns.start + s + 3);
+            let c0 = chunk.sample_column(s);
+            let c1 = chunk.sample_column(s + 1);
+            let c2 = chunk.sample_column(s + 2);
+            let c3 = chunk.sample_column(s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let g = g.index();
@@ -604,7 +569,7 @@ where
             s += 4;
         }
         while s < width {
-            let column = chunk.sample_column(columns.start + s);
+            let column = chunk.sample_column(s);
             let (fixed, random) = {
                 let [f, r] = &mut self.centered;
                 (&mut f[s], &mut r[s])
@@ -751,8 +716,7 @@ where
     F: Fn(u64, u64) -> Option<TvlaGroup> + Clone,
 {
     fn partial(&self, first_trace: u64) -> Result<Self> {
-        Ok(Self::starting_at(self.partition.clone(), first_trace)
-            .with_columns(self.columns.clone()))
+        Ok(Self::starting_at(self.partition.clone(), first_trace))
     }
 
     fn merge(&mut self, other: &Self) -> Result<()> {
@@ -791,7 +755,7 @@ where
             Pass::Means => Ok(SecondOrderWelchAccumulator {
                 start: first_trace,
                 next: first_trace,
-                ..Self::new(self.partition.clone()).with_columns(self.columns.clone())
+                ..Self::new(self.partition.clone())
             }),
             Pass::Centered => self.fork_at(first_trace),
         }

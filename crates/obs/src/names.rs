@@ -53,16 +53,12 @@ pub const STORE_FSYNC_NS: &str = "store.fsync_ns";
 pub const FOLD_TRACES: &str = "fold.traces";
 /// Accumulator `update` calls (one per chunk).
 pub const FOLD_UPDATES: &str = "fold.updates";
-/// Accumulator `merge` calls (fork/merge reunions).
-pub const FOLD_MERGES: &str = "fold.merges";
 /// Peak fold throughput in traces per second.
 pub const FOLD_TRACES_PER_SEC: &str = "fold.traces_per_sec";
 /// Peak fold throughput in payload bytes per second.
 pub const FOLD_BYTES_PER_SEC: &str = "fold.bytes_per_sec";
 /// Per-chunk accumulator `update` phase, nanoseconds.
 pub const FOLD_UPDATE_NS: &str = "fold.update_ns";
-/// Partial-accumulator merge phase, nanoseconds.
-pub const FOLD_MERGE_NS: &str = "fold.merge_ns";
 
 /// Traces produced by the simulated measurement campaigns.
 pub const CRYPTO_TRACES_GENERATED: &str = "crypto.traces_generated";

@@ -1,20 +1,24 @@
 //! The fold engine: every out-of-core statistic — DPA and CPA here, the
-//! TVLA t-tests of `dpl-eval` — reads a campaign through the same two chunk
-//! loops.  A statistic is a [`Fold`] (an accumulator that takes chunks in
-//! trace order, may ask for the chunks again, and finalizes); [`fold`] runs
-//! it over any [`ChunkSource`] under a strict or salvage [`Reading`], and
-//! [`fold_parallel`] runs a [`MergeFold`] across scoped threads.
+//! TVLA t-tests of `dpl-eval` — reads a campaign through one chunk loop.
+//! A statistic is a [`Fold`] (an accumulator that takes chunks in trace
+//! order, may ask for the chunks again, and finalizes).  The loop has two
+//! chunk producers, both under a strict or salvage [`Reading`]: [`fold`]
+//! reads inline from any [`ChunkSource`], and [`fold_read_ahead`] has
+//! worker threads read, verify and decode the chunks ahead of it.
+//! [`fold_parallel`] runs a [`MergeFold`] across scoped threads, one
+//! partial per chunk.
 //!
 //! # Numeric contracts
 //!
 //! These are stated once, here; the entry points built on the engine refer
 //! to them.
 //!
-//! 1. **Sequential and clean-salvage folds are bit-identical to the
-//!    in-memory statistic.**  [`fold`] feeds the accumulator every chunk in
-//!    global trace order, so it performs exactly the floating-point
-//!    operations of the in-memory statistic over the same traces — for any
-//!    chunk size, and for any shard layout, since a
+//! 1. **Sequential, read-ahead and clean-salvage folds are bit-identical to
+//!    the in-memory statistic.**  [`fold`] and [`fold_read_ahead`] feed the
+//!    accumulator every chunk in global trace order on the calling thread,
+//!    so they perform exactly the floating-point operations of the
+//!    in-memory statistic over the same traces — for any chunk size, any
+//!    read-ahead worker count, and any shard layout, since a
 //!    [`crate::ShardedReader`] yields the single-archive chunk stream.  A
 //!    salvage fold over a damaged campaign equals the strict fold over the
 //!    same campaign with the lost chunks' traces removed.
@@ -24,11 +28,17 @@
 //!    whatever the worker or shard count.  Merging re-associates the sums,
 //!    so the scores agree with the sequential fold to 1e-12, not bit for
 //!    bit.
-//! 3. **TVLA column-parallel folds are bit-identical.**
-//!    `dpl_eval::tvla_parallel_with` splits the work by sample column, not
-//!    by chunk: each worker runs [`fold`] over its own column block, so
-//!    every column sees the sequential fold's exact addition sequence, for
-//!    any worker count.
+//!
+//! # Read-ahead
+//!
+//! [`fold_read_ahead`] requests only the chunks a pass folds — every chunk
+//! in pass 1, only the chunks that verified in a replay — round-robin by
+//! chunk index over its workers, and takes them back in chunk order.  At
+//! most `workers + 1` decoded chunks are alive at once (requested, or being
+//! folded), and their buffers are recycled.  Salvage retries and damage
+//! classification run on the worker that read the chunk, so the
+//! [`DamageReport`] is the sequential one.  Errors surface in chunk order;
+//! returning early drops the channels, so every worker stops and joins.
 //!
 //! # Salvage
 //!
@@ -39,7 +49,8 @@
 //! verified in pass 1 but fails in a replay fails the fold closed — the
 //! passes must fold the same traces.
 
-use std::sync::mpsc::{sync_channel, Receiver};
+use std::collections::VecDeque;
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 
 use dpl_obs::{names, rate_per_sec, Obs, SpanGuard};
 use dpl_power::TraceSet;
@@ -47,7 +58,7 @@ use dpl_power::TraceSet;
 use crate::error::{Result, StoreError};
 use crate::fault::RetryPolicy;
 use crate::reader::ChunkSource;
-use crate::salvage::{read_salvage_into, DamageReport};
+use crate::salvage::{read_salvage_into, DamageReport, DamagedChunk};
 
 /// A statistic folded chunk by chunk in trace order.
 pub trait Fold: Sized {
@@ -105,7 +116,7 @@ pub trait MergeFold: Fold {
     fn merge(&mut self, other: &Self) -> std::result::Result<(), Self::Error>;
 }
 
-/// How [`fold`] treats chunk damage.
+/// How a fold treats chunk damage.
 #[derive(Debug, Clone, Copy)]
 pub enum Reading<'a> {
     /// Any chunk failure fails the fold.
@@ -186,61 +197,175 @@ impl FoldObs {
     }
 }
 
-/// Folds `acc` over every chunk of `source` in global order, replaying the
-/// chunks when [`Fold::begin_pass`] asks, and returns the statistic with
-/// the read's [`DamageReport`] (always clean under [`Reading::Strict`]).
-/// See the [module docs](self) for the numeric and salvage contracts.
-///
-/// # Errors
-///
-/// Returns the accumulator's error (e.g. an empty campaign), any chunk
-/// failure of a strict read, a non-chunk-local failure of a salvage read,
-/// or a chunk that verified in pass 1 but failed its replay.
-pub fn fold<S, A>(
+/// Reads chunk `index` of `source` into `chunk` under `reading`: `None`
+/// when it verified, else the damage a salvage read records.
+fn read_into<S: ChunkSource + ?Sized>(
     source: &mut S,
+    index: usize,
+    reading: Reading<'_>,
+    chunk: &mut TraceSet,
+) -> Result<Option<DamagedChunk>> {
+    match reading {
+        Reading::Strict => source.read_chunk_into(index, chunk).map(|()| None),
+        Reading::Salvage(retry) => read_salvage_into(source, index, retry, chunk),
+    }
+}
+
+/// The chunks one pass folds, in order.
+type Plan = Box<dyn Iterator<Item = usize>>;
+
+/// Every chunk of a `chunks`-chunk campaign but those in `skip` (ascending).
+fn plan(chunks: usize, skip: Vec<usize>) -> Plan {
+    Box::new((0..chunks).filter(move |index| skip.binary_search(index).is_err()))
+}
+
+/// Where the chunk loop gets each pass's chunks from.
+trait Producer {
+    /// Starts a pass over the chunks of `plan`.
+    fn begin(&mut self, plan: Plan);
+
+    /// The pass's next chunk with its damage (`None`: it verified and the
+    /// set holds its traces), or `None` at the end of the pass.
+    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>>;
+}
+
+/// Reads each chunk from the caller's source when the loop asks for it.
+struct Inline<'a, 'r, S: ?Sized> {
+    source: &'a mut S,
+    reading: Reading<'r>,
+    plan: Plan,
+    chunk: TraceSet,
+}
+
+impl<S: ChunkSource + ?Sized> Producer for Inline<'_, '_, S> {
+    fn begin(&mut self, plan: Plan) {
+        self.plan = plan;
+    }
+
+    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>> {
+        let index = self.plan.next()?;
+        let damage = read_into(self.source, index, self.reading, &mut self.chunk);
+        Some(damage.map(|damage| (damage, &self.chunk)))
+    }
+}
+
+/// A decoded chunk (or its damage) with the buffer it was read into.
+type Decoded = Result<(Option<DamagedChunk>, TraceSet)>;
+
+/// One read-ahead worker's channels: requested chunk indices, each with
+/// the buffer to decode into, and the decoded chunks in request order.
+struct Lane {
+    requests: Sender<(usize, TraceSet)>,
+    decoded: Receiver<Decoded>,
+}
+
+/// Requests chunks from worker threads ahead of the loop and hands them
+/// over in plan order.
+struct ReadAhead {
+    lanes: Vec<Lane>,
+    plan: Plan,
+    /// Requested chunks the loop has not taken yet, in plan order.
+    pending: VecDeque<usize>,
+    /// The chunk the loop is folding.
+    current: Option<TraceSet>,
+    /// Buffers free for the next requests.
+    spare: Vec<TraceSet>,
+}
+
+impl ReadAhead {
+    /// Requests the plan's next chunk, if any, from the worker that owns its
+    /// index.
+    fn request(&mut self) {
+        if let Some(index) = self.plan.next() {
+            let buffer = self.spare.pop().unwrap_or_default();
+            // A closed lane means its worker stopped on an error, which its
+            // last reply carries.
+            let _ = self.lanes[index % self.lanes.len()]
+                .requests
+                .send((index, buffer));
+            self.pending.push_back(index);
+        }
+    }
+}
+
+impl Producer for ReadAhead {
+    fn begin(&mut self, plan: Plan) {
+        self.plan = plan;
+        self.spare.extend(self.current.take());
+        // One chunk per worker in flight, plus the one the loop folds.
+        for _ in 0..=self.lanes.len() {
+            self.request();
+        }
+    }
+
+    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>> {
+        if let Some(folded) = self.current.take() {
+            self.spare.push(folded);
+            self.request();
+        }
+        let index = self.pending.pop_front()?;
+        let decoded = self.lanes[index % self.lanes.len()]
+            .decoded
+            .recv()
+            .unwrap_or_else(|_| {
+                Err(StoreError::FormatViolation {
+                    message: format!("chunk {index} was never read"),
+                })
+            });
+        Some(decoded.map(|(damage, chunk)| (damage, &*self.current.insert(chunk))))
+    }
+}
+
+/// What the chunk loop needs to know about a campaign before reading it.
+#[derive(Clone, Copy)]
+struct Shape {
+    chunks: usize,
+    traces: u64,
+    samples: usize,
+}
+
+impl Shape {
+    fn of<S: ChunkSource + ?Sized>(source: &S) -> Self {
+        Shape {
+            chunks: source.chunk_count(),
+            traces: source.trace_count(),
+            samples: source.samples_per_trace(),
+        }
+    }
+}
+
+/// The chunk loop: folds `acc` over the chunks `chunks` produces, pass by
+/// pass, and classifies damage (see the [module docs](self)).
+fn run<P, A>(
+    mut chunks: P,
     mut acc: A,
     reading: Reading<'_>,
+    shape: Shape,
+    obs: Option<&Obs>,
 ) -> std::result::Result<(A::Output, DamageReport), A::Error>
 where
-    S: ChunkSource + ?Sized,
+    P: Producer,
     A: Fold,
 {
-    let chunks = source.chunk_count();
-    let samples = source.samples_per_trace();
-    let mut obs = FoldObs::start(source.obs(), A::SPAN);
+    let mut obs = FoldObs::start(obs, A::SPAN);
     let mut report = DamageReport {
-        chunks_scanned: chunks,
-        traces_total: source.trace_count(),
+        chunks_scanned: shape.chunks,
+        traces_total: shape.traces,
         ..DamageReport::default()
     };
-    let mut chunk = TraceSet::new();
     let mut replay = false;
     loop {
-        for index in 0..chunks {
-            let damage = match reading {
-                Reading::Strict => {
-                    source.read_chunk_into(index, &mut chunk)?;
-                    None
-                }
-                Reading::Salvage(_)
-                    if replay
-                        && report
-                            .damaged
-                            .binary_search_by_key(&index, |d| d.chunk)
-                            .is_ok() =>
-                {
-                    continue
-                }
-                Reading::Salvage(retry) => read_salvage_into(source, index, retry, &mut chunk)?,
-            };
-            match damage {
-                None => {
+        let skip = report.damaged.iter().map(|d| d.chunk).collect();
+        chunks.begin(plan(shape.chunks, skip));
+        while let Some(read) = chunks.next() {
+            match read? {
+                (None, chunk) => {
                     if !replay {
                         report.traces_read += chunk.len() as u64;
                     }
-                    obs.update(&mut acc, &chunk, samples)?;
+                    obs.update(&mut acc, chunk, shape.samples)?;
                 }
-                Some(d) if replay => {
+                (Some(d), _) if replay => {
                     return Err(StoreError::FormatViolation {
                         message: format!(
                             "chunk {} verified in pass 1 but failed in pass 2 ({}); \
@@ -250,7 +375,7 @@ where
                     }
                     .into());
                 }
-                Some(d) => report.damaged.push(d),
+                (Some(d), _) => report.damaged.push(d),
             }
         }
         if replay || !acc.begin_pass()? {
@@ -261,6 +386,101 @@ where
     let salvage = matches!(reading, Reading::Salvage(_));
     obs.finish(salvage.then_some(report.damaged.len()));
     Ok((acc.finalize()?, report))
+}
+
+/// Folds `acc` over every chunk of `source` in global order, replaying the
+/// chunks when [`Fold::begin_pass`] asks, and returns the statistic with
+/// the read's [`DamageReport`] (always clean under [`Reading::Strict`]).
+/// Reads inline on the calling thread.  See the [module docs](self) for
+/// the numeric and salvage contracts.
+///
+/// # Errors
+///
+/// Returns the accumulator's error (e.g. an empty campaign), any chunk
+/// failure of a strict read, a non-chunk-local failure of a salvage read,
+/// or a chunk that verified in pass 1 but failed its replay.
+pub fn fold<S, A>(
+    source: &mut S,
+    acc: A,
+    reading: Reading<'_>,
+) -> std::result::Result<(A::Output, DamageReport), A::Error>
+where
+    S: ChunkSource + ?Sized,
+    A: Fold,
+{
+    let obs = source.obs().cloned();
+    let shape = Shape::of(source);
+    let inline = Inline {
+        source,
+        reading,
+        plan: plan(0, Vec::new()),
+        chunk: TraceSet::new(),
+    };
+    run(inline, acc, reading, shape, obs.as_ref())
+}
+
+/// [`fold`] with read-ahead: `workers` scoped threads each open their own
+/// source via `open` and read, verify and decode the chunks the fold
+/// requests, round-robin by chunk index, while the calling thread folds
+/// them in global order.  The result — statistic and [`DamageReport`] — is
+/// the sequential fold's, bit for bit, for any worker count.  The fold's
+/// span, counters and progress go to `obs`; chunk-read counters go to
+/// whatever context `open` attaches to its sources.  Workers default to the
+/// available parallelism (at most 8) and are clamped to the chunk count.
+/// See the [module docs](self) for the contracts and the in-flight bound.
+///
+/// # Errors
+///
+/// Those of [`fold`], plus an open failure on any thread.
+pub fn fold_read_ahead<S, O, A>(
+    open: O,
+    acc: A,
+    reading: Reading<'_>,
+    workers: Option<usize>,
+    obs: Option<&Obs>,
+) -> std::result::Result<(A::Output, DamageReport), A::Error>
+where
+    S: ChunkSource,
+    O: Fn() -> Result<S> + Sync,
+    A: Fold,
+{
+    let shape = Shape::of(&open()?);
+    let workers = worker_count(workers, shape.chunks);
+    std::thread::scope(|scope| {
+        let lanes = (0..workers)
+            .map(|_| {
+                let (requests, inbox) = channel::<(usize, TraceSet)>();
+                let (outbox, decoded) = channel();
+                let open = &open;
+                scope.spawn(move || {
+                    let mut source = match open() {
+                        Ok(source) => source,
+                        Err(e) => {
+                            let _ = outbox.send(Err(e));
+                            return;
+                        }
+                    };
+                    for (index, mut chunk) in inbox {
+                        let read = read_into(&mut source, index, reading, &mut chunk);
+                        let failed = read.is_err();
+                        // A closed outbox means the fold stopped early.
+                        if outbox.send(read.map(|damage| (damage, chunk))).is_err() || failed {
+                            return;
+                        }
+                    }
+                });
+                Lane { requests, decoded }
+            })
+            .collect();
+        let read_ahead = ReadAhead {
+            lanes,
+            plan: plan(0, Vec::new()),
+            pending: VecDeque::new(),
+            current: None,
+            spare: Vec::new(),
+        };
+        run(read_ahead, acc, reading, shape, obs)
+    })
 }
 
 /// Resolves a worker request for `units` independent work units: the
@@ -367,10 +587,12 @@ mod tests {
     use super::*;
     use crate::format::{ArchiveMeta, ModelTag};
 
-    /// An in-memory campaign: `chunks` chunks of `chunk` one-sample traces.
+    /// An in-memory campaign: `chunks` chunks of `chunk` one-sample traces,
+    /// each trace's input its global index.  `reads` counts chunk reads.
     struct Memory {
         meta: ArchiveMeta,
         chunks: usize,
+        reads: Arc<AtomicUsize>,
     }
 
     impl Memory {
@@ -378,6 +600,7 @@ mod tests {
             Memory {
                 meta: ArchiveMeta::scalar(chunk, ModelTag::Unspecified, 0),
                 chunks,
+                reads: Arc::default(),
             }
         }
     }
@@ -396,6 +619,7 @@ mod tests {
             None
         }
         fn read_chunk(&mut self, index: usize) -> Result<TraceSet> {
+            self.reads.fetch_add(1, Ordering::SeqCst);
             let mut set = TraceSet::new();
             for t in 0..self.meta.chunk_traces {
                 let trace = (index * self.meta.chunk_traces + t) as u64;
@@ -497,6 +721,86 @@ mod tests {
                 "{workers} workers: {peak} live partials"
             );
             assert_eq!(live.0.load(Ordering::SeqCst), 0, "every partial dropped");
+        }
+    }
+
+    /// A fold that sums the samples in trace order over one or two passes,
+    /// recording each chunk's first trace and the peak count of chunks read
+    /// but not yet folded, measured at every update.
+    struct Summing {
+        sum: f64,
+        firsts: Vec<u64>,
+        passes: usize,
+        reads: Arc<AtomicUsize>,
+        folded: usize,
+        peak: usize,
+    }
+
+    impl Summing {
+        fn new(passes: usize, reads: &Arc<AtomicUsize>) -> Self {
+            Summing {
+                sum: 0.0,
+                firsts: Vec::new(),
+                passes,
+                reads: Arc::clone(reads),
+                folded: 0,
+                peak: 0,
+            }
+        }
+    }
+
+    impl Fold for Summing {
+        type Output = (f64, Vec<u64>, usize);
+        type Error = StoreError;
+        const SPAN: &'static str = "test.summing";
+
+        fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+            let alive = self.reads.load(Ordering::SeqCst) - self.folded;
+            self.peak = self.peak.max(alive);
+            self.folded += 1;
+            self.sum = chunk.sample_column(0).iter().fold(self.sum, |s, v| s + v);
+            self.firsts.push(chunk.inputs()[0]);
+            Ok(())
+        }
+
+        fn begin_pass(&mut self) -> Result<bool> {
+            Ok(self.passes == 2)
+        }
+
+        fn finalize(self) -> Result<(f64, Vec<u64>, usize)> {
+            Ok((self.sum, self.firsts, self.peak))
+        }
+    }
+
+    #[test]
+    fn read_ahead_folds_equal_the_inline_fold_and_bound_decoded_chunks() {
+        const CHUNK: usize = 3;
+        const CHUNKS: usize = 257;
+        for passes in [1, 2] {
+            let mut source = Memory::new(CHUNK, CHUNKS);
+            let reads = Arc::clone(&source.reads);
+            let (inline, _) = fold(&mut source, Summing::new(passes, &reads), Reading::Strict)
+                .expect("inline fold");
+            assert_eq!(inline.2, 1, "the inline fold holds one chunk");
+            for workers in [1, 2, 4] {
+                let reads = Arc::new(AtomicUsize::new(0));
+                let open = || {
+                    Ok(Memory {
+                        reads: Arc::clone(&reads),
+                        ..Memory::new(CHUNK, CHUNKS)
+                    })
+                };
+                let acc = Summing::new(passes, &reads);
+                let ((sum, firsts, peak), report) =
+                    fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
+                        .expect("read-ahead fold");
+                let case = format!("{passes} passes, {workers} workers");
+                assert_eq!(sum.to_bits(), inline.0.to_bits(), "{case}");
+                assert_eq!(firsts, inline.1, "{case}: chunk order");
+                assert!(peak <= workers + 1, "{case}: {peak} chunks alive");
+                assert_eq!(reads.load(Ordering::SeqCst), CHUNKS * passes, "{case}");
+                assert!(report.is_clean(), "{case}");
+            }
         }
     }
 }

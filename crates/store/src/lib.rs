@@ -15,9 +15,11 @@
 //! * [`ArchiveReader`] — header-validating, checksum-verifying chunk
 //!   iterator with a configurable in-memory chunk budget,
 //! * [`mod@fold`] — the fold engine: [`fold()`] runs any [`Fold`] statistic
-//!   over a [`ChunkSource`] under a strict or salvage [`Reading`], and
-//!   [`fold_parallel`] runs a [`MergeFold`] across scoped threads; its
-//!   module docs state the numeric contracts of every out-of-core fold,
+//!   over a [`ChunkSource`] under a strict or salvage [`Reading`],
+//!   [`fold_read_ahead`] runs the same loop with worker threads decoding
+//!   chunks ahead of it, and [`fold_parallel`] runs a [`MergeFold`] across
+//!   scoped threads; its module docs state the numeric contracts of every
+//!   out-of-core fold,
 //! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] /
 //!   [`cpa_attack_parallel_with`] — the out-of-core attacks built on it.
 //!
@@ -70,7 +72,7 @@ pub use attack::{
 pub use encode::{Compression, Quantization, SampleEncoding};
 pub use error::{ReadSite, Result, StoreError};
 pub use fault::{Fault, FaultPlan, FaultStream, RetryPolicy};
-pub use fold::{fold, fold_parallel, worker_count, Fold, MergeFold, Reading};
+pub use fold::{fold, fold_parallel, fold_read_ahead, worker_count, Fold, MergeFold, Reading};
 pub use format::{ArchiveMeta, CampaignKind, ModelTag};
 pub use reader::{ArchiveReader, ChunkSource, Chunks};
 pub use recover::{recover, HeaderState, Recovery};

@@ -8,6 +8,8 @@
 use std::cell::Cell;
 use std::io::{Cursor, ErrorKind, Read, Seek, SeekFrom};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dpl_eval::{
@@ -15,12 +17,12 @@ use dpl_eval::{
     WelchAccumulator,
 };
 use dpl_obs::{names, Obs};
-use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator};
+use dpl_power::{AttackResult, CpaAccumulator, DpaAccumulator, TraceSet};
 use dpl_store::{
-    cpa_attack_streaming, dpa_attack_streaming, fold, input_profile, recover, repair_archive,
-    ArchiveMeta, ArchiveReader, ArchiveWriter, ChunkSource, Compression, DamageCause, DamageReport,
-    DamagedChunk, Fault, FaultPlan, FaultStream, HeaderState, ModelTag, ReadPolicy, ReadSite,
-    Reading, RetryPolicy, SampleEncoding, StoreError,
+    cpa_attack_streaming, dpa_attack_streaming, fold, fold_read_ahead, input_profile, recover,
+    repair_archive, ArchiveMeta, ArchiveReader, ArchiveWriter, ChunkSource, Compression,
+    DamageCause, DamageReport, DamagedChunk, Fault, FaultPlan, FaultStream, HeaderState, ModelTag,
+    ReadPolicy, ReadSite, Reading, RetryPolicy, SampleEncoding, StoreError,
 };
 
 const SEED: u64 = 42;
@@ -157,6 +159,31 @@ fn tvla_fold<S: ChunkSource>(
             SecondOrderWelchAccumulator::new(interleaved_partition),
             reading,
         ),
+    }
+}
+
+/// The same TVLA with `workers` read-ahead threads opening sources via
+/// `open`.
+fn tvla_read_ahead<S, O>(
+    open: O,
+    order: TvlaOrder,
+    reading: Reading<'_>,
+    workers: usize,
+) -> Salvaged<TvlaResult, EvalError>
+where
+    S: ChunkSource,
+    O: Fn() -> dpl_store::Result<S> + Sync,
+{
+    let workers = Some(workers);
+    match order {
+        TvlaOrder::First => {
+            let acc = WelchAccumulator::new(interleaved_partition);
+            fold_read_ahead(open, acc, reading, workers, None)
+        }
+        TvlaOrder::Second => {
+            let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+            fold_read_ahead(open, acc, reading, workers, None)
+        }
     }
 }
 
@@ -594,6 +621,140 @@ fn salvage_tvla_equals_strict_tvla_without_the_lost_chunk() {
                 "{order:?} t-stats not bit-identical"
             );
         }
+    }
+}
+
+/// A read-ahead fold fails like the sequential fold, for any worker count:
+/// a corrupted chunk surfaces as that chunk's checksum mismatch, and an
+/// opener that fails — on the caller's probe or on the workers — returns
+/// its error.  Every case returns, so no worker is left waiting.
+#[test]
+fn read_ahead_failures_match_the_sequential_fold() {
+    let meta = tvla_meta(2, 16);
+    let clean = write_archive(&interleaved_traces(96, 2), meta); // 6 chunks
+    let damaged_chunk = 3usize;
+    let mut corrupt = clean.clone();
+    corrupt[chunk_offset(&meta, damaged_chunk) + 21] ^= 0x40;
+    let mismatch = EvalError::Store(StoreError::ChecksumMismatch {
+        chunk: damaged_chunk,
+    });
+    let unopenable = EvalError::Store(
+        ArchiveReader::new(Cursor::new(Vec::new()))
+            .map(|_| ())
+            .expect_err("an empty archive does not open"),
+    );
+    let opens = AtomicUsize::new(0);
+    for order in [TvlaOrder::First, TvlaOrder::Second] {
+        let mut reader = ArchiveReader::new(Cursor::new(corrupt.clone())).expect("open");
+        let sequential = tvla_fold(&mut reader, order, Reading::Strict).expect_err("corrupt");
+        assert_eq!(sequential, mismatch, "{order:?}");
+        for workers in 1..=4 {
+            let case = format!("{order:?}, {workers} workers");
+            let damaged = || ArchiveReader::new(Cursor::new(corrupt.clone()));
+            let failed = tvla_read_ahead(damaged, order, Reading::Strict, workers);
+            assert_eq!(failed.expect_err("corrupt"), mismatch, "{case}");
+
+            let never = || ArchiveReader::new(Cursor::new(Vec::new()));
+            let failed = tvla_read_ahead(never, order, Reading::Strict, workers);
+            assert_eq!(failed.expect_err("no source"), unopenable, "{case}");
+
+            // The caller's probe opens; every worker's open fails.
+            opens.store(0, Ordering::SeqCst);
+            let probe_only = || {
+                let bytes = match opens.fetch_add(1, Ordering::SeqCst) {
+                    0 => clean.clone(),
+                    _ => Vec::new(),
+                };
+                ArchiveReader::new(Cursor::new(bytes))
+            };
+            let failed = tvla_read_ahead(probe_only, order, Reading::Strict, workers);
+            assert_eq!(failed.expect_err("no worker source"), unopenable, "{case}");
+        }
+    }
+}
+
+/// A source whose chunk `target` verifies on its first read and fails its
+/// checksum on every later one, counted across all sources sharing `reads`:
+/// a chunk that fails only its replay, whichever read-ahead worker reads it.
+struct FailsOnReplay {
+    clean: ArchiveReader<Cursor<Vec<u8>>>,
+    corrupt: ArchiveReader<Cursor<Vec<u8>>>,
+    target: usize,
+    reads: Arc<AtomicUsize>,
+}
+
+impl ChunkSource for FailsOnReplay {
+    fn meta(&self) -> &ArchiveMeta {
+        self.clean.meta()
+    }
+
+    fn trace_count(&self) -> u64 {
+        self.clean.trace_count()
+    }
+
+    fn chunk_count(&self) -> usize {
+        self.clean.chunk_count()
+    }
+
+    fn distinct_inputs(&self) -> Option<usize> {
+        self.clean.distinct_inputs()
+    }
+
+    fn read_chunk(&mut self, index: usize) -> dpl_store::Result<TraceSet> {
+        if index == self.target && self.reads.fetch_add(1, Ordering::SeqCst) > 0 {
+            self.corrupt.read_chunk(index)
+        } else {
+            self.clean.read_chunk(index)
+        }
+    }
+
+    fn obs(&self) -> Option<&Obs> {
+        None
+    }
+}
+
+/// A salvage read-ahead fold fails closed, like the sequential one, when a
+/// chunk verifies in pass 1 but fails its replay.
+#[test]
+fn read_ahead_salvage_fails_closed_when_a_chunk_fails_only_its_replay() {
+    let meta = tvla_meta(2, 16);
+    let clean = write_archive(&interleaved_traces(96, 2), meta); // 6 chunks
+    let target = 3usize;
+    let mut corrupt = clean.clone();
+    corrupt[chunk_offset(&meta, target) + 21] ^= 0x40;
+    let retry = instant_retry(0);
+    let reads = Arc::new(AtomicUsize::new(0));
+    let open = || {
+        let reader = |bytes: &Vec<u8>| {
+            ArchiveReader::with_policy(Cursor::new(bytes.clone()), ReadPolicy::Salvage)
+        };
+        Ok(FailsOnReplay {
+            clean: reader(&clean)?,
+            corrupt: reader(&corrupt)?,
+            target,
+            reads: Arc::clone(&reads),
+        })
+    };
+    let mut source = open().expect("open");
+    let sequential = tvla_fold(&mut source, TvlaOrder::Second, Reading::Salvage(&retry));
+    let sequential = sequential.expect_err("the replay fails");
+    let EvalError::Store(StoreError::FormatViolation { message }) = &sequential else {
+        panic!("unexpected error {sequential}");
+    };
+    assert!(
+        message.contains(&format!(
+            "chunk {target} verified in pass 1 but failed in pass 2"
+        )),
+        "{message}"
+    );
+    for workers in 1..=4 {
+        reads.store(0, Ordering::SeqCst);
+        let failed = tvla_read_ahead(open, TvlaOrder::Second, Reading::Salvage(&retry), workers);
+        assert_eq!(
+            failed.expect_err("the replay fails"),
+            sequential,
+            "{workers} workers"
+        );
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! * streaming TVLA over an archive spanning several chunks is
 //!   **bit-identical** to the in-memory t-statistics, and the parallel
-//!   (sample-sharded) fold is bit-identical to the sequential one for any
-//!   worker count,
+//!   (read-ahead) fold is bit-identical to the sequential one for any
+//!   worker count, salvage reports included,
 //! * the measurements-to-disclosure sweep is deterministic in its seed and
 //!   reproduces the paper's resistance ordering: the Hamming-weight
 //!   (standard CMOS) model discloses at strictly fewer traces than every
@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use dpl_bench::{mtd_curves, mtd_experiment, MtdAttack};
+use dpl_bench::{mtd_curves, mtd_experiment, tvla_report, MtdAttack};
 use dpl_cells::CapacitanceModel;
 use dpl_crypto::{
     simulate_tvla_traces_into, synthesize_sbox_with_key, GateEnergyTable, LeakageModel,
@@ -107,8 +107,8 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
     assert_eq!(second_stream, second_mem);
     assert!(second_mem.leaks(), "max |t| = {}", second_mem.max_abs_t());
 
-    // The sample-sharded parallel fold is bit-identical to the sequential
-    // one for every worker count — including more workers than samples.
+    // The read-ahead parallel fold is bit-identical to the sequential one
+    // for every worker count — including more workers than samples.
     let open = || ArchiveReader::open(&path);
     for workers in [1, 2, 3, 5, 8] {
         let parallel = tvla_parallel_with(
@@ -135,6 +135,72 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
             .expect("parallel");
     assert_eq!(default_workers, first_mem);
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A 1-sample campaign folds with four read-ahead workers bit-identically
+/// to the sequential fold: the workers split chunks, not sample columns.
+#[test]
+fn one_sample_read_ahead_tvla_is_bit_identical_with_four_workers() {
+    const TRACES: usize = 1000; // 16 chunks of 64, the last one partial.
+    let traces = synthetic_tvla_traces(TRACES, 1);
+    let path = temp_archive("tvla_one_sample");
+    let meta = ArchiveMeta::scalar_tvla(64, ModelTag::Unspecified, 0);
+    let mut writer = ArchiveWriter::create(&path, meta).expect("create");
+    for (input, samples) in &traces {
+        writer.append(*input, samples).expect("append");
+    }
+    writer.finish().expect("finish");
+    let open = || ArchiveReader::open(&path);
+
+    let mut reader = open().expect("open");
+    let first_acc = WelchAccumulator::new(interleaved_partition);
+    let (first, _) = fold(&mut reader, first_acc, Reading::Strict).expect("first order");
+    let second_acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+    let (second, _) = fold(&mut reader, second_acc, Reading::Strict).expect("second order");
+    let read_ahead = |order| {
+        tvla_parallel_with(open, interleaved_partition, order, Some(4), None).expect("read-ahead")
+    };
+    assert_eq!(read_ahead(TvlaOrder::First), first);
+    assert_eq!(read_ahead(TvlaOrder::Second), second);
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `repro tvla --salvage --workers n` renders byte for byte the report of
+/// the single-threaded salvage t-test over a damaged campaign.
+#[test]
+fn salvage_tvla_report_is_the_same_with_read_ahead_workers() {
+    const CHUNK: usize = 64;
+    const SAMPLES: usize = 3;
+    let traces = synthetic_tvla_traces(640, SAMPLES);
+    let path = temp_archive("tvla_salvage_workers");
+    let meta = ArchiveMeta {
+        samples_per_trace: SAMPLES,
+        ..ArchiveMeta::scalar_tvla(CHUNK, ModelTag::Unspecified, 0)
+    };
+    let mut writer = ArchiveWriter::create(&path, meta).expect("create");
+    for (input, samples) in &traces {
+        writer.append(*input, samples).expect("append");
+    }
+    writer.finish().expect("finish");
+    // Flip one sample byte of chunk 4: [k][body_len], inputs, samples.
+    let chunk_bytes = 8 + CHUNK * 8 + CHUNK * SAMPLES * 8 + 8;
+    let mut bytes = std::fs::read(&path).expect("read back");
+    bytes[meta.header_len() + 4 * chunk_bytes + 8 + CHUNK * 8 + 5] ^= 0x40;
+    std::fs::write(&path, &bytes).expect("corrupt");
+
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let orders = [TvlaOrder::First, TvlaOrder::Second];
+    let sequential = tvla_report(path_str, &orders, None, true, None).expect("salvage t-test");
+    assert!(
+        sequential.contains("archive is damaged: 1 of"),
+        "{sequential}"
+    );
+    for workers in 1..=4 {
+        let parallel =
+            tvla_report(path_str, &orders, Some(workers), true, None).expect("salvage t-test");
+        assert_eq!(parallel, sequential, "{workers} workers");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

@@ -363,10 +363,32 @@ fn tvla_counts_trace_passes_and_finishes_progress_with_or_without_workers() {
             );
             t_values.push(result.t);
         }
-        assert_eq!(
-            t_values[0], t_values[1],
-            "{order:?}: column-parallel t-values"
-        );
+        assert_eq!(t_values[0], t_values[1], "{order:?}: read-ahead t-values");
+    }
+}
+
+/// A read-ahead t-test reads each chunk once per pass, whatever the worker
+/// count: readers its opener attaches a context to count `store.chunk_reads`
+/// = chunks × passes.
+#[test]
+fn read_ahead_tvla_reads_each_chunk_once_per_pass() {
+    let bytes = build_tvla_archive();
+    for (order, passes) in [(TvlaOrder::First, 1), (TvlaOrder::Second, 2)] {
+        for workers in [1, 2, 4] {
+            let obs = Obs::deterministic(50);
+            let open = || {
+                let mut reader = ArchiveReader::new(Cursor::new(bytes.clone()))?;
+                reader.set_obs(&obs);
+                Ok(reader)
+            };
+            tvla_parallel_with(open, interleaved_partition, order, Some(workers), None)
+                .expect("t-test");
+            assert_eq!(
+                obs.metrics().counter(names::STORE_CHUNK_READS),
+                Some(CHUNKS as u64 * passes),
+                "{order:?}, {workers} workers"
+            );
+        }
     }
 }
 
