@@ -20,6 +20,30 @@
 //! [`Quantization::for_max_magnitude`] picks the scale that makes a known
 //! campaign amplitude saturation-free.
 //!
+//! **Exactness contract of the quantizer.**  Every `i16` sample is, bit for
+//! bit, `(value / scale).round() as i16` — round half away from zero,
+//! saturating, NaN to 0 — but computed without the libm `round` call and the
+//! cast's branches, so the encode loop vectorizes.  After the division the
+//! quantizer maps NaN to 0 and clamps to `[−32768, 32767]` (clamping to
+//! integer bounds commutes with rounding, so saturation is unchanged), adds
+//! `1.5 · 2⁵²` (the addition rounds to nearest, ties to even, and leaves
+//! the integer in the low mantissa bits), and turns ties away from zero:
+//! `d = c − (t − 1.5 · 2⁵²)` is exactly ±0.5 on a tie.  The unit tests
+//! check it against the expression on every tie `k + ½` and its neighbours
+//! for `|k| < 40000` and on arbitrary bit patterns, at several scales.  The
+//! writer's saturation count and crash recovery's recount go through the
+//! same function, so they cannot diverge.
+//!
+//! **Tiled layout.**  The writer buffers a chunk trace-major, and the body
+//! stores it sample-major.  The encoder reads the buffer in tiles of 8
+//! columns × all traces, 64 traces at a time, and writes every encoded word
+//! straight to its sample-major position — whole words in an uncompressed
+//! body, byte `p` of each word to plane `p` for the shuffle compressor — so
+//! no transposed copy of the chunk is ever made.  Each compressed plane is
+//! then delta-coded into a second buffer (not in place, so the loop
+//! vectorizes) and zero-run coded, skipping literal stretches 8 bytes at a
+//! time with the SWAR zero-byte test.
+//!
 //! Independently of the encoding, a chunk body can be run through the
 //! built-in **shuffle compressor** ([`Compression::Shuffle`]): inputs are
 //! delta + zigzag + varint coded (nibble plaintexts take one byte instead
@@ -37,6 +61,11 @@
 //! allocation, or silently wrong values.
 
 use crate::error::{Result, StoreError};
+
+/// `1.5 · 2⁵²`: adding it to a value of magnitude at most 2⁵¹ rounds the
+/// value to an integer (to nearest, ties to even, the default FP mode) and
+/// leaves that integer, two's complement, in the low mantissa bits.
+const ROUNDING_BIAS: f64 = 6_755_399_441_055_744.0;
 
 /// The fixed-point quantization contract of the [`SampleEncoding::I16`]
 /// encoding: `encoded = round(value / scale)`, clamped to the `i16` range.
@@ -90,11 +119,27 @@ impl Quantization {
         self.scale * i16::MAX as f64
     }
 
+    /// `round(value / scale)`, clamped to the `i16` range, NaN to 0:
+    /// bit for bit what `(value / scale).round() as i16` returns, without
+    /// the libm `round` call or the saturating cast's branches, so loops
+    /// over it vectorize (see the module docs for why it is exact).
     #[inline]
     fn quantize(&self, value: f64) -> i16 {
-        // `as` saturates at the range bounds (and maps NaN to 0), so the
-        // encoder is total over every f64.
-        (value / self.scale).round() as i16
+        let x = value / self.scale;
+        // Clamping to integer bounds commutes with rounding, so this keeps
+        // the cast's saturation; NaN encodes as 0 like the cast does.
+        let c = if x.is_nan() {
+            0.0
+        } else {
+            x.clamp(f64::from(i16::MIN), f64::from(i16::MAX))
+        };
+        // Round to nearest, ties to even; the integer lands in the low
+        // mantissa bits of `t`.
+        let t = c + ROUNDING_BIAS;
+        let even = t.to_bits() as i16;
+        // `d` is exactly ±0.5 on a tie; `round` breaks ties away from zero.
+        let d = c - (t - ROUNDING_BIAS);
+        even + i16::from((d == 0.5) & (c > 0.0)) - i16::from((d == -0.5) & (c < 0.0))
     }
 
     #[inline]
@@ -218,35 +263,36 @@ impl SampleEncoding {
         }
     }
 
-    /// Appends the fixed-width little-endian representation of
-    /// `values` to `out`, returning how many values the `i16` encoding
-    /// stored at its range bounds (always 0 for the float encodings).
-    fn encode_samples(self, values: &[f64], out: &mut Vec<u8>) -> u64 {
+    /// Encodes the trace-major `samples` of `k` traces as fixed-width
+    /// little-endian words, each written straight to its sample-major
+    /// position in `layout` (see [`scatter_tiles`]).  Returns how many
+    /// values the `i16` encoding stored at its range bounds (always 0 for
+    /// the float encodings).
+    fn encode_tiles(self, samples: &[f64], k: usize, layout: Layout, out: &mut [u8]) -> u64 {
         match self {
-            SampleEncoding::F64 => {
-                out.reserve(values.len() * 8);
-                for &v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
+            SampleEncoding::F64 => scatter_tiles(samples, k, layout, out, |values, words| {
+                for (word, &v) in words.iter_mut().zip(values) {
+                    *word = v.to_le_bytes();
                 }
                 0
-            }
-            SampleEncoding::F32 => {
-                out.reserve(values.len() * 4);
-                for &v in values {
-                    out.extend_from_slice(&(v as f32).to_le_bytes());
+            }),
+            SampleEncoding::F32 => scatter_tiles(samples, k, layout, out, |values, words| {
+                for (word, &v) in words.iter_mut().zip(values) {
+                    *word = (v as f32).to_le_bytes();
                 }
                 0
-            }
-            SampleEncoding::I16(q) => {
-                out.reserve(values.len() * 2);
-                let mut saturated = 0;
-                for &v in values {
+            }),
+            SampleEncoding::I16(q) => scatter_tiles(samples, k, layout, out, |values, words| {
+                // A narrow count keeps the loop's vector lanes narrow; a
+                // block column holds far fewer than 2³² values.
+                let mut saturated = 0u32;
+                for (word, &v) in words.iter_mut().zip(values) {
                     let encoded = q.quantize(v);
-                    saturated += u64::from(Quantization::at_bound(encoded));
-                    out.extend_from_slice(&encoded.to_le_bytes());
+                    saturated += u32::from(Quantization::at_bound(encoded));
+                    *word = encoded.to_le_bytes();
                 }
-                saturated
-            }
+                u64::from(saturated)
+            }),
         }
     }
 
@@ -368,13 +414,18 @@ pub(crate) fn max_body_len(
 /// steady-state captures allocate nothing per chunk.
 #[derive(Debug, Default)]
 pub(crate) struct EncodeScratch {
-    raw: Vec<u8>,
-    plane: Vec<u8>,
+    /// The shuffled byte planes of a compressed chunk: plane `p` holds
+    /// byte `p` of every sample word, sample-major.
+    planes: Vec<u8>,
+    /// One plane's delta, the input of its zero-run coder.
+    delta: Vec<u8>,
 }
 
-/// Encodes one chunk body (inputs + sample-major sample values) under the
-/// given encoding and compression, appending to `out`.  Returns how many
-/// samples the `i16` encoding stored at its range bounds.
+/// Encodes one chunk body (inputs + sample values) under the given
+/// encoding and compression, appending to `out`.  `samples` holds the
+/// `inputs.len()` traces trace-major, as the writer buffers them; the body
+/// stores them sample-major.  Returns how many samples the `i16` encoding
+/// stored at its range bounds.
 pub(crate) fn encode_body(
     encoding: SampleEncoding,
     compression: Compression,
@@ -383,13 +434,18 @@ pub(crate) fn encode_body(
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) -> u64 {
+    let k = inputs.len();
+    let values = samples.len();
+    let width = encoding.width();
     match compression {
         Compression::None => {
-            out.reserve(inputs.len() * 8 + samples.len() * encoding.width());
+            out.reserve(k * 8 + values * width);
             for &input in inputs {
                 out.extend_from_slice(&input.to_le_bytes());
             }
-            encoding.encode_samples(samples, out)
+            let start = out.len();
+            out.resize(start + values * width, 0);
+            encoding.encode_tiles(samples, k, Layout::Words, &mut out[start..])
         }
         Compression::Shuffle => {
             // [inputs_len: u32][delta/varint inputs][per-plane streams]
@@ -403,20 +459,96 @@ pub(crate) fn encode_body(
             let inputs_len = (out.len() - len_at - 4) as u32;
             out[len_at..len_at + 4].copy_from_slice(&inputs_len.to_le_bytes());
 
-            scratch.raw.clear();
-            let saturated = encoding.encode_samples(samples, &mut scratch.raw);
-            let width = encoding.width();
+            // Every byte is overwritten, so only a longer chunk than the
+            // last one pays for zeroing.
+            scratch.planes.resize(values * width, 0);
+            scratch.delta.resize(values, 0);
+            let saturated = encoding.encode_tiles(samples, k, Layout::Planes, &mut scratch.planes);
             for plane in 0..width {
-                scratch.plane.clear();
-                scratch
-                    .plane
-                    .extend(scratch.raw.iter().skip(plane).step_by(width));
-                delta_in_place(&mut scratch.plane);
-                encode_rle0(&scratch.plane, out);
+                delta(
+                    &scratch.planes[plane * values..(plane + 1) * values],
+                    &mut scratch.delta,
+                );
+                encode_rle0(&scratch.delta, out);
             }
             saturated
         }
     }
+}
+
+/// Where [`scatter_tiles`] puts the encoded words of a chunk.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Whole words, sample-major: the uncompressed body.
+    Words,
+    /// Byte `p` of every word in plane `p`, each plane sample-major: the
+    /// shuffle compressor's input.
+    Planes,
+}
+
+/// Columns of the trace-major buffer [`scatter_tiles`] encodes per tile.
+const TILE: usize = 8;
+/// Traces per block of a tile: a block's values and encoded words (at most
+/// 8 KiB) stay in L1 from being read to being stored.
+const BLOCK: usize = 64;
+
+/// Encodes `samples` (`k` traces, trace-major) in one pass over tiles of
+/// [`TILE`] columns × all traces.  Each tile is walked [`BLOCK`] traces at
+/// a time: the block's values are gathered column by column, `encode` turns
+/// each column into `W`-byte words (a contiguous run, so its loop
+/// vectorizes), and the words are stored at their sample-major position in
+/// `layout` — whole words, or byte `p` of each word to plane `p`.  The
+/// stores of a block are `TILE × W` sequential streams, none of which
+/// aliases the others in L1 the way a row-order pass over columns `k`
+/// values apart does.  Returns the sum of `encode`'s counts.
+fn scatter_tiles<const W: usize>(
+    samples: &[f64],
+    k: usize,
+    layout: Layout,
+    out: &mut [u8],
+    encode: impl Fn(&[f64], &mut [[u8; W]]) -> u64,
+) -> u64 {
+    if k == 0 {
+        return 0;
+    }
+    let values = samples.len();
+    let columns = values / k;
+    debug_assert_eq!(columns * k, values);
+    debug_assert_eq!(out.len(), values * W);
+    let mut saturated = 0;
+    let mut gathered = [[0.0; BLOCK]; TILE];
+    let mut words = [[0u8; W]; BLOCK];
+    for first in (0..columns).step_by(TILE) {
+        let tile = TILE.min(columns - first);
+        for start in (0..k).step_by(BLOCK) {
+            let rows = BLOCK.min(k - start);
+            let traces = samples[start * columns..(start + rows) * columns].chunks_exact(columns);
+            for (r, trace) in traces.enumerate() {
+                for (column, &v) in gathered.iter_mut().zip(&trace[first..first + tile]) {
+                    column[r] = v;
+                }
+            }
+            for (s, column) in (first..).zip(&gathered[..tile]) {
+                let words = &mut words[..rows];
+                saturated += encode(&column[..rows], words);
+                // The block's first value in the sample-major order.
+                let i = s * k + start;
+                match layout {
+                    Layout::Words => {
+                        out[i * W..(i + rows) * W].copy_from_slice(words.as_flattened());
+                    }
+                    Layout::Planes => {
+                        for (p, plane) in out.chunks_exact_mut(values).enumerate() {
+                            for (byte, word) in plane[i..i + rows].iter_mut().zip(&*words) {
+                                *byte = word[p];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    saturated
 }
 
 /// Decodes one chunk body into `inputs` (cleared and refilled) and the
@@ -530,15 +662,15 @@ fn unzigzag(v: u64) -> i64 {
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+    let mut bytes = [0u8; 10];
+    let mut len = 0;
+    while v >= 0x80 {
+        bytes[len] = (v & 0x7F) as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+        len += 1;
     }
+    bytes[len] = v as u8;
+    out.extend_from_slice(&bytes[..=len]);
 }
 
 fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
@@ -560,14 +692,55 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     Err(violation("varint longer than 10 bytes"))
 }
 
-/// In-place wrapping delta along a byte plane (first byte kept raw).
-fn delta_in_place(plane: &mut [u8]) {
-    let mut prev = 0u8;
-    for b in plane.iter_mut() {
-        let current = *b;
-        *b = current.wrapping_sub(prev);
-        prev = current;
+/// Wrapping delta of a byte plane into `out` (first byte kept raw).  Not in
+/// place, so the loop carries no dependency and vectorizes.
+fn delta(plane: &[u8], out: &mut [u8]) {
+    let (Some(&first), Some(head)) = (plane.first(), out.first_mut()) else {
+        return;
+    };
+    *head = first;
+    for ((d, &current), &prev) in out[1..].iter_mut().zip(&plane[1..]).zip(plane) {
+        *d = current.wrapping_sub(prev);
     }
+}
+
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// The index of the first byte at or after `i` for which `stop` holds (or
+/// `bytes.len()`), testing 8 bytes at a time: `hits` maps a little-endian
+/// word to a mask whose lowest set bit lies in its first stopping byte.
+#[inline]
+fn scan(bytes: &[u8], mut i: usize, hits: fn(u64) -> u64, stop: fn(u8) -> bool) -> usize {
+    while let Some(word) = bytes.get(i..i + 8) {
+        let mask = hits(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        if mask != 0 {
+            return i + (mask.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && !stop(bytes[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// The first zero byte at or after `i`.  The SWAR zero-byte test can flag
+/// bytes above a true zero, never below one, so its lowest flag is exact.
+#[inline]
+fn next_zero(bytes: &[u8], i: usize) -> usize {
+    scan(
+        bytes,
+        i,
+        |w| w.wrapping_sub(LOW_BITS) & !w & HIGH_BITS,
+        |b| b == 0,
+    )
+}
+
+/// The first non-zero byte at or after `i`.
+#[inline]
+fn next_nonzero(bytes: &[u8], i: usize) -> usize {
+    scan(bytes, i, |w| w, |b| b != 0)
 }
 
 /// Zero-run-length codes one delta plane as `(zero_run, literal_run,
@@ -575,24 +748,21 @@ fn delta_in_place(plane: &mut [u8]) {
 /// boundary; shorter ones ride inside literals.
 fn encode_rle0(plane: &[u8], out: &mut Vec<u8>) {
     const MIN_ZERO_RUN: usize = 4;
+    let len = plane.len();
     let mut i = 0;
-    while i < plane.len() {
+    while i < len {
         let zero_start = i;
-        while i < plane.len() && plane[i] == 0 {
-            i += 1;
-        }
+        i = next_nonzero(plane, i);
         let zeros = i - zero_start;
         let literal_start = i;
         loop {
             // Extend the literal run until a worthwhile zero run or the end.
-            while i < plane.len() && plane[i] != 0 {
-                i += 1;
-            }
+            i = next_zero(plane, i);
             let mut z = i;
-            while z < plane.len() && plane[z] == 0 {
+            while z < len && z - i < MIN_ZERO_RUN && plane[z] == 0 {
                 z += 1;
             }
-            if i < plane.len() && z - i < MIN_ZERO_RUN && z < plane.len() {
+            if z - i < MIN_ZERO_RUN && z < len {
                 i = z;
                 continue;
             }
@@ -664,7 +834,7 @@ mod tests {
             body.len()
         );
         let mut out_inputs = Vec::new();
-        let mut out_samples = vec![0.0; samples.len()];
+        let mut sample_major = vec![0.0; samples.len()];
         let mut scratch = Vec::new();
         decode_body(
             encoding,
@@ -672,10 +842,17 @@ mod tests {
             inputs.len(),
             &body,
             &mut out_inputs,
-            &mut out_samples,
+            &mut sample_major,
             &mut scratch,
         )
         .unwrap();
+        // The body is sample-major; hand the values back trace-major, the
+        // layout they were encoded from.
+        let k = inputs.len();
+        let columns = samples.len() / k;
+        let out_samples = (0..samples.len())
+            .map(|i| sample_major[(i % columns) * k + i / columns])
+            .collect();
         (out_inputs, out_samples, body.len())
     }
 
@@ -831,6 +1008,70 @@ mod tests {
         assert_eq!(q.quantize(-1e9), i16::MIN);
         assert_eq!(q.quantize(f64::NAN), 0);
         assert!(q.max_magnitude() < 33.0);
+    }
+
+    /// The quantizer's definition, through libm `round` and the saturating
+    /// cast (test oracle).
+    fn reference_quantize(q: Quantization, value: f64) -> i16 {
+        (value / q.scale).round() as i16
+    }
+
+    /// Power-of-two steps (where `(k + ½) · scale` is an exact tie), the
+    /// planning constructor's step and two arbitrary ones.
+    fn oracle_scales() -> Vec<Quantization> {
+        [1.0, 0.0625, 2f64.powi(-20), 1e-3, 7.3e-5]
+            .into_iter()
+            .map(|scale| Quantization::new(scale).unwrap())
+            .chain([Quantization::for_max_magnitude(3.0).unwrap()])
+            .collect()
+    }
+
+    #[test]
+    fn quantize_matches_round_on_every_tie_and_its_neighbours() {
+        for q in oracle_scales() {
+            for k in -40_000i32..40_000 {
+                let tie = (f64::from(k) + 0.5) * q.scale;
+                let on_grid = f64::from(k) * q.scale;
+                for value in [
+                    tie,
+                    f64::from_bits(tie.to_bits() + 1),
+                    f64::from_bits(tie.to_bits() - 1),
+                    on_grid,
+                    -on_grid,
+                ] {
+                    assert_eq!(
+                        q.quantize(value),
+                        reference_quantize(q, value),
+                        "value {value:e}, scale {:e}",
+                        q.scale
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn quantize_matches_round_on_arbitrary_values(
+            bits in 0u64..u64::MAX,
+            in_range in -50_000.0f64..50_000.0,
+        ) {
+            // Every bit pattern (NaN, ±∞, subnormals, huge) and values
+            // around the integer range, at every scale.
+            for q in oracle_scales() {
+                for value in [f64::from_bits(bits), in_range * q.scale, in_range] {
+                    // The scale and value bits ride along for the
+                    // diagnostics (bits, so a NaN compares equal).
+                    let case = (q.scale, value.to_bits());
+                    proptest::prop_assert_eq!(
+                        (case, q.quantize(value)),
+                        (case, reference_quantize(q, value))
+                    );
+                }
+            }
+        }
     }
 
     #[test]

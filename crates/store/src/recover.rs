@@ -18,7 +18,7 @@ use std::path::Path;
 
 use dpl_power::InputClasses;
 
-use crate::encode::{self, EncodeScratch};
+use crate::encode;
 use crate::error::{Result, StoreError};
 use crate::format::{
     checksum64, decode_header, framed_chunk_len, version_of_magic, ArchiveMeta, CHUNK_BODY_LEN_LEN,
@@ -264,21 +264,17 @@ impl<W: SyncWrite + Read + Truncate> ArchiveWriter<W> {
         stream.write_all(&vec![0u8; header_len as usize])?;
         stream.seek(SeekFrom::Start(recovery.data_end.max(header_len)))?;
         stream.sync_contents()?;
-        let writer = ArchiveWriter {
-            stream,
-            meta,
-            pending_inputs: recovery.pending_inputs.clone(),
-            pending_samples: recovery.pending_samples.clone(),
-            distinct_inputs: recovery.distinct_inputs.clone(),
-            traces_written: recovery.full_traces,
-            chunks_written: recovery.full_chunks,
-            saturated_samples: recovery.saturated_samples,
-            finished: false,
-            obs: None,
-            chunk_bytes: Vec::new(),
-            transpose: Vec::new(),
-            encode_scratch: EncodeScratch::default(),
-        };
+        let mut writer = ArchiveWriter::fresh(stream, meta);
+        writer
+            .pending_inputs
+            .extend_from_slice(&recovery.pending_inputs);
+        writer
+            .pending_samples
+            .extend_from_slice(&recovery.pending_samples);
+        writer.distinct_inputs = recovery.distinct_inputs.clone();
+        writer.traces_written = recovery.full_traces;
+        writer.chunks_written = recovery.full_chunks;
+        writer.saturated_samples = recovery.saturated_samples;
         Ok((writer, recovery))
     }
 }

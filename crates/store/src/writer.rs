@@ -118,10 +118,11 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) saturated_samples: u64,
     pub(crate) finished: bool,
     pub(crate) obs: Option<Obs>,
-    /// Reusable serialization buffers — steady-state captures allocate
-    /// nothing per chunk.
+    /// The framed chunk being serialized, reused so steady-state captures
+    /// allocate nothing per chunk.  The encoder reads `pending_samples`
+    /// trace-major and writes each sample-major word straight into it.
     pub(crate) chunk_bytes: Vec<u8>,
-    pub(crate) transpose: Vec<f64>,
+    /// The compressor's byte planes and delta buffer, reused likewise.
     pub(crate) encode_scratch: EncodeScratch,
 }
 
@@ -148,7 +149,14 @@ impl<W: SyncWrite> ArchiveWriter<W> {
         meta.validate()?;
         // The placeholder matches the length of the real header.
         stream.write_all(&vec![0u8; meta.header_len()])?;
-        Ok(ArchiveWriter {
+        Ok(ArchiveWriter::fresh(stream, meta))
+    }
+
+    /// A writer with nothing written or buffered on `stream` — the one place
+    /// the writer's fields and buffers are declared; a resumed writer starts
+    /// here too and then takes over the recovered state.
+    pub(crate) fn fresh(stream: W, meta: ArchiveMeta) -> Self {
+        ArchiveWriter {
             stream,
             meta,
             pending_inputs: Vec::with_capacity(meta.chunk_traces),
@@ -160,9 +168,8 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             finished: false,
             obs: None,
             chunk_bytes: Vec::new(),
-            transpose: Vec::new(),
             encode_scratch: EncodeScratch::default(),
-        })
+        }
     }
 
     /// Attaches a telemetry context: chunk flushes, bytes written and fsyncs
@@ -265,16 +272,6 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             .obs
             .as_ref()
             .map(|o| o.phase("store.chunk_serialize", names::STORE_SERIALIZE_NS));
-        let samples = self.meta.samples_per_trace;
-        // Transpose the trace-major buffer into the sample-major layout the
-        // columnar TraceSet loads without any gather.
-        self.transpose.clear();
-        self.transpose.reserve(k * samples);
-        for s in 0..samples {
-            for t in 0..k {
-                self.transpose.push(self.pending_samples[t * samples + s]);
-            }
-        }
         self.chunk_bytes.clear();
         self.chunk_bytes
             .extend_from_slice(&(k as u32).to_le_bytes());
@@ -283,7 +280,7 @@ impl<W: SyncWrite> ArchiveWriter<W> {
             self.meta.encoding,
             self.meta.compression,
             &self.pending_inputs,
-            &self.transpose,
+            &self.pending_samples,
             &mut self.encode_scratch,
             &mut self.chunk_bytes,
         );

@@ -99,7 +99,7 @@ fn traces(width: usize, scale: f64) -> Vec<(u64, Vec<f64>)> {
             let values = (0..width)
                 .map(|s| {
                     let r = rng.next();
-                    if r % 3 == 0 {
+                    if r.is_multiple_of(3) {
                         specials[(r >> 8) as usize % specials.len()]
                     } else {
                         let noise = (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
