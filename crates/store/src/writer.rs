@@ -105,7 +105,9 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) meta: ArchiveMeta,
     /// Buffered inputs of the chunk in progress.
     pub(crate) pending_inputs: Vec<u64>,
-    /// Buffered samples of the chunk in progress, trace-major.
+    /// Buffered samples of the chunk in progress, trace-major.  The flush
+    /// encodes them from here, in tiles, straight into `chunk_bytes` (or
+    /// the compressor's planes) at their sample-major position.
     pub(crate) pending_samples: Vec<f64>,
     /// Distinct input values seen, tracked up to the attacks'
     /// class-aggregation limit and recorded in the header so readers can
@@ -118,11 +120,11 @@ pub struct ArchiveWriter<W: SyncWrite> {
     pub(crate) saturated_samples: u64,
     pub(crate) finished: bool,
     pub(crate) obs: Option<Obs>,
-    /// The framed chunk being serialized, reused so steady-state captures
-    /// allocate nothing per chunk.  The encoder reads `pending_samples`
-    /// trace-major and writes each sample-major word straight into it.
+    /// The framed chunk being serialized (`[k][body_len][body][checksum]`),
+    /// reused so steady-state captures allocate nothing per chunk.
     pub(crate) chunk_bytes: Vec<u8>,
-    /// The compressor's byte planes and delta buffer, reused likewise.
+    /// The shuffle compressor's byte planes and delta buffer, reused
+    /// likewise; untouched by uncompressed archives.
     pub(crate) encode_scratch: EncodeScratch,
 }
 
