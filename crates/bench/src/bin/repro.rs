@@ -1557,9 +1557,11 @@ fn run_fsck(args: &[String]) -> ExitCode {
     }
 }
 
-/// The campaign-manifest body of `repro fsck`: scans every shard in
-/// manifest order and reports per-shard damage.  Exits 0 only when every
-/// shard is clean.
+/// The campaign-manifest body of `repro fsck`: scans the shards
+/// concurrently (`ShardedReader::scan_shards`, at most one thread per shard
+/// and per core, up to 8) and reports per-shard damage in manifest order.
+/// A scan error is the lowest-index failing shard's.  Exits 0 only when
+/// every shard is clean.
 fn fsck_campaign(path: &str, repair: bool) -> ExitCode {
     if repair {
         eprintln!(

@@ -27,6 +27,7 @@ use dpl_power::TraceSet;
 
 use crate::error::{Result, StoreError};
 use crate::fault::RetryPolicy;
+use crate::fold::worker_count;
 use crate::format::{fnv1a64, ArchiveMeta};
 use crate::reader::{ArchiveReader, ChunkSource};
 use crate::salvage::{DamageReport, ReadPolicy};
@@ -476,15 +477,78 @@ impl ShardedReader {
     }
 
     /// Scans every shard under the salvage protocol, returning one damage
-    /// report per shard (in manifest order) for `fsck`-style tooling.
+    /// report per shard, in manifest order, for `fsck`-style tooling.
+    ///
+    /// The shards are scanned concurrently: [`worker_count`]`(None, shards)`
+    /// scoped threads, the calling thread among them, with shard `i` on
+    /// worker `i mod W` (the fold engine's round-robin rule).  Each worker
+    /// scans with the shard's already-open reader, so no chunk head is
+    /// walked again.  The reports equal those of scanning each shard alone,
+    /// one after another.
     ///
     /// # Errors
     ///
     /// Returns an error only for faults the salvage protocol cannot absorb
-    /// (e.g. an out-of-range internal index — a bug, not bit rot).
+    /// (e.g. an out-of-range internal index — a bug, not bit rot).  When
+    /// several shards fail, the error is the lowest-index failing shard's,
+    /// returned once every worker has joined.
     pub fn scan_shards(&mut self, retry: &RetryPolicy) -> Result<Vec<DamageReport>> {
-        self.readers.iter_mut().map(|r| r.scan(retry)).collect()
+        let workers = worker_count(None, self.readers.len());
+        round_robin(self.readers.iter_mut(), workers, |reader| {
+            reader.scan(retry)
+        })
     }
+}
+
+/// Runs `work` over `items` on `workers` (at least 1) scoped threads, the
+/// calling thread among them, item `i` on worker `i mod workers`.  Returns
+/// the results in item order, or the lowest-index error once every worker
+/// has joined.
+fn round_robin<T, R, F>(
+    items: impl IntoIterator<Item = T>,
+    workers: usize,
+    work: F,
+) -> Result<Vec<R>>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> Result<R> + Sync,
+{
+    let mut lanes: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (index, item) in items.into_iter().enumerate() {
+        lanes[index % workers].push((index, item));
+    }
+    // A lane stops at its first error.  Every lower-index item of that lane
+    // succeeded, so the lowest-index failure is still found.
+    let run = |lane: Vec<(usize, T)>| {
+        let mut done = Vec::with_capacity(lane.len());
+        for (index, item) in lane {
+            let result = work(item);
+            let failed = result.is_err();
+            done.push((index, result));
+            if failed {
+                break;
+            }
+        }
+        done
+    };
+    let mut lanes = lanes.into_iter();
+    let own = lanes.next().expect("at least one worker");
+    let mut done = std::thread::scope(|scope| {
+        let run = &run;
+        let spawned: Vec<_> = lanes.map(|lane| scope.spawn(move || run(lane))).collect();
+        let mut done = run(own);
+        for worker in spawned {
+            done.extend(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Prefixes a shard-open error with the shard's identity so campaign-level
@@ -654,5 +718,43 @@ mod tests {
         assert!(CampaignManifest::from_json(&wrong_kind).is_err());
         let wrong_version = text.replacen("\"version\": 1", "\"version\": 9", 1);
         assert!(CampaignManifest::from_json(&wrong_version).is_err());
+    }
+
+    #[test]
+    fn round_robin_deals_items_by_index_and_reports_the_lowest_index_error() {
+        for workers in 1..=4 {
+            let seen = std::sync::Mutex::new(Vec::new());
+            let results = round_robin(0..7usize, workers, |i| {
+                seen.lock().unwrap().push((i, std::thread::current().id()));
+                Ok(i * 10)
+            })
+            .unwrap();
+            assert_eq!(results, (0..7).map(|i| i * 10).collect::<Vec<_>>());
+            let seen = seen.into_inner().unwrap();
+            let thread_of = |i: usize| seen.iter().find(|&&(j, _)| j == i).unwrap().1;
+            assert_eq!(thread_of(0), std::thread::current().id());
+            for i in 0..7 {
+                for j in 0..7 {
+                    assert_eq!(thread_of(i) == thread_of(j), i % workers == j % workers);
+                }
+            }
+
+            for (failing, lowest) in [(&[5, 2][..], "2"), (&[6, 3, 4], "3"), (&[0, 1], "0")] {
+                let error = round_robin(0..7usize, workers, |i| {
+                    if failing.contains(&i) {
+                        Err(StoreError::FormatViolation {
+                            message: i.to_string(),
+                        })
+                    } else {
+                        Ok(i)
+                    }
+                })
+                .unwrap_err();
+                assert!(
+                    matches!(&error, StoreError::FormatViolation { message } if message == lowest),
+                    "{workers} workers, failing {failing:?}: {error:?}"
+                );
+            }
+        }
     }
 }

@@ -3,12 +3,13 @@
 //! contract under both compressions, corrupt chunk bodies fail with typed
 //! errors, a campaign split across any number of shards folds bit-
 //! identically to the single archive holding the same traces (DPA, CPA and
-//! TVLA), quantized+compressed archives at least halve bytes/trace, and
+//! TVLA), the concurrent shard scan reports what each shard scanned alone
+//! reports, quantized+compressed archives at least halve bytes/trace, and
 //! the version-4 layout the writer emits stays byte-stable.  Reads of the
 //! legacy v1–v3 layouts are pinned by `tests/legacy_fixtures.rs`.
 
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpl_cells::CapacitanceModel;
@@ -521,6 +522,70 @@ fn salvage_over_a_sharded_campaign_equals_the_strict_fold_without_the_lost_chunk
         }
         remove_all(&files);
     }
+}
+
+/// `scan_shards` scans the shards concurrently yet reports exactly what
+/// scanning each shard file alone reports, in manifest order, whether the
+/// campaign has fewer, as many or more shards than scan workers: 13 chunks
+/// (the last one partial) over 1, 2, 3 and 5 shards, the last shard short,
+/// with one flipped chunk-body byte in the first shard and one flipped
+/// chunk-head byte in the last shard.
+#[test]
+fn concurrent_shard_scan_equals_each_shard_scanned_alone() {
+    const CHUNK: usize = 8;
+    let traces = bounded_traces(41, 12 * CHUNK + 5, 3);
+    let retry = RetryPolicy::new(0);
+    let quantization = Quantization::for_max_magnitude(4.0).expect("quantization");
+    for (encoding, compression) in [
+        (SampleEncoding::F64, Compression::None),
+        (SampleEncoding::I16(quantization), Compression::Shuffle),
+    ] {
+        let meta = meta_with(3, CHUNK, 41, CampaignKind::Attack, encoding, compression);
+        for shards in [1, 2, 3, 5] {
+            let (manifest, files) = write_campaign(&temp_stem("scan"), &traces, meta, shards);
+            let shard_files = &files[..files.len() - 1];
+            assert_eq!(shard_files.len(), shards);
+            // The second byte of chunk 1's body, the first byte of the last
+            // chunk's head (its trace count).
+            flip_byte(&shard_files[0], meta.header_len(), |chunks| chunks[1] + 9);
+            flip_byte(&shard_files[shards - 1], meta.header_len(), |chunks| {
+                chunks[chunks.len() - 1]
+            });
+            let alone: Vec<DamageReport> = shard_files
+                .iter()
+                .map(|file| {
+                    ArchiveReader::open_with_policy(file, ReadPolicy::Salvage)
+                        .expect("shard open")
+                        .scan(&retry)
+                        .expect("shard scan")
+                })
+                .collect();
+            let damaged: usize = alone.iter().map(|report| report.damaged.len()).sum();
+            assert_eq!(damaged, 2, "{shards} shards, {encoding:?}");
+            let mut campaign = ShardedReader::open_with_policy(&manifest, ReadPolicy::Salvage)
+                .expect("campaign open");
+            let scanned = campaign.scan_shards(&retry).expect("campaign scan");
+            assert_eq!(scanned, alone, "{shards} shards, {encoding:?}");
+            remove_all(&files);
+        }
+    }
+}
+
+/// Flips one byte of the archive at `path`; `at` picks it from the byte
+/// offsets of the archive's chunks, walked through their `[k][body_len]`
+/// heads from `header_len` on.
+fn flip_byte(path: &Path, header_len: usize, at: impl Fn(&[usize]) -> usize) {
+    let mut bytes = std::fs::read(path).expect("read shard");
+    let mut chunks = Vec::new();
+    let mut offset = header_len;
+    while offset < bytes.len() {
+        chunks.push(offset);
+        let body_len = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+        offset += 8 + body_len as usize + 8;
+    }
+    let target = at(&chunks);
+    bytes[target] ^= 0x10;
+    std::fs::write(path, bytes).expect("corrupt shard");
 }
 
 /// The end-to-end contract of `repro capture --shards`: four shard workers

@@ -3,7 +3,8 @@
 //! JSON-lines telemetry across runs; the counters agree exactly with the
 //! archive's ground truth (chunk counts, fsyncs, trace totals); a
 //! single corrupted chunk surfaces as a salvage-drop counter of exactly 1;
-//! and telemetry volume follows the chunk count, never the trace count.
+//! a concurrent shard scan counts what the shards scanned alone count; and
+//! telemetry volume follows the chunk count, never the trace count.
 
 use std::io::Cursor;
 
@@ -19,8 +20,9 @@ use dpl_eval::{
 use dpl_obs::{names, Collector, JsonLines, Obs, RunReport, SpanRecord, TraceEventJson};
 use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile};
 use dpl_store::{
-    dpa_attack_streaming, fold, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, ModelTag,
-    ReadPolicy, Reading, RetryPolicy,
+    dpa_attack_streaming, fold, input_profile, worker_count, ArchiveMeta, ArchiveReader,
+    ArchiveWriter, CampaignManifest, ModelTag, ReadPolicy, Reading, RetryPolicy, ShardMeta,
+    ShardedReader,
 };
 
 const TRACES: usize = 600;
@@ -136,6 +138,79 @@ fn one_corrupted_chunk_drops_exactly_one_salvage_chunk() {
         metrics.counter(names::FOLD_TRACES),
         Some(TRACES as u64 - damage.traces_lost())
     );
+}
+
+/// A concurrent `scan_shards` counts exactly what scanning each shard alone
+/// counts — chunk reads, bytes read and checksum failures — and its spans
+/// come from `worker_count(None, shards)` distinct threads: the round-robin
+/// deal gives every worker at least one shard.
+#[test]
+fn concurrent_shard_scan_counts_like_the_shards_scanned_alone() {
+    let dir = std::env::temp_dir();
+    let stem = format!("dpl_telemetry_scan_{}", std::process::id());
+    let meta = ArchiveMeta::scalar(CHUNK, ModelTag::HammingWeight, 7);
+    let bounds = [0, 2 * CHUNK, 4 * CHUNK, TRACES];
+    let mut table = Vec::new();
+    let mut files = Vec::new();
+    for (index, range) in bounds.windows(2).enumerate() {
+        let name = format!("{stem}-shard-{index:03}.dpltrc");
+        let path = dir.join(&name);
+        let mut writer = ArchiveWriter::create(&path, meta).expect("shard create");
+        for t in range[0] as u64..range[1] as u64 {
+            writer
+                .append(t % 16, &[(t % 16 * 4 + t % 7) as f64 * 0.25])
+                .expect("append");
+        }
+        writer.finish().expect("finish");
+        table.push(ShardMeta {
+            path: name,
+            traces: (range[1] - range[0]) as u64,
+            start: range[0] as u64,
+        });
+        files.push(path);
+    }
+    // One chunk of shard 1 fails its checksum.
+    let mut bytes = std::fs::read(&files[1]).expect("read shard");
+    let target = bytes.len() / 2;
+    bytes[target] ^= 0xFF;
+    std::fs::write(&files[1], bytes).expect("corrupt shard");
+    let manifest = dir.join(format!("{stem}.json"));
+    CampaignManifest::new(table, 16)
+        .expect("manifest")
+        .save(&manifest)
+        .expect("manifest save");
+
+    let retry = RetryPolicy::new(0);
+    let alone = Obs::deterministic(50);
+    for file in &files {
+        let mut reader =
+            ArchiveReader::open_with_policy(file, ReadPolicy::Salvage).expect("shard open");
+        reader.set_obs(&alone);
+        reader.scan(&retry).expect("shard scan");
+    }
+    let obs = Obs::deterministic(50);
+    let mut campaign =
+        ShardedReader::open_with_policy(&manifest, ReadPolicy::Salvage).expect("campaign open");
+    campaign.set_obs(&obs);
+    campaign.scan_shards(&retry).expect("campaign scan");
+
+    let (sharded, alone) = (obs.metrics(), alone.metrics());
+    for name in [
+        names::STORE_CHUNK_READS,
+        names::STORE_BYTES_READ,
+        names::STORE_CHECKSUM_FAILURES,
+    ] {
+        assert_eq!(sharded.counter(name), alone.counter(name), "{name}");
+    }
+    assert_eq!(sharded.counter(names::STORE_CHECKSUM_FAILURES), Some(1));
+    let tids: std::collections::BTreeSet<u64> =
+        obs.snapshot().spans.iter().map(|span| span.tid).collect();
+    assert_eq!(tids.len(), worker_count(None, files.len()));
+
+    files.push(manifest);
+    for file in &files {
+        let _ = std::fs::remove_file(file);
+    }
 }
 
 /// Salvage folds attribute their accumulator arithmetic like strict ones:
