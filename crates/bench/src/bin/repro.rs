@@ -1595,7 +1595,8 @@ fn fsck_campaign(path: &str, repair: bool) -> ExitCode {
     println!("{path}: campaign manifest, {} shard(s)", shards.len());
     let mut clean = true;
     for (name, report) in shards.iter().zip(&reports) {
-        println!("  {name}: {}", report.render());
+        // A damaged shard's detail lines sit under the shard, not beside it.
+        println!("  {name}: {}", report.render().replace('\n', "\n  "));
         clean &= report.is_clean();
     }
     if clean {

@@ -40,6 +40,9 @@ pub const STORE_READ_IO_NS: &str = "store.read_io_ns";
 pub const STORE_CHECKSUM_NS: &str = "store.checksum_ns";
 /// Per-chunk payload decode phase (bytes to columnar traces), nanoseconds.
 pub const STORE_DECODE_NS: &str = "store.decode_ns";
+/// Per-chunk structural validation phase of an fsck scan (the decoder's
+/// parser, walking the payload without building traces), nanoseconds.
+pub const STORE_VALIDATE_NS: &str = "store.validate_ns";
 /// Per-chunk serialization phase (transpose + checksum), nanoseconds.
 pub const STORE_SERIALIZE_NS: &str = "store.serialize_ns";
 /// Per-chunk write I/O phase (`write_all` of the serialized chunk),

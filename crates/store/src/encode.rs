@@ -59,6 +59,16 @@
 //! Every decoder here is **total**: corrupt bytes surface as a typed
 //! [`StoreError::FormatViolation`], never as a panic, an unbounded
 //! allocation, or silently wrong values.
+//!
+//! **One parser, two consumers.**  A chunk body is parsed by one function,
+//! `parse_body`, which checks every length, the input varint stream, each
+//! plane's zero-run groups and the trailing bytes, and hands what it reads
+//! to a sink.  `decode_body` passes a sink that fills the inputs, the
+//! planes and the samples; `validate_body`, the fsck scan's check, passes
+//! one that discards everything, so it writes no input, plane byte or
+//! sample.  Since the validator is the decoder's parser, it is exactly as
+//! total as the decoder: a body validates iff it decodes, and a rejected
+//! body carries the decoder's message.  No structural check exists twice.
 
 use crate::error::{Result, StoreError};
 
@@ -309,23 +319,10 @@ impl SampleEncoding {
         }
     }
 
-    /// Decodes `out.len()` fixed-width values from `bytes`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `bytes` is not exactly `out.len() * width`.
-    fn decode_samples(self, bytes: &[u8], out: &mut [f64]) -> Result<()> {
-        if bytes.len() != out.len() * self.width() {
-            return Err(StoreError::FormatViolation {
-                message: format!(
-                    "sample block holds {} bytes, expected {} ({} values × {} bytes)",
-                    bytes.len(),
-                    out.len() * self.width(),
-                    out.len(),
-                    self.width()
-                ),
-            });
-        }
+    /// Decodes `out.len()` fixed-width values from `bytes`, which
+    /// [`parse_body`] has checked to hold exactly `out.len() * width`.
+    fn decode_samples(self, bytes: &[u8], out: &mut [f64]) {
+        debug_assert_eq!(bytes.len(), out.len() * self.width());
         match self {
             SampleEncoding::F64 => {
                 for (value, raw) in out.iter_mut().zip(bytes.chunks_exact(8)) {
@@ -343,7 +340,6 @@ impl SampleEncoding {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -568,17 +564,140 @@ pub(crate) fn decode_body(
     scratch: &mut Vec<u8>,
 ) -> Result<()> {
     inputs.clear();
+    inputs.reserve(k);
+    let values = samples.len();
+    let mut sink = Decode {
+        encoding,
+        inputs,
+        samples,
+        planes: scratch,
+    };
+    parse_body(encoding.width(), compression, k, values, body, &mut sink)
+}
+
+/// Checks one chunk body of `k` traces and `values` samples exactly as
+/// [`decode_body`] does — it runs the same parser — but keeps nothing: no
+/// input, no plane byte and no sample is written.  `Ok` here is `Ok` from
+/// the decoder, and an error carries the decoder's message.
+///
+/// # Errors
+///
+/// The [`StoreError::FormatViolation`] [`decode_body`] returns for `body`.
+pub(crate) fn validate_body(
+    encoding: SampleEncoding,
+    compression: Compression,
+    k: usize,
+    values: usize,
+    body: &[u8],
+) -> Result<()> {
+    parse_body(encoding.width(), compression, k, values, body, &mut Discard)
+}
+
+/// Where [`parse_body`] puts what it reads.  The decoder ([`Decode`]) keeps
+/// every input and plane byte; the validator ([`Discard`]) keeps none.
+/// Both run the one parser, so every structural check exists once.
+trait BodySink {
+    /// The next input, in trace order.
+    fn input(&mut self, input: u64);
+    /// The sample words of an uncompressed body, their length checked.
+    fn words(&mut self, words: &[u8]);
+    /// A compressed body's planes begin; they hold `len` bytes in all.
+    fn begin_planes(&mut self, len: usize);
+    /// One zero-run group: `zeros` zero bytes, then `literals`, from byte
+    /// `at` of the concatenated planes (the group fits its plane).
+    fn run(&mut self, at: usize, zeros: usize, literals: &[u8]);
+    /// Every plane is complete and the stream has no trailing bytes.
+    fn end_planes(&mut self);
+}
+
+/// The decoding [`BodySink`]: inputs into `inputs`, planes into the
+/// `planes` scratch, values into `samples`.
+struct Decode<'a> {
+    encoding: SampleEncoding,
+    inputs: &'a mut Vec<u64>,
+    samples: &'a mut [f64],
+    planes: &'a mut Vec<u8>,
+}
+
+impl BodySink for Decode<'_> {
+    #[inline]
+    fn input(&mut self, input: u64) {
+        self.inputs.push(input);
+    }
+
+    fn words(&mut self, words: &[u8]) {
+        self.encoding.decode_samples(words, self.samples);
+    }
+
+    fn begin_planes(&mut self, len: usize) {
+        self.planes.clear();
+        self.planes.resize(len, 0);
+    }
+
+    #[inline]
+    fn run(&mut self, at: usize, zeros: usize, literals: &[u8]) {
+        self.planes[at..at + zeros].fill(0);
+        self.planes[at + zeros..at + zeros + literals.len()].copy_from_slice(literals);
+    }
+
+    fn end_planes(&mut self) {
+        let (planes, samples) = (&*self.planes, &mut *self.samples);
+        match self.encoding {
+            SampleEncoding::F64 => unshuffle::<8>(planes, samples, f64::from_le_bytes),
+            SampleEncoding::F32 => unshuffle::<4>(planes, samples, |bytes| {
+                f64::from(f32::from_le_bytes(bytes))
+            }),
+            SampleEncoding::I16(q) => unshuffle::<2>(planes, samples, |bytes| {
+                q.dequantize(i16::from_le_bytes(bytes))
+            }),
+        }
+    }
+}
+
+/// The validating [`BodySink`]: discards everything.
+struct Discard;
+
+impl BodySink for Discard {
+    #[inline]
+    fn input(&mut self, _: u64) {}
+    fn words(&mut self, _: &[u8]) {}
+    fn begin_planes(&mut self, _: usize) {}
+    #[inline]
+    fn run(&mut self, _: usize, _: usize, _: &[u8]) {}
+    fn end_planes(&mut self) {}
+}
+
+/// Parses one chunk body of `k` traces and `values` samples of `width`
+/// bytes, checking every length, varint and run group and handing what it
+/// reads to `sink`.  The one structural parser of a chunk body.
+fn parse_body<S: BodySink>(
+    width: usize,
+    compression: Compression,
+    k: usize,
+    values: usize,
+    body: &[u8],
+    sink: &mut S,
+) -> Result<()> {
     match compression {
         Compression::None => {
             let input_bytes = k * 8;
             if body.len() < input_bytes {
                 return Err(violation("chunk body ends inside the input block"));
             }
-            inputs.reserve(k);
-            for raw in body[..input_bytes].chunks_exact(8) {
-                inputs.push(u64::from_le_bytes(raw.try_into().expect("8 bytes")));
+            let (inputs, words) = body.split_at(input_bytes);
+            if words.len() != values * width {
+                return Err(StoreError::FormatViolation {
+                    message: format!(
+                        "sample block holds {} bytes, expected {} ({values} values × {width} bytes)",
+                        words.len(),
+                        values * width,
+                    ),
+                });
             }
-            encoding.decode_samples(&body[input_bytes..], samples)
+            for raw in inputs.chunks_exact(8) {
+                sink.input(u64::from_le_bytes(raw.try_into().expect("8 bytes")));
+            }
+            sink.words(words);
         }
         Compression::Shuffle => {
             if body.len() < 4 {
@@ -591,41 +710,28 @@ pub(crate) fn decode_body(
             let input_stream = &body[4..4 + inputs_len];
             let mut pos = 0usize;
             let mut prev = 0u64;
-            inputs.reserve(k);
             for _ in 0..k {
                 let delta = unzigzag(get_varint(input_stream, &mut pos)?);
                 prev = prev.wrapping_add(delta as u64);
-                inputs.push(prev);
+                sink.input(prev);
             }
             if pos != input_stream.len() {
                 return Err(violation("trailing bytes after the compressed input block"));
             }
 
-            let width = encoding.width();
-            let values = samples.len();
             let plane_stream = &body[body.len() - planes..];
-            scratch.clear();
-            scratch.resize(values * width, 0);
+            sink.begin_planes(values * width);
             let mut pos = 0usize;
             for plane in 0..width {
-                let plane_out = &mut scratch[plane * values..(plane + 1) * values];
-                decode_rle0(plane_stream, &mut pos, plane_out)?;
+                parse_rle0(plane_stream, &mut pos, plane * values, values, sink)?;
             }
             if pos != plane_stream.len() {
                 return Err(violation("trailing bytes after the sample planes"));
             }
-            match encoding {
-                SampleEncoding::F64 => unshuffle::<8>(scratch, samples, f64::from_le_bytes),
-                SampleEncoding::F32 => unshuffle::<4>(scratch, samples, |bytes| {
-                    f64::from(f32::from_le_bytes(bytes))
-                }),
-                SampleEncoding::I16(q) => unshuffle::<2>(scratch, samples, |bytes| {
-                    q.dequantize(i16::from_le_bytes(bytes))
-                }),
-            }
-            Ok(())
+            sink.end_planes();
         }
     }
+    Ok(())
 }
 
 /// Rebuilds `out.len()` values of `W` bytes from their delta-coded byte
@@ -774,11 +880,18 @@ fn encode_rle0(plane: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one zero-RLE plane of exactly `out.len()` bytes, advancing
-/// `pos` through the shared plane stream.
-fn decode_rle0(bytes: &[u8], pos: &mut usize, out: &mut [u8]) -> Result<()> {
+/// Parses one zero-RLE plane of exactly `len` bytes, advancing `pos`
+/// through the shared plane stream; the plane starts at byte `at` of the
+/// concatenated planes.
+fn parse_rle0<S: BodySink>(
+    bytes: &[u8],
+    pos: &mut usize,
+    at: usize,
+    len: usize,
+    sink: &mut S,
+) -> Result<()> {
     let mut produced = 0usize;
-    while produced < out.len() {
+    while produced < len {
         let zeros = get_varint(bytes, pos)? as usize;
         let literals = get_varint(bytes, pos)? as usize;
         if zeros == 0 && literals == 0 {
@@ -787,17 +900,15 @@ fn decode_rle0(bytes: &[u8], pos: &mut usize, out: &mut [u8]) -> Result<()> {
         let total = zeros
             .checked_add(literals)
             .ok_or_else(|| violation("run group length overflows"))?;
-        if total > out.len() - produced {
+        if total > len - produced {
             return Err(violation("run group overruns its sample plane"));
         }
-        out[produced..produced + zeros].fill(0);
-        produced += zeros;
         let Some(literal_bytes) = bytes.get(*pos..*pos + literals) else {
             return Err(violation("literal run truncated"));
         };
-        out[produced..produced + literals].copy_from_slice(literal_bytes);
+        sink.run(at + produced, zeros, literal_bytes);
         *pos += literals;
-        produced += literals;
+        produced += total;
     }
     Ok(())
 }
@@ -871,32 +982,51 @@ mod tests {
             .collect()
     }
 
+    /// A [`BodySink`] that keeps the parsed inputs and the delta-coded
+    /// planes as they are, for the oracles below.
+    #[derive(Default)]
+    struct Collect {
+        inputs: Vec<u64>,
+        planes: Vec<u8>,
+    }
+
+    impl BodySink for Collect {
+        fn input(&mut self, input: u64) {
+            self.inputs.push(input);
+        }
+        fn words(&mut self, _: &[u8]) {}
+        fn begin_planes(&mut self, len: usize) {
+            self.planes = vec![0xEE; len];
+        }
+        fn run(&mut self, at: usize, zeros: usize, literals: &[u8]) {
+            self.planes[at..at + zeros].fill(0);
+            self.planes[at + zeros..at + zeros + literals.len()].copy_from_slice(literals);
+        }
+        fn end_planes(&mut self) {}
+    }
+
     /// The two-pass shuffle decode that [`unshuffle`] fuses: undo the
     /// delta along each plane, scatter the planes into value-major raw
     /// bytes, then decode the fixed-width values (test oracle).
-    fn reference_decode_planes(encoding: SampleEncoding, body: &[u8], out: &mut [f64]) {
-        let inputs_len = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-        let plane_stream = &body[4 + inputs_len..];
+    fn reference_decode_planes(encoding: SampleEncoding, k: usize, body: &[u8], out: &mut [f64]) {
         let (width, values) = (encoding.width(), out.len());
-        let mut planes = vec![0u8; values * width];
-        let mut pos = 0;
-        for plane in 0..width {
-            let plane_out = &mut planes[plane * values..(plane + 1) * values];
-            decode_rle0(plane_stream, &mut pos, plane_out).unwrap();
+        let mut parsed = Collect::default();
+        parse_body(width, Compression::Shuffle, k, values, body, &mut parsed).unwrap();
+        let mut planes = parsed.planes;
+        for plane_out in planes.chunks_exact_mut(values) {
             let mut prev = 0u8;
             for b in plane_out.iter_mut() {
                 prev = prev.wrapping_add(*b);
                 *b = prev;
             }
         }
-        assert_eq!(pos, plane_stream.len());
         let mut raw = vec![0u8; values * width];
         for plane in 0..width {
             for i in 0..values {
                 raw[i * width + plane] = planes[plane * values + i];
             }
         }
-        encoding.decode_samples(&raw, out).unwrap();
+        encoding.decode_samples(&raw, out);
     }
 
     #[test]
@@ -938,7 +1068,7 @@ mod tests {
                 )
                 .unwrap();
                 let mut reference = vec![0.0; samples.len()];
-                reference_decode_planes(encoding, &body, &mut reference);
+                reference_decode_planes(encoding, k, &body, &mut reference);
                 assert_eq!(fused_inputs, inputs);
                 assert_eq!(
                     fused.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1136,6 +1266,83 @@ mod tests {
             decode(&extended),
             Err(StoreError::FormatViolation { .. })
         ));
+    }
+
+    /// The validator and the decoder agree — `Ok` together, or the same
+    /// error message — on every encoding × compression body and on every
+    /// single-byte change and truncation of it.
+    #[test]
+    fn validator_agrees_with_the_decoder_on_every_flip_and_truncation() {
+        let q = Quantization::for_max_magnitude(2.0).unwrap();
+        let k = 12;
+        let inputs: Vec<u64> = (0..k as u64).map(|i| (i * 5) % 16).collect();
+        // A constant column (zero-run groups in every plane) beside a
+        // noisy one (literal runs), trace-major.
+        let noise = noisy_samples(k);
+        let samples: Vec<f64> = noise.iter().flat_map(|&v| [0.75, v]).collect();
+        let decode = |encoding, compression, body: &[u8]| {
+            let mut values = vec![0.0; samples.len()];
+            decode_body(
+                encoding,
+                compression,
+                k,
+                body,
+                &mut Vec::new(),
+                &mut values,
+                &mut Vec::new(),
+            )
+            .map_err(|e| e.to_string())
+        };
+        let validate = |encoding, compression, body: &[u8]| {
+            validate_body(encoding, compression, k, samples.len(), body).map_err(|e| e.to_string())
+        };
+        for encoding in [
+            SampleEncoding::F64,
+            SampleEncoding::F32,
+            SampleEncoding::I16(q),
+        ] {
+            for compression in [Compression::None, Compression::Shuffle] {
+                let mut body = Vec::new();
+                encode_body(
+                    encoding,
+                    compression,
+                    &inputs,
+                    &samples,
+                    &mut EncodeScratch::default(),
+                    &mut body,
+                );
+                assert_eq!(validate(encoding, compression, &body), Ok(()));
+                let mut failures = 0;
+                let mut check = |bytes: &[u8], case: &str| {
+                    let decoded = decode(encoding, compression, bytes);
+                    failures += usize::from(decoded.is_err());
+                    assert_eq!(
+                        validate(encoding, compression, bytes),
+                        decoded,
+                        "{encoding:?}/{compression:?}: {case}"
+                    );
+                };
+                for cut in 0..body.len() {
+                    check(&body[..cut], &format!("cut at {cut}"));
+                }
+                let mut changed = body.clone();
+                for at in 0..body.len() {
+                    for mask in 1..=u8::MAX {
+                        changed[at] = body[at] ^ mask;
+                        check(&changed, &format!("byte {at} ^ {mask:#04x}"));
+                    }
+                    changed[at] = body[at];
+                }
+                // Every cut fails, and in a compressed body so do some flips.
+                let cuts = body.len();
+                let floor = if compression == Compression::None {
+                    cuts
+                } else {
+                    cuts + 1
+                };
+                assert!(failures >= floor, "{encoding:?}/{compression:?}");
+            }
+        }
     }
 
     #[test]

@@ -371,8 +371,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
 
     /// Attaches a telemetry context. Chunk reads, bytes and checksum
     /// failures are counted into it, each read is attributed to I/O,
-    /// checksum and decode phase spans (with matching `store.*_ns`
-    /// histograms), and the streaming folds in this crate and `dpl-eval`
+    /// checksum and decode phase spans — validate instead of decode for an
+    /// fsck [`ArchiveReader::scan`] — with matching `store.*_ns`
+    /// histograms, and the streaming folds in this crate and `dpl-eval`
     /// pick it up via [`ArchiveReader::obs`].
     pub fn set_obs(&mut self, obs: &Obs) {
         self.obs = Some(obs.clone());
@@ -481,6 +482,55 @@ impl<R: Read + Seek> ArchiveReader<R> {
     /// Returns an error for an out-of-range index, I/O failure, truncation,
     /// a checksum mismatch, or a structural violation.
     pub fn read_chunk_into(&mut self, index: usize, set: &mut TraceSet) -> Result<()> {
+        let decode = ("store.chunk_decode", names::STORE_DECODE_NS);
+        self.read_verified(index, decode, |meta, k, body, scratch| {
+            set.refill_columns(meta.samples_per_trace, k, |inputs, data| {
+                encode::decode_body(
+                    meta.encoding,
+                    meta.compression,
+                    k,
+                    body,
+                    inputs,
+                    data,
+                    scratch,
+                )
+            })
+        })
+    }
+
+    /// Verifies chunk `index` exactly as [`ArchiveReader::read_chunk_into`]
+    /// does — the same bounds, I/O, checksum, counters and structural
+    /// checks of the body — without building a sample: the fsck path.
+    /// The body is walked by the decoder's own parser, so a chunk verifies
+    /// here exactly when it decodes, with the same error when it does not.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ArchiveReader::read_chunk_into`].
+    pub(crate) fn verify_chunk(&mut self, index: usize) -> Result<()> {
+        let validate = ("store.chunk_validate", names::STORE_VALIDATE_NS);
+        self.read_verified(index, validate, |meta, k, body, _| {
+            encode::validate_body(
+                meta.encoding,
+                meta.compression,
+                k,
+                k * meta.samples_per_trace,
+                body,
+            )
+        })
+    }
+
+    /// Reads chunk `index` into the payload buffer, verifies its checksum
+    /// and frame, and hands the campaign metadata, the chunk's trace count,
+    /// its body and the decode scratch to `consume` inside the `phase` span
+    /// (`(span name, histogram)`) — the path under both
+    /// [`ArchiveReader::read_chunk_into`] and [`ArchiveReader::verify_chunk`].
+    fn read_verified<T>(
+        &mut self,
+        index: usize,
+        phase: (&'static str, &'static str),
+        consume: impl FnOnce(ArchiveMeta, usize, &[u8], &mut Vec<u8>) -> Result<T>,
+    ) -> Result<T> {
         if index >= self.chunk_count() {
             return Err(StoreError::FormatViolation {
                 message: format!(
@@ -546,10 +596,7 @@ impl<R: Read + Seek> ArchiveReader<R> {
             obs.counter_add(names::STORE_BYTES_READ, chunk_len as u64);
         }
 
-        let decode_phase = self
-            .obs
-            .as_ref()
-            .map(|o| o.phase("store.chunk_decode", names::STORE_DECODE_NS));
+        let consume_phase = self.obs.as_ref().map(|o| o.phase(phase.0, phase.1));
         let k = u32::from_le_bytes(self.payload[0..4].try_into().expect("4 bytes")) as usize;
         if k != expected_traces {
             return Err(StoreError::FormatViolation {
@@ -568,22 +615,10 @@ impl<R: Read + Seek> ArchiveReader<R> {
                 });
             }
         }
-        let meta = self.meta;
         let body = &self.payload[head_len..chunk_len - CHUNK_CHECKSUM_LEN];
-        let scratch = &mut self.decode_scratch;
-        set.refill_columns(meta.samples_per_trace, k, |inputs, data| {
-            encode::decode_body(
-                meta.encoding,
-                meta.compression,
-                k,
-                body,
-                inputs,
-                data,
-                scratch,
-            )
-        })?;
-        drop(decode_phase);
-        Ok(())
+        let consumed = consume(self.meta, k, body, &mut self.decode_scratch)?;
+        drop(consume_phase);
+        Ok(consumed)
     }
 
     /// Iterates over every chunk in order.

@@ -170,8 +170,13 @@ impl<R: Read + Seek> ArchiveReader<R> {
         })
     }
 
-    /// Verifies every chunk (checksums included) without keeping any trace
-    /// data — the fsck scan.  One trace set is reused for every chunk.
+    /// Verifies every chunk without keeping any trace data — the fsck
+    /// scan.  Each chunk goes through the reader's full strict path (bounds,
+    /// I/O, checksum, frame and every structural check of the body, under
+    /// the same retry and damage rules as a salvage fold), but its body is
+    /// only walked by the decoder's parser, never decoded into samples: the
+    /// report is the one a salvage read of every chunk would give, and a
+    /// chunk's traces count as read from the chunk geometry.
     ///
     /// # Errors
     ///
@@ -182,10 +187,9 @@ impl<R: Read + Seek> ArchiveReader<R> {
             traces_total: self.trace_count(),
             ..DamageReport::default()
         };
-        let mut set = TraceSet::new();
         for index in 0..self.chunk_count() {
-            match read_salvage_into(self, index, retry, &mut set)? {
-                None => report.traces_read += set.len() as u64,
+            match salvage_read(self, index, retry, |reader| reader.verify_chunk(index))? {
+                None => report.traces_read += self.traces_in_chunk(index) as u64,
                 Some(d) => report.damaged.push(d),
             }
         }
@@ -203,6 +207,21 @@ pub(crate) fn read_salvage_into<S: ChunkSource + ?Sized>(
     retry: &RetryPolicy,
     set: &mut TraceSet,
 ) -> Result<Option<DamagedChunk>> {
+    salvage_read(source, index, retry, |source| {
+        source.read_chunk_into(index, set)
+    })
+}
+
+/// Runs `read` on chunk `index` of `source` under salvage rules: transient
+/// I/O errors are retried under `retry`, and the final error is classified
+/// as damage (`Some`) or returned as a hard error.  `None` when the read
+/// succeeded.
+fn salvage_read<S: ChunkSource + ?Sized>(
+    source: &mut S,
+    index: usize,
+    retry: &RetryPolicy,
+    mut read: impl FnMut(&mut S) -> Result<()>,
+) -> Result<Option<DamagedChunk>> {
     let chunks = source.chunk_count();
     if index >= chunks {
         return Err(StoreError::FormatViolation {
@@ -215,7 +234,7 @@ pub(crate) fn read_salvage_into<S: ChunkSource + ?Sized>(
     let mut attempts = 0u64;
     let outcome = retry.run(|| {
         attempts += 1;
-        source.read_chunk_into(index, set)
+        read(source)
     });
     if let Some(obs) = &obs {
         // Only the retries beyond the first attempt are "retry attempts".
@@ -259,13 +278,14 @@ pub fn repair_archive<P: AsRef<Path>, Q: AsRef<Path>>(
         traces_total: reader.trace_count(),
         ..DamageReport::default()
     };
+    let mut chunk = TraceSet::new();
     for index in 0..reader.chunk_count() {
-        match reader.read_chunk_salvage(index, retry)? {
-            SalvageOutcome::Intact(chunk) => {
+        match read_salvage_into(&mut reader, index, retry, &mut chunk)? {
+            None => {
                 report.traces_read += chunk.len() as u64;
                 writer.append_trace_set(&chunk)?;
             }
-            SalvageOutcome::Damaged(d) => report.damaged.push(d),
+            Some(d) => report.damaged.push(d),
         }
     }
     let kept = writer.finish()?;

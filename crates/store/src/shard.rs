@@ -483,8 +483,9 @@ impl ShardedReader {
     /// scoped threads, the calling thread among them, with shard `i` on
     /// worker `i mod W` (the fold engine's round-robin rule).  Each worker
     /// scans with the shard's already-open reader, so no chunk head is
-    /// walked again.  The reports equal those of scanning each shard alone,
-    /// one after another.
+    /// walked again, and [`ArchiveReader::scan`] validates every chunk body
+    /// with the decoder's parser without decoding a sample.  The reports
+    /// equal those of scanning each shard alone, one after another.
     ///
     /// # Errors
     ///

@@ -8,11 +8,12 @@ use std::cell::Cell;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::rc::Rc;
 
-use dpl_power::TraceSet;
+use dpl_power::{DpaAccumulator, TraceSet};
 use dpl_store::format::{checksum64, HEADER_LEN_V4};
 use dpl_store::{
-    dpa_attack_streaming, ArchiveMeta, ArchiveReader, ArchiveWriter, Compression, DamageCause,
-    Quantization, ReadPolicy, RetryPolicy, SampleEncoding, StoreError,
+    dpa_attack_streaming, fold, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter,
+    Compression, DamageCause, DamagedChunk, Quantization, ReadPolicy, Reading, RetryPolicy,
+    SampleEncoding, StoreError,
 };
 use proptest::prelude::*;
 
@@ -420,6 +421,121 @@ fn forged_chunk_heads_fail_typed_without_reading_past_the_file() {
                 largest.get(),
                 forged.len()
             );
+        }
+    }
+}
+
+/// Chunk 1 of a [`framed_archive`] with `forge` applied to its head and
+/// body (`[k: u32][body_len: u32][body]`) and its checksum re-sealed: a
+/// chunk that verifies but does not decode.
+fn reseal_chunk_1(
+    bytes: &[u8],
+    spans: &[(usize, usize)],
+    forge: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let (start, len) = spans[1];
+    let mut chunk = bytes[start..start + len - 8].to_vec();
+    forge(&mut chunk);
+    let sealed = checksum64(&chunk);
+    chunk.extend_from_slice(&sealed.to_le_bytes());
+    [&bytes[..start], &chunk, &bytes[start + len..]].concat()
+}
+
+/// A compressed chunk's `inputs_len` prefix (the first body word).
+fn inputs_len(chunk: &[u8]) -> usize {
+    u32::from_le_bytes(chunk[8..12].try_into().unwrap()) as usize
+}
+
+fn set_u32(chunk: &mut [u8], at: usize, value: usize) {
+    chunk[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes());
+}
+
+/// Checksum-valid but undecodable chunk bodies — a truncated input varint,
+/// an input block overrunning the body, a zero-run group overrunning its
+/// plane, trailing bytes after the planes, and (uncompressed) a head whose
+/// body length disagrees with the frame — fail the strict read with the
+/// parser's message, and both the fsck scan and a salvage fold drop exactly
+/// that chunk as a structural violation.
+#[test]
+fn checksum_valid_undecodable_bodies_are_structural_damage_of_their_chunk() {
+    type Forgery = (&'static str, fn(&mut Vec<u8>));
+    let compressed: [Forgery; 4] = [
+        ("varint stream truncated", |chunk| {
+            let last_input = 12 + inputs_len(chunk) - 1;
+            chunk[last_input] |= 0x80;
+        }),
+        ("compressed input block overruns the chunk body", |chunk| {
+            let body_len = chunk.len() - 8;
+            set_u32(chunk, 8, body_len - 4 + 1);
+        }),
+        ("run group overruns its sample plane", |chunk| {
+            // The first group's zero count: a one-byte varint, since a
+            // plane holds 12 bytes.
+            let first_group = 12 + inputs_len(chunk);
+            chunk[first_group] = 0x7F;
+        }),
+        ("trailing bytes after the sample planes", |chunk| {
+            chunk.push(0);
+            let body_len = chunk.len() - 8;
+            set_u32(chunk, 4, body_len);
+        }),
+    ];
+    let uncompressed: [Forgery; 1] = [("its frame holds", |chunk| {
+        let body_len = chunk.len() - 8;
+        set_u32(chunk, 4, body_len - 1);
+    })];
+    let quantization = Quantization::for_max_magnitude(4.0).expect("quantization");
+    let configs: [(SampleEncoding, Compression, &[Forgery]); 3] = [
+        (SampleEncoding::F64, Compression::None, &uncompressed),
+        (SampleEncoding::F64, Compression::Shuffle, &compressed),
+        (
+            SampleEncoding::I16(quantization),
+            Compression::Shuffle,
+            &compressed,
+        ),
+    ];
+    for (encoding, compression, forgeries) in configs {
+        let (bytes, spans) = framed_archive(encoding, compression);
+        for &(message, forge) in forgeries {
+            let case = format!("{encoding:?}/{compression:?}: {message}");
+            let forged = reseal_chunk_1(&bytes, &spans, forge);
+            let strict = ArchiveReader::new(Cursor::new(forged.clone()))
+                .and_then(|mut reader| reader.read_all());
+            match strict {
+                Err(StoreError::FormatViolation { message: found }) => {
+                    assert!(found.contains(message), "{case}: {found}");
+                }
+                other => panic!("{case}: {:?}", other.map(|set| set.len())),
+            }
+
+            let salvage = || {
+                ArchiveReader::with_policy(Cursor::new(forged.clone()), ReadPolicy::Salvage)
+                    .expect("header is intact")
+            };
+            let report = salvage().scan(&RetryPolicy::none()).expect("scan");
+            assert_eq!(
+                report.damaged,
+                [DamagedChunk {
+                    chunk: 1,
+                    cause: DamageCause::Structural,
+                    traces_lost: 4,
+                }],
+                "{case}"
+            );
+            assert_eq!(report.traces_read, 6, "{case}");
+            assert!(
+                report.render().contains("chunk 1: structural violation"),
+                "{case}"
+            );
+
+            let mut reader = salvage();
+            let selection = |input: u64, guess: u64| (input ^ guess) & 1 == 1;
+            let acc =
+                DpaAccumulator::with_profile(16, selection, input_profile(&reader)).expect("dpa");
+            let retry = RetryPolicy::none();
+            let (_, damage) =
+                fold(&mut reader, acc, Reading::Salvage(&retry)).expect("salvage fold");
+            assert_eq!(damage, report, "{case}");
         }
     }
 }

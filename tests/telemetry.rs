@@ -3,8 +3,9 @@
 //! JSON-lines telemetry across runs; the counters agree exactly with the
 //! archive's ground truth (chunk counts, fsyncs, trace totals); a
 //! single corrupted chunk surfaces as a salvage-drop counter of exactly 1;
-//! a concurrent shard scan counts what the shards scanned alone count; and
-//! telemetry volume follows the chunk count, never the trace count.
+//! a concurrent shard scan counts what the shards scanned alone count; an
+//! fsck scan validates chunks without decoding them; and telemetry volume
+//! follows the chunk count, never the trace count.
 
 use std::io::Cursor;
 
@@ -303,6 +304,59 @@ fn phase_histograms_record_every_chunk() {
         let histogram = metrics.histogram(name).expect(name);
         assert_eq!(histogram.count(), CHUNKS as u64, "{name}");
     }
+}
+
+/// An fsck scan validates chunk bodies without decoding them: one
+/// `store.chunk_validate` phase per intact chunk and no `store.chunk_decode`
+/// span, while its chunk-read, byte and checksum-failure counters equal a
+/// salvage fold's over the same damaged archive.
+#[test]
+fn scan_validates_without_decoding_and_counts_like_a_salvage_read() {
+    let mut corrupt = build_archive(None);
+    let target = corrupt.len() / 2;
+    corrupt[target] ^= 0xFF;
+    let retry = RetryPolicy::new(0);
+    let open = |obs: &Obs| {
+        let mut reader =
+            ArchiveReader::with_policy(Cursor::new(corrupt.clone()), ReadPolicy::Salvage)
+                .expect("reader");
+        reader.set_obs(obs);
+        reader
+    };
+
+    let scanned = Obs::deterministic(50);
+    let report = open(&scanned).scan(&retry).expect("scan");
+    assert_eq!(report.damaged.len(), 1);
+    let folded = Obs::deterministic(50);
+    let mut reader = open(&folded);
+    let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader)).expect("dpa");
+    let (_, damage) = fold(&mut reader, acc, Reading::Salvage(&retry)).expect("salvage DPA");
+    assert_eq!(damage, report);
+
+    let (scan, read) = (scanned.metrics(), folded.metrics());
+    for name in [
+        names::STORE_CHUNK_READS,
+        names::STORE_BYTES_READ,
+        names::STORE_CHECKSUM_FAILURES,
+    ] {
+        assert_eq!(scan.counter(name), read.counter(name), "{name}");
+    }
+    assert_eq!(
+        scan.counter(names::STORE_CHUNK_READS),
+        Some(CHUNKS as u64 - 1)
+    );
+    let validated = scan
+        .histogram(names::STORE_VALIDATE_NS)
+        .map_or(0, |h| h.count());
+    assert_eq!(validated, CHUNKS as u64 - 1);
+    assert!(scan.histogram(names::STORE_DECODE_NS).is_none());
+    let spans = scanned.snapshot().spans;
+    assert!(spans.iter().all(|span| span.name != "store.chunk_decode"));
+    let validate_spans = spans
+        .iter()
+        .filter(|span| span.name == "store.chunk_validate")
+        .count();
+    assert_eq!(validate_spans, CHUNKS - 1);
 }
 
 #[test]
