@@ -12,9 +12,8 @@ use dpl_crypto::{
     EnergyCache, EnergyModel, GateEnergyTable, GateNetlist, LeakageModel, LeakageOptions,
 };
 use dpl_eval::{
-    interleaved_partition, mtd_campaign, mtd_campaign_observed, MtdConfig, MtdCurve, PrefixCpa,
-    PrefixDpa, SecondOrderWelchAccumulator, TvlaOrder, TvlaResult, WelchAccumulator,
-    TVLA_THRESHOLD,
+    interleaved_partition, mtd_campaign, MtdConfig, MtdCurve, PrefixCpa, PrefixDpa,
+    SecondOrderWelchAccumulator, TvlaOrder, TvlaResult, WelchAccumulator, TVLA_THRESHOLD,
 };
 use dpl_obs::{Json, Obs};
 use dpl_store::{
@@ -162,12 +161,7 @@ fn mtd_curve_for(
                 let selection = selection.clone();
                 PrefixDpa::new(16, selection)
             };
-            match obs {
-                Some(obs) => {
-                    mtd_campaign_observed(&config, u64::from(MTD_KEY), generate, make, obs)
-                }
-                None => mtd_campaign(&config, u64::from(MTD_KEY), generate, make),
-            }
+            mtd_campaign(&config, u64::from(MTD_KEY), generate, make, obs)
         }
         MtdAttack::Cpa => {
             let make = || {
@@ -176,12 +170,7 @@ fn mtd_curve_for(
                     cache.energy(plaintext, guess as u8)
                 })
             };
-            match obs {
-                Some(obs) => {
-                    mtd_campaign_observed(&config, u64::from(MTD_KEY), generate, make, obs)
-                }
-                None => mtd_campaign(&config, u64::from(MTD_KEY), generate, make),
-            }
+            mtd_campaign(&config, u64::from(MTD_KEY), generate, make, obs)
         }
     }
     .expect("mtd campaign")

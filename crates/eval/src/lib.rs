@@ -41,10 +41,7 @@ pub mod mtd;
 pub mod streaming;
 pub mod tvla;
 
-pub use mtd::{
-    mtd_campaign, mtd_campaign_observed, rep_seed, MtdConfig, MtdCurve, PrefixAttack, PrefixCpa,
-    PrefixDpa,
-};
+pub use mtd::{mtd_campaign, rep_seed, MtdConfig, MtdCurve, PrefixAttack, PrefixCpa, PrefixDpa};
 pub use streaming::{tvla_parallel_with, TvlaOrder};
 pub use tvla::{
     fixed_vs_fixed, interleaved_partition, tvla, tvla_second_order, SecondOrderWelchAccumulator,

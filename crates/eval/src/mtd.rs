@@ -22,6 +22,7 @@
 //! raw moments so Pearson is evaluable at any prefix, which the exact CPA
 //! accumulator cannot do: it scores only once its first pass is sealed).
 
+use dpl_obs::{names, rate_per_sec, Obs};
 use dpl_power::{fold_cross_moments, AttackResult, CrossSums, DpaAccumulator, TraceSet};
 
 use crate::{EvalError, Result};
@@ -310,6 +311,10 @@ impl MtdCurve {
 /// traces once, feeds them incrementally, and snapshots the attack at every
 /// grid point.
 ///
+/// With a telemetry context, the sweep runs inside an `eval.mtd_campaign`
+/// span, and the grid size, repetition count, total simulated traces and
+/// sweep throughput are recorded into `obs`.
+///
 /// # Errors
 ///
 /// Returns an error for an invalid configuration, a generator that
@@ -320,12 +325,14 @@ pub fn mtd_campaign<G, M, A>(
     correct_key: u64,
     generate: G,
     make_engine: M,
+    obs: Option<&Obs>,
 ) -> Result<MtdCurve>
 where
     G: Fn(u64, usize) -> TraceSet,
     M: Fn() -> dpl_power::Result<A>,
     A: PrefixAttack,
 {
+    let span = obs.map(|obs| obs.span("eval.mtd_campaign"));
     config.validate()?;
     let max_traces = *config.grid.last().expect("validated non-empty");
     let mut successes = vec![0usize; config.grid.len()];
@@ -387,45 +394,22 @@ where
         })
         .map(|point| config.grid[point]);
 
+    if let (Some(obs), Some(span)) = (obs, span) {
+        let simulated = max_traces as u64 * config.repetitions as u64;
+        obs.counter_add(names::MTD_GRID_POINTS, config.grid.len() as u64);
+        obs.counter_add(names::MTD_REPETITIONS, config.repetitions as u64);
+        obs.counter_add(names::MTD_TRACES_SIMULATED, simulated);
+        let elapsed = span.finish();
+        if let Some(rate) = rate_per_sec(simulated, elapsed) {
+            obs.gauge_max(names::FOLD_TRACES_PER_SEC, rate);
+        }
+    }
     Ok(MtdCurve {
         grid: config.grid.clone(),
         success_rate,
         guessing_entropy,
         mtd,
     })
-}
-
-/// [`mtd_campaign`] with telemetry: the sweep runs inside an
-/// `eval.mtd_campaign` span, and the grid size, repetition count, total
-/// simulated traces and sweep throughput are recorded into `obs`.
-///
-/// # Errors
-///
-/// Exactly those of [`mtd_campaign`].
-pub fn mtd_campaign_observed<G, M, A>(
-    config: &MtdConfig,
-    correct_key: u64,
-    generate: G,
-    make_engine: M,
-    obs: &dpl_obs::Obs,
-) -> Result<MtdCurve>
-where
-    G: Fn(u64, usize) -> TraceSet,
-    M: Fn() -> dpl_power::Result<A>,
-    A: PrefixAttack,
-{
-    use dpl_obs::names;
-    let span = obs.span("eval.mtd_campaign");
-    let curve = mtd_campaign(config, correct_key, generate, make_engine)?;
-    let simulated = *config.grid.last().unwrap_or(&0) as u64 * config.repetitions as u64;
-    obs.counter_add(names::MTD_GRID_POINTS, config.grid.len() as u64);
-    obs.counter_add(names::MTD_REPETITIONS, config.repetitions as u64);
-    obs.counter_add(names::MTD_TRACES_SIMULATED, simulated);
-    let elapsed = span.finish();
-    if let Some(rate) = dpl_obs::rate_per_sec(simulated, elapsed) {
-        obs.gauge_max(names::FOLD_TRACES_PER_SEC, rate);
-    }
-    Ok(curve)
 }
 
 #[cfg(test)]
@@ -596,10 +580,15 @@ mod tests {
             assert_eq!(bits(&a.scores), bits(&b.scores), "prefix {end}");
         }
         let config = MtdConfig::new(vec![40, 130, 300], 3, 17);
-        let curve = mtd_campaign(&config, KEY, generator, || PrefixCpa::new(16, model)).unwrap();
-        let per_guess = mtd_campaign(&config, KEY, generator, || {
-            PrefixCpa::new(16, model).map(PerGuessCpa)
-        })
+        let curve =
+            mtd_campaign(&config, KEY, generator, || PrefixCpa::new(16, model), None).unwrap();
+        let per_guess = mtd_campaign(
+            &config,
+            KEY,
+            generator,
+            || PrefixCpa::new(16, model).map(PerGuessCpa),
+            None,
+        )
         .unwrap();
         assert_eq!(curve, per_guess);
     }
@@ -620,9 +609,13 @@ mod tests {
     #[test]
     fn leaky_device_discloses_and_quiet_device_does_not() {
         let config = MtdConfig::new(vec![25, 50, 100, 200, 400], 6, 2005);
-        let leaky = mtd_campaign(&config, KEY, leaky_generator(1.0), || {
-            PrefixDpa::new(16, selection)
-        })
+        let leaky = mtd_campaign(
+            &config,
+            KEY,
+            leaky_generator(1.0),
+            || PrefixDpa::new(16, selection),
+            None,
+        )
         .unwrap();
         assert!(leaky.disclosed(), "curve: {:?}", leaky.success_rate);
         let mtd = leaky.mtd.unwrap();
@@ -631,9 +624,13 @@ mod tests {
         let at = config.grid.iter().position(|&n| n == mtd).unwrap();
         assert!(leaky.guessing_entropy[at] < 2.0);
 
-        let quiet = mtd_campaign(&config, KEY, quiet_generator(), || {
-            PrefixDpa::new(16, selection)
-        })
+        let quiet = mtd_campaign(
+            &config,
+            KEY,
+            quiet_generator(),
+            || PrefixDpa::new(16, selection),
+            None,
+        )
         .unwrap();
         assert!(!quiet.disclosed(), "curve: {:?}", quiet.success_rate);
     }
@@ -642,16 +639,24 @@ mod tests {
     fn sweeps_are_deterministic_in_the_base_seed() {
         let config = MtdConfig::new(vec![50, 150], 4, 77);
         let run = || {
-            mtd_campaign(&config, KEY, leaky_generator(2.5), || {
-                PrefixCpa::new(16, model)
-            })
+            mtd_campaign(
+                &config,
+                KEY,
+                leaky_generator(2.5),
+                || PrefixCpa::new(16, model),
+                None,
+            )
             .unwrap()
         };
         assert_eq!(run(), run());
         let other = MtdConfig::new(vec![50, 150], 4, 78);
-        let differs = mtd_campaign(&other, KEY, leaky_generator(2.5), || {
-            PrefixCpa::new(16, model)
-        })
+        let differs = mtd_campaign(
+            &other,
+            KEY,
+            leaky_generator(2.5),
+            || PrefixCpa::new(16, model),
+            None,
+        )
         .unwrap();
         // Different base seed, different campaigns (rates may coincide but
         // the full curves should not be identical in general).
@@ -690,6 +695,7 @@ mod tests {
                 set
             },
             || Ok(Scripted { traces: 0 }),
+            None,
         )
         .unwrap();
         assert_eq!(curve.success_rate, vec![1.0, 0.0, 1.0, 1.0]);
@@ -713,15 +719,15 @@ mod tests {
             },
         ] {
             assert!(
-                mtd_campaign(&config, 0, &gen, engine).is_err(),
+                mtd_campaign(&config, 0, &gen, engine, None).is_err(),
                 "{config:?}"
             );
         }
         // A correct key outside the guess range errors instead of panicking.
         let config = MtdConfig::new(vec![10], 1, 0);
-        assert!(mtd_campaign(&config, 99, &gen, engine).is_err());
+        assert!(mtd_campaign(&config, 99, &gen, engine, None).is_err());
         // A generator that under-delivers errors.
-        assert!(mtd_campaign(&config, 0, |_, _| TraceSet::new(), engine).is_err());
+        assert!(mtd_campaign(&config, 0, |_, _| TraceSet::new(), engine, None).is_err());
     }
 
     #[test]

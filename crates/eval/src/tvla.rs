@@ -17,13 +17,12 @@
 //!   statistic ([`tvla`] / [`tvla_second_order`]),
 //! * feeding the same traces chunk-by-chunk (the out-of-core path of
 //!   `dpl-store`) performs the exact same floating-point additions per
-//!   accumulator slot and is therefore **bit-identical**,
-//! * [`WelchAccumulator::merge`] combines partials over *contiguous*
-//!   trace ranges (enforced via each partial's recorded start index),
+//!   accumulator slot and is therefore **bit-identical**; the parallel
+//!   out-of-core t-tests decode chunks on worker threads but fold them on
+//!   one thread in trace order, so they stay bit-identical too,
 //! * the second-order accumulator is two-pass (centered-product
-//!   preprocessing centers on the final per-group means) with
-//!   [`SecondOrderWelchAccumulator::fork_at`] for parallel replay shares,
-//!   mirroring the CPA accumulator's `fork`.
+//!   preprocessing centers on the final per-group means), like the CPA
+//!   accumulator.
 //!
 //! Groups are assigned by a *partition function* of the *global trace
 //! index* and the trace's input — pure, so any chunking or replay
@@ -34,7 +33,7 @@
 
 use dpl_power::stats::welch_t_from_stats;
 use dpl_power::TraceSet;
-use dpl_store::{Fold, MergeFold};
+use dpl_store::Fold;
 
 use crate::{EvalError, Result};
 
@@ -106,11 +105,6 @@ impl ColumnStats {
     pub(crate) fn push(&mut self, v: f64) {
         self.sum += v;
         self.sumsq += v * v;
-    }
-
-    fn add(&mut self, other: &ColumnStats) {
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
     }
 }
 
@@ -188,7 +182,6 @@ fn empty_error() -> EvalError {
 #[derive(Debug, Clone)]
 pub struct WelchAccumulator<F> {
     partition: F,
-    start: u64,
     next: u64,
     samples: Option<usize>,
     counts: [u64; 2],
@@ -202,18 +195,9 @@ where
 {
     /// An empty accumulator whose first trace has global index 0.
     pub fn new(partition: F) -> Self {
-        Self::starting_at(partition, 0)
-    }
-
-    /// An empty accumulator whose first trace has global index `start` —
-    /// the constructor for partial accumulators over a later contiguous
-    /// trace range (e.g. one archive chunk), to be [`WelchAccumulator::merge`]d
-    /// back in range order.
-    pub fn starting_at(partition: F, start: u64) -> Self {
         WelchAccumulator {
             partition,
-            start,
-            next: start,
+            next: 0,
             samples: None,
             counts: [0; 2],
             stats: [Vec::new(), Vec::new()],
@@ -223,7 +207,7 @@ where
     /// Traces folded in so far (across both groups, including discarded
     /// traces — the global index keeps advancing).
     pub fn traces(&self) -> u64 {
-        self.next - self.start
+        self.next
     }
 
     /// Folds one chunk of traces (the next contiguous range) into the
@@ -292,49 +276,6 @@ where
         Ok(())
     }
 
-    /// Merges a partial accumulator covering the trace range immediately
-    /// after this one's (checked via the recorded start indices; both must
-    /// use the same partition function by contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-contiguous ranges or mismatched sample
-    /// widths.
-    pub fn merge(&mut self, other: &Self) -> Result<()> {
-        if other.start != self.next {
-            return Err(EvalError::Misuse {
-                message: format!(
-                    "merge requires contiguous trace ranges: this accumulator ends at trace {}, \
-                     the partial starts at {}",
-                    self.next, other.start
-                ),
-            });
-        }
-        if other.traces() == 0 {
-            return Ok(());
-        }
-        if self.traces() == 0 {
-            self.samples = other.samples;
-            self.counts = other.counts;
-            self.stats = other.stats.clone();
-            self.next = other.next;
-            return Ok(());
-        }
-        if self.samples != other.samples {
-            return Err(EvalError::Misuse {
-                message: "cannot merge accumulators with different sample widths".into(),
-            });
-        }
-        for group in 0..2 {
-            self.counts[group] += other.counts[group];
-            for (acc, v) in self.stats[group].iter_mut().zip(&other.stats[group]) {
-                acc.add(v);
-            }
-        }
-        self.next = other.next;
-        Ok(())
-    }
-
     /// The per-sample t-statistics **without consuming** the accumulator —
     /// usable as a running snapshot while traces keep arriving.
     ///
@@ -387,7 +328,6 @@ enum Pass {
 #[derive(Debug, Clone)]
 pub struct SecondOrderWelchAccumulator<F> {
     partition: F,
-    start: u64,
     next: u64,
     pass: Pass,
     samples: Option<usize>,
@@ -398,8 +338,6 @@ pub struct SecondOrderWelchAccumulator<F> {
     mean: [Vec<f64>; 2],
     /// Pass-2 running sums over the preprocessed values.
     centered: [Vec<ColumnStats>; 2],
-    /// First global index of this accumulator's replay share.
-    second_start: u64,
     /// Replay cursor (global index) and classified count of the second pass.
     second_next: u64,
     second_counts: [u64; 2],
@@ -413,7 +351,6 @@ where
     pub fn new(partition: F) -> Self {
         SecondOrderWelchAccumulator {
             partition,
-            start: 0,
             next: 0,
             pass: Pass::Means,
             samples: None,
@@ -421,7 +358,6 @@ where
             sum: [Vec::new(), Vec::new()],
             mean: [Vec::new(), Vec::new()],
             centered: [Vec::new(), Vec::new()],
-            second_start: 0,
             second_next: 0,
             second_counts: [0; 2],
         }
@@ -429,7 +365,7 @@ where
 
     /// Traces folded into the first pass so far.
     pub fn traces(&self) -> u64 {
-        self.next - self.start
+        self.next
     }
 
     /// Folds one chunk into the current pass.  The second pass must replay
@@ -507,8 +443,6 @@ where
             });
         }
         self.pass = Pass::Centered;
-        self.second_start = self.start;
-        self.second_next = self.start;
         let width = self.sum[0].len();
         for group in 0..2 {
             let n = self.counts[group] as f64;
@@ -593,69 +527,6 @@ where
         Ok(())
     }
 
-    /// A second-pass worker accumulator that will replay the contiguous
-    /// chunk share starting at global trace index `replay_start`: it shares
-    /// this accumulator's sealed means but starts with zeroed centered
-    /// sums, so disjoint replay shares can be folded in parallel and merged
-    /// back in range order — the analogue of
-    /// [`dpl_power::CpaAccumulator::fork`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the second pass has not begun.
-    pub fn fork_at(&self, replay_start: u64) -> Result<Self>
-    where
-        F: Clone,
-    {
-        if self.pass != Pass::Centered {
-            return Err(EvalError::Misuse {
-                message: "fork_at() requires the second pass; call begin_second_pass first".into(),
-            });
-        }
-        let mut fork = self.clone();
-        let width = self.centered[0].len();
-        fork.centered = [
-            vec![ColumnStats::default(); width],
-            vec![ColumnStats::default(); width],
-        ];
-        fork.second_counts = [0; 2];
-        fork.second_start = replay_start;
-        fork.second_next = replay_start;
-        Ok(fork)
-    }
-
-    /// Merges a second-pass fork that replayed the range immediately after
-    /// this accumulator's replay cursor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error outside the second pass or for a non-contiguous
-    /// replay range.
-    pub fn merge_fork(&mut self, other: &Self) -> Result<()> {
-        if self.pass != Pass::Centered || other.pass != Pass::Centered {
-            return Err(EvalError::Misuse {
-                message: "merge_fork() requires both accumulators in the second pass".into(),
-            });
-        }
-        if other.second_start != self.second_next {
-            return Err(EvalError::Misuse {
-                message: format!(
-                    "merge_fork requires contiguous replay ranges: this accumulator's replay \
-                     cursor is at trace {}, the fork started at {}",
-                    self.second_next, other.second_start
-                ),
-            });
-        }
-        for group in 0..2 {
-            self.second_counts[group] += other.second_counts[group];
-            for (acc, v) in self.centered[group].iter_mut().zip(&other.centered[group]) {
-                acc.add(v);
-            }
-        }
-        self.second_next = other.second_next;
-        Ok(())
-    }
-
     /// The per-sample second-order t-statistics **without consuming** the
     /// accumulator.
     ///
@@ -711,19 +582,6 @@ where
     }
 }
 
-impl<F> MergeFold for WelchAccumulator<F>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Clone,
-{
-    fn partial(&self, first_trace: u64) -> Result<Self> {
-        Ok(Self::starting_at(self.partition.clone(), first_trace))
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<()> {
-        WelchAccumulator::merge(self, other)
-    }
-}
-
 impl<F> Fold for SecondOrderWelchAccumulator<F>
 where
     F: Fn(u64, u64) -> Option<TvlaGroup>,
@@ -743,58 +601,6 @@ where
 
     fn finalize(self) -> Result<TvlaResult> {
         SecondOrderWelchAccumulator::finalize(self)
-    }
-}
-
-impl<F> MergeFold for SecondOrderWelchAccumulator<F>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup> + Clone,
-{
-    fn partial(&self, first_trace: u64) -> Result<Self> {
-        match self.pass {
-            Pass::Means => Ok(SecondOrderWelchAccumulator {
-                start: first_trace,
-                next: first_trace,
-                ..Self::new(self.partition.clone())
-            }),
-            Pass::Centered => self.fork_at(first_trace),
-        }
-    }
-
-    /// Pass 1 combines the per-group sums of the next contiguous range;
-    /// pass 2 is [`SecondOrderWelchAccumulator::merge_fork`].
-    fn merge(&mut self, other: &Self) -> Result<()> {
-        if self.pass == Pass::Centered {
-            return self.merge_fork(other);
-        }
-        if other.pass != Pass::Means || other.start != self.next {
-            return Err(EvalError::Misuse {
-                message: "a first-pass merge requires a first-pass partial of the next \
-                          contiguous trace range"
-                    .into(),
-            });
-        }
-        if other.traces() == 0 {
-            return Ok(());
-        }
-        if self.traces() == 0 {
-            self.samples = other.samples;
-            self.counts = other.counts;
-            self.sum = other.sum.clone();
-        } else if self.samples != other.samples {
-            return Err(EvalError::Misuse {
-                message: "cannot merge accumulators with different sample widths".into(),
-            });
-        } else {
-            for group in 0..2 {
-                self.counts[group] += other.counts[group];
-                for (acc, v) in self.sum[group].iter_mut().zip(&other.sum[group]) {
-                    *acc += v;
-                }
-            }
-        }
-        self.next = other.next;
-        Ok(())
     }
 }
 
@@ -960,44 +766,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_partials_match_the_sequential_fold_within_rounding() {
-        let set = campaign(7, 600, 2, true);
-        let sequential = tvla(&set, interleaved_partition).unwrap();
-        let mut merged = WelchAccumulator::new(interleaved_partition);
-        for (i, part) in chunks_of(&set, 100).iter().enumerate() {
-            let mut partial = WelchAccumulator::starting_at(interleaved_partition, i as u64 * 100);
-            partial.update(part).unwrap();
-            merged.merge(&partial).unwrap();
-        }
-        let merged = merged.finalize().unwrap();
-        assert_eq!(merged.counts, sequential.counts);
-        for (a, b) in merged.t.iter().zip(&sequential.t) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn non_contiguous_merges_are_rejected() {
-        let set = campaign(8, 100, 1, true);
-        let mut acc = WelchAccumulator::new(interleaved_partition);
-        acc.update(&set).unwrap();
-        // A partial starting anywhere but trace 100 is a protocol error.
-        let mut partial = WelchAccumulator::starting_at(interleaved_partition, 50);
-        partial.update(&set.slice(50, 100)).unwrap();
-        assert!(matches!(acc.merge(&partial), Err(EvalError::Misuse { .. })));
-        let mut good = WelchAccumulator::starting_at(interleaved_partition, 100);
-        good.update(&set.slice(0, 20)).unwrap();
-        assert!(acc.merge(&good).is_ok());
-    }
-
-    #[test]
     fn second_order_protocol_misuse_is_reported() {
         let set = campaign(9, 80, 1, true);
         let mut acc = SecondOrderWelchAccumulator::new(interleaved_partition);
         acc.update(&set).unwrap();
         // Evaluating before the second pass is misuse.
         assert!(matches!(acc.evaluate(), Err(EvalError::Misuse { .. })));
-        assert!(acc.fork_at(0).is_err());
         acc.begin_second_pass().unwrap();
         assert!(acc.begin_second_pass().is_err());
         // Incomplete replay is misuse.
@@ -1013,26 +787,6 @@ mod tests {
         // Empty accumulators cannot finalize.
         let empty = WelchAccumulator::new(interleaved_partition);
         assert!(matches!(empty.finalize(), Err(EvalError::Misuse { .. })));
-    }
-
-    #[test]
-    fn forked_second_pass_matches_the_sequential_replay_within_rounding() {
-        let set = campaign(10, 400, 2, true);
-        let sequential = tvla_second_order(&set, interleaved_partition).unwrap();
-
-        let mut acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-        acc.update(&set).unwrap();
-        acc.begin_second_pass().unwrap();
-        for (i, part) in chunks_of(&set, 100).iter().enumerate() {
-            let mut fork = acc.fork_at(i as u64 * 100).unwrap();
-            fork.update(part).unwrap();
-            acc.merge_fork(&fork).unwrap();
-        }
-        let forked = acc.finalize().unwrap();
-        assert_eq!(forked.counts, sequential.counts);
-        for (a, b) in forked.t.iter().zip(&sequential.t) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]

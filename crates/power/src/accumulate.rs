@@ -9,8 +9,9 @@
 //! **bit-identical** [`AttackResult`] scores.
 //!
 //! [`DpaAccumulator::merge`] / [`CpaAccumulator::merge`] combine partial
-//! accumulators built over disjoint trace ranges (the parallel out-of-core
-//! path).  Merging adds partial sums, which re-associates the floating-point
+//! accumulators built over disjoint trace ranges (CPA's chunk-parallel
+//! out-of-core path; DPA's merge keeps the any-merge-order contract).
+//! Merging adds partial sums, which re-associates the floating-point
 //! reductions: merged results are deterministic for a fixed merge order but
 //! agree with the sequential fold only up to reassociation error (≪ 1e-12
 //! relative in practice), not bit-for-bit.
@@ -258,7 +259,7 @@ pub struct DpaAccumulator<F> {
     samples: Option<usize>,
     traces: usize,
     /// Per-class sums; `None` when the inputs are (or proved) too diverse.
-    /// Boxed: the class table is ~1 KiB, and parallel folds keep one
+    /// Boxed: the class table is ~1 KiB, and a merged fold keeps one
     /// accumulator per chunk.
     classes: Option<Box<ClassState>>,
     /// Whether the diverse-input fallback sums are maintained.
@@ -312,21 +313,6 @@ where
     /// Number of traces folded in so far.
     pub fn traces(&self) -> usize {
         self.traces
-    }
-
-    /// An empty partial for a later trace range, to be
-    /// [`DpaAccumulator::merge`]d back in range order: this accumulator's
-    /// guess count, selection function and bookkeeping, no traces.
-    ///
-    /// # Errors
-    ///
-    /// None in practice; the guess count was validated on construction.
-    pub fn partial(&self) -> Result<Self>
-    where
-        F: Clone,
-    {
-        let profile = bookkeeping(self.classes.is_some(), self.wide);
-        Self::with_profile(self.key_guesses, self.selection.clone(), profile)
     }
 
     /// Folds one chunk of traces into the accumulator.

@@ -26,10 +26,10 @@
 //! [`CpaAccumulator`]): they can be fed a trace set in arbitrary chunks —
 //! e.g. streamed off the on-disk archives of `dpl-store` — and produce
 //! bit-identical scores to the in-memory attacks, and partial accumulators
-//! over disjoint trace ranges can be [`DpaAccumulator::merge`]d for parallel
-//! out-of-core folds.  [`InputClasses`] is the bounded distinct-input table
-//! behind their class aggregation, also used by `dpl-store` to record an
-//! archive's distinct-input count.  [`fold_cross_moments`] is the blocked
+//! over disjoint trace ranges can be merged ([`CpaAccumulator::merge`]
+//! backs the chunk-parallel out-of-core CPA).  [`InputClasses`] is the
+//! bounded distinct-input table behind their class aggregation, also used
+//! by `dpl-store` to record an archive's distinct-input count.  [`fold_cross_moments`] is the blocked
 //! cross-moment kernel behind CPA's diverse-input pass, also used by the
 //! prefix CPA of `dpl-eval`.  [`TraceSink`] is the write-side
 //! counterpart: trace generators stream measurements into any sink

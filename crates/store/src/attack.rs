@@ -27,19 +27,6 @@ where
     }
 }
 
-impl<F> MergeFold for DpaAccumulator<F>
-where
-    F: Fn(u64, u64) -> bool + Clone,
-{
-    fn partial(&self, _first_trace: u64) -> Result<Self> {
-        Ok(DpaAccumulator::partial(self)?)
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<()> {
-        Ok(DpaAccumulator::merge(self, other)?)
-    }
-}
-
 impl<F> Fold for CpaAccumulator<F>
 where
     F: Fn(u64, u64) -> f64,
@@ -136,10 +123,11 @@ where
     Ok(fold(source, acc, Reading::Strict)?.0)
 }
 
-/// Parallel out-of-core CPA with [`fold_parallel`]: each worker opens its
-/// own source via `open` (e.g. a [`crate::ShardedReader`] manifest).  A
-/// few-class campaign is read once; the diverse-input path merges
-/// per-chunk forks of the sealed accumulator in a second pass.
+/// Parallel out-of-core CPA with [`fold_parallel`], the one statistic under
+/// its numeric contract: each worker opens its own source via `open` (e.g.
+/// a [`crate::ShardedReader`] manifest) once for the fold.  A few-class
+/// campaign is read once; the diverse-input path merges per-chunk forks of
+/// the sealed accumulator in a second pass.
 ///
 /// # Errors
 ///

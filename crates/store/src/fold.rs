@@ -5,8 +5,8 @@
 //! chunk producers, both under a strict or salvage [`Reading`]: [`fold`]
 //! reads inline from any [`ChunkSource`], and [`fold_read_ahead`] has
 //! worker threads read, verify and decode the chunks ahead of it.
-//! [`fold_parallel`] runs a [`MergeFold`] across scoped threads, one
-//! partial per chunk.
+//! [`fold_parallel`] runs a [`MergeFold`] on the same workers, which fold
+//! one partial per chunk.
 //!
 //! # Numeric contracts
 //!
@@ -21,23 +21,31 @@
 //!    read-ahead worker count, and any shard layout, since a
 //!    [`crate::ShardedReader`] yields the single-archive chunk stream.  A
 //!    salvage fold over a damaged campaign equals the strict fold over the
-//!    same campaign with the lost chunks' traces removed.
-//! 2. **Chunk-parallel folds are deterministic and layout-independent, and
-//!    within 1e-12 of sequential.**  [`fold_parallel`] builds one partial
-//!    per chunk and merges the partials left to right in chunk order,
-//!    whatever the worker or shard count.  Merging re-associates the sums,
-//!    so the scores agree with the sequential fold to 1e-12, not bit for
-//!    bit.
+//!    same campaign with the lost chunks' traces removed.  DPA and both
+//!    TVLA orders run only under this contract.
+//! 2. **Chunk-parallel CPA is deterministic and layout-independent, and
+//!    within 1e-12 of sequential.**  [`fold_parallel`] — through
+//!    [`crate::cpa_attack_parallel_with`], the one statistic that uses it —
+//!    folds one partial per chunk and merges the partials left to right in
+//!    chunk order, whatever the worker or shard count.  Merging
+//!    re-associates the sums, so the scores agree with the sequential fold
+//!    to 1e-12, not bit for bit.
 //!
-//! # Read-ahead
+//! # Workers
 //!
-//! [`fold_read_ahead`] requests only the chunks a pass folds — every chunk
-//! in pass 1, only the chunks that verified in a replay — round-robin by
-//! chunk index over its workers, and takes them back in chunk order.  At
-//! most `workers + 1` decoded chunks are alive at once (requested, or being
-//! folded), and their buffers are recycled.  Salvage retries and damage
-//! classification run on the worker that read the chunk, so the
-//! [`DamageReport`] is the sequential one.  Errors surface in chunk order;
+//! [`fold_read_ahead`] and [`fold_parallel`] share one pool of scoped
+//! worker threads.  Each worker opens its own source once per fold and
+//! serves `(chunk index, item)` requests, round-robin by chunk index; the
+//! caller takes the replies back in chunk order.  A read-ahead item is a
+//! recycled chunk buffer the worker decodes into; a chunk-parallel item is
+//! the partial the caller forks for the chunk ([`MergeFold::partial`]),
+//! which the worker folds the chunk into.  A pass requests only the chunks
+//! it folds — every chunk in pass 1, only the chunks that verified in a
+//! replay — and at most `workers + 1` chunk buffers (or partials) are
+//! alive at once: requested, or being folded (merged) by the caller.
+//! Salvage retries and damage classification run on the worker that read
+//! the chunk, so the [`DamageReport`] is the sequential one.  A worker
+//! stops at its first failure; errors surface in chunk order, and
 //! returning early drops the channels, so every worker stops and joins.
 //!
 //! # Salvage
@@ -50,7 +58,8 @@
 //! passes must fold the same traces.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::Scope;
 
 use dpl_obs::{names, rate_per_sec, Obs, SpanGuard};
 use dpl_power::TraceSet;
@@ -249,69 +258,116 @@ impl<S: ChunkSource + ?Sized> Producer for Inline<'_, '_, S> {
     }
 }
 
-/// A decoded chunk (or its damage) with the buffer it was read into.
-type Decoded = Result<(Option<DamagedChunk>, TraceSet)>;
+/// One worker's channels: requested chunk indices, each with its item, and
+/// the replies in request order.
+type Lane<T, U, E> = (Sender<(usize, T)>, Receiver<std::result::Result<U, E>>);
 
-/// One read-ahead worker's channels: requested chunk indices, each with
-/// the buffer to decode into, and the decoded chunks in request order.
-struct Lane {
-    requests: Sender<(usize, TraceSet)>,
-    decoded: Receiver<Decoded>,
+/// Scoped worker threads that each open their own source and serve chunk
+/// requests, round-robin by chunk index, replying in request order (see
+/// the [module docs](self)).
+struct Workers<T, U, E> {
+    lanes: Vec<Lane<T, U, E>>,
+    /// Requested chunks whose replies the caller has not taken, in order.
+    pending: VecDeque<usize>,
 }
 
-/// Requests chunks from worker threads ahead of the loop and hands them
-/// over in plan order.
+impl<T: Send, U: Send, E: Send + From<StoreError>> Workers<T, U, E> {
+    /// Spawns `count` workers on `scope`.  Each calls `start` once, to open
+    /// its source and build its request handler, then answers requests
+    /// until the caller hangs up or a reply fails; a `start` error is the
+    /// worker's only reply.
+    fn spawn<'scope, 'env, W>(
+        scope: &'scope Scope<'scope, 'env>,
+        count: usize,
+        start: &'env (impl Fn() -> std::result::Result<W, E> + Sync),
+    ) -> Self
+    where
+        W: FnMut(usize, T) -> std::result::Result<U, E>,
+        T: 'scope,
+        U: 'scope,
+        E: 'scope,
+    {
+        let lanes = (0..count)
+            .map(|_| {
+                let (requests, inbox) = channel::<(usize, T)>();
+                let (outbox, replies) = channel();
+                scope.spawn(move || {
+                    let mut serve = match start() {
+                        Ok(serve) => serve,
+                        Err(e) => {
+                            let _ = outbox.send(Err(e));
+                            return;
+                        }
+                    };
+                    for (index, item) in inbox {
+                        let reply = serve(index, item);
+                        let failed = reply.is_err();
+                        // A closed outbox means the fold stopped early.
+                        if outbox.send(reply).is_err() || failed {
+                            return;
+                        }
+                    }
+                });
+                (requests, replies)
+            })
+            .collect();
+        Workers {
+            lanes,
+            pending: VecDeque::new(),
+        }
+    }
+
+    /// Whether fewer than `workers + 1` requests are outstanding.
+    fn has_room(&self) -> bool {
+        self.pending.len() <= self.lanes.len()
+    }
+
+    /// Hands chunk `index` with its item to the worker that owns the index.
+    fn request(&mut self, index: usize, item: T) {
+        // A closed lane means its worker stopped on an error, which its last
+        // reply carries.
+        let _ = self.lanes[index % self.lanes.len()].0.send((index, item));
+        self.pending.push_back(index);
+    }
+
+    /// The reply to the oldest outstanding request, or `None` when none is
+    /// outstanding.
+    fn reply(&mut self) -> Option<std::result::Result<U, E>> {
+        let index = self.pending.pop_front()?;
+        let reply = self.lanes[index % self.lanes.len()].1.recv();
+        Some(reply.unwrap_or_else(|_| {
+            Err(StoreError::FormatViolation {
+                message: format!("chunk {index} was never read"),
+            }
+            .into())
+        }))
+    }
+}
+
+/// Requests chunks from the workers ahead of the loop and hands them over
+/// in plan order.
 struct ReadAhead {
-    lanes: Vec<Lane>,
+    workers: Workers<TraceSet, (Option<DamagedChunk>, TraceSet), StoreError>,
     plan: Plan,
-    /// Requested chunks the loop has not taken yet, in plan order.
-    pending: VecDeque<usize>,
     /// The chunk the loop is folding.
     current: Option<TraceSet>,
     /// Buffers free for the next requests.
     spare: Vec<TraceSet>,
 }
 
-impl ReadAhead {
-    /// Requests the plan's next chunk, if any, from the worker that owns its
-    /// index.
-    fn request(&mut self) {
-        if let Some(index) = self.plan.next() {
-            let buffer = self.spare.pop().unwrap_or_default();
-            // A closed lane means its worker stopped on an error, which its
-            // last reply carries.
-            let _ = self.lanes[index % self.lanes.len()]
-                .requests
-                .send((index, buffer));
-            self.pending.push_back(index);
-        }
-    }
-}
-
 impl Producer for ReadAhead {
     fn begin(&mut self, plan: Plan) {
         self.plan = plan;
-        self.spare.extend(self.current.take());
-        // One chunk per worker in flight, plus the one the loop folds.
-        for _ in 0..=self.lanes.len() {
-            self.request();
-        }
     }
 
     fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>> {
-        if let Some(folded) = self.current.take() {
-            self.spare.push(folded);
-            self.request();
+        self.spare.extend(self.current.take());
+        while self.workers.has_room() {
+            let Some(index) = self.plan.next() else { break };
+            let buffer = self.spare.pop().unwrap_or_default();
+            self.workers.request(index, buffer);
         }
-        let index = self.pending.pop_front()?;
-        let decoded = self.lanes[index % self.lanes.len()]
-            .decoded
-            .recv()
-            .unwrap_or_else(|_| {
-                Err(StoreError::FormatViolation {
-                    message: format!("chunk {index} was never read"),
-                })
-            });
+        let decoded = self.workers.reply()?;
         Some(decoded.map(|(damage, chunk)| (damage, &*self.current.insert(chunk))))
     }
 }
@@ -421,13 +477,13 @@ where
 
 /// [`fold`] with read-ahead: `workers` scoped threads each open their own
 /// source via `open` and read, verify and decode the chunks the fold
-/// requests, round-robin by chunk index, while the calling thread folds
-/// them in global order.  The result — statistic and [`DamageReport`] — is
-/// the sequential fold's, bit for bit, for any worker count.  The fold's
-/// span, counters and progress go to `obs`; chunk-read counters go to
-/// whatever context `open` attaches to its sources.  Workers default to the
-/// available parallelism (at most 8) and are clamped to the chunk count.
-/// See the [module docs](self) for the contracts and the in-flight bound.
+/// requests, while the calling thread folds them in global order.  The
+/// result — statistic and [`DamageReport`] — is the sequential fold's, bit
+/// for bit, for any worker count.  The fold's span, counters and progress
+/// go to `obs`; chunk-read counters go to whatever context `open` attaches
+/// to its sources.  Workers default to the available parallelism (at most
+/// 8) and are clamped to the chunk count.  See the [module docs](self) for
+/// the contracts and the in-flight bound.
 ///
 /// # Errors
 ///
@@ -445,37 +501,17 @@ where
     A: Fold,
 {
     let shape = Shape::of(&open()?);
-    let workers = worker_count(workers, shape.chunks);
+    let start = || {
+        let mut source = open()?;
+        Ok(move |index, mut chunk: TraceSet| {
+            let damage = read_into(&mut source, index, reading, &mut chunk)?;
+            Ok((damage, chunk))
+        })
+    };
     std::thread::scope(|scope| {
-        let lanes = (0..workers)
-            .map(|_| {
-                let (requests, inbox) = channel::<(usize, TraceSet)>();
-                let (outbox, decoded) = channel();
-                let open = &open;
-                scope.spawn(move || {
-                    let mut source = match open() {
-                        Ok(source) => source,
-                        Err(e) => {
-                            let _ = outbox.send(Err(e));
-                            return;
-                        }
-                    };
-                    for (index, mut chunk) in inbox {
-                        let read = read_into(&mut source, index, reading, &mut chunk);
-                        let failed = read.is_err();
-                        // A closed outbox means the fold stopped early.
-                        if outbox.send(read.map(|damage| (damage, chunk))).is_err() || failed {
-                            return;
-                        }
-                    }
-                });
-                Lane { requests, decoded }
-            })
-            .collect();
         let read_ahead = ReadAhead {
-            lanes,
+            workers: Workers::spawn(scope, worker_count(workers, shape.chunks), &start),
             plan: plan(0, Vec::new()),
-            pending: VecDeque::new(),
             current: None,
             spare: Vec::new(),
         };
@@ -491,20 +527,19 @@ pub fn worker_count(requested: Option<usize>, units: usize) -> usize {
         .clamp(1, units.max(1))
 }
 
-/// Folds `acc` over a campaign across scoped threads: each worker opens its
-/// own source via `open` (so no seek positions are shared), builds one
-/// [`MergeFold::partial`] per chunk of its round-robin share, and hands it
-/// through a one-slot channel; the caller merges the partials into `acc`
-/// left to right in chunk order, pass by pass.  At most two partials per
-/// worker are alive at once, plus the one being merged and the pass's
-/// template.  Workers default to the available parallelism (at most 8) and
-/// are clamped to the chunk count.  See the [module docs](self) for the
-/// numeric contract.
+/// Folds `acc` over a campaign on the read-ahead workers: the caller forks
+/// one [`MergeFold::partial`] per chunk, the worker that owns the chunk
+/// reads it from its own source (opened via `open`) and folds it into the
+/// partial, and the caller merges the partials into `acc` left to right in
+/// chunk order, pass by pass.  At most `workers + 1` partials are alive at
+/// once, the one being merged included.  Workers default to the available
+/// parallelism (at most 8) and are clamped to the chunk count.  See the
+/// [module docs](self) for the numeric contract.
 ///
 /// # Errors
 ///
 /// Returns the accumulator's error (e.g. an empty campaign), an open
-/// failure, or any chunk failure in any worker.
+/// failure, or the first failing chunk's error, in chunk order.
 pub fn fold_parallel<S, O, A>(
     open: O,
     mut acc: A,
@@ -517,66 +552,39 @@ where
     A::Error: Send,
 {
     let probe = open()?;
-    let chunks = probe.chunk_count();
-    let chunk_traces = probe.meta().chunk_traces as u64;
+    let (chunks, chunk_traces) = (probe.chunk_count(), probe.meta().chunk_traces as u64);
     drop(probe);
-    let workers = worker_count(workers, chunks);
-    let mut replay = false;
-    loop {
-        // Workers fork their partials from a template, so the caller can
-        // merge into `acc` while they run.
-        let template = acc.partial(0)?;
-        std::thread::scope(|scope| {
-            let lanes: Vec<Receiver<std::result::Result<A, A::Error>>> = (0..workers)
-                .map(|worker| {
-                    let (lane, receiver) = sync_channel(1);
-                    let (open, template) = (&open, &template);
-                    scope.spawn(move || {
-                        let mut source = match open() {
-                            Ok(source) => source,
-                            Err(e) => {
-                                let _ = lane.send(Err(e.into()));
-                                return;
-                            }
-                        };
-                        let mut chunk = TraceSet::new();
-                        for index in (worker..chunks).step_by(workers) {
-                            let partial = source
-                                .read_chunk_into(index, &mut chunk)
-                                .map_err(A::Error::from)
-                                .and_then(|()| template.partial(index as u64 * chunk_traces))
-                                .and_then(|mut partial| {
-                                    partial.update(&chunk)?;
-                                    Ok(partial)
-                                });
-                            let failed = partial.is_err();
-                            // A closed lane means the caller stopped on an
-                            // earlier error.
-                            if lane.send(partial).is_err() || failed {
-                                return;
-                            }
-                        }
-                    });
-                    receiver
-                })
-                .collect();
-            for index in 0..chunks {
-                let partial =
-                    lanes[index % workers]
-                        .recv()
-                        .map_err(|_| StoreError::FormatViolation {
-                            message: format!("chunk {index} was never processed"),
-                        })??;
-                acc.merge(&partial)?;
+    let start = || {
+        let mut source = open()?;
+        let mut chunk = TraceSet::new();
+        Ok(move |index, mut partial: A| {
+            source.read_chunk_into(index, &mut chunk)?;
+            partial.update(&chunk)?;
+            Ok::<A, A::Error>(partial)
+        })
+    };
+    std::thread::scope(|scope| {
+        let mut workers = Workers::spawn(scope, worker_count(workers, chunks), &start);
+        let mut replay = false;
+        loop {
+            let mut plan = 0..chunks;
+            loop {
+                while workers.has_room() {
+                    let Some(index) = plan.next() else { break };
+                    workers.request(index, acc.partial(index as u64 * chunk_traces)?);
+                }
+                let Some(partial) = workers.reply() else {
+                    break;
+                };
+                acc.merge(&partial?)?;
             }
-            Ok::<(), A::Error>(())
-        })?;
-        if replay || !acc.begin_pass()? {
-            break;
+            if replay || !acc.begin_pass()? {
+                break;
+            }
+            replay = true;
         }
-        replay = true;
-    }
-    acc.finalize()
+        acc.finalize()
+    })
 }
 
 #[cfg(test)]
@@ -588,11 +596,14 @@ mod tests {
     use crate::format::{ArchiveMeta, ModelTag};
 
     /// An in-memory campaign: `chunks` chunks of `chunk` one-sample traces,
-    /// each trace's input its global index.  `reads` counts chunk reads.
+    /// each trace's input its global index.  `reads` counts chunk reads;
+    /// chunk `fail`, if any, fails its reads once `chunks` reads were
+    /// served, that is in a replay.
     struct Memory {
         meta: ArchiveMeta,
         chunks: usize,
         reads: Arc<AtomicUsize>,
+        fail: Option<usize>,
     }
 
     impl Memory {
@@ -601,6 +612,7 @@ mod tests {
                 meta: ArchiveMeta::scalar(chunk, ModelTag::Unspecified, 0),
                 chunks,
                 reads: Arc::default(),
+                fail: None,
             }
         }
     }
@@ -619,7 +631,10 @@ mod tests {
             None
         }
         fn read_chunk(&mut self, index: usize) -> Result<TraceSet> {
-            self.reads.fetch_add(1, Ordering::SeqCst);
+            let served = self.reads.fetch_add(1, Ordering::SeqCst);
+            if self.fail == Some(index) && served >= self.chunks {
+                return Err(StoreError::ChecksumMismatch { chunk: index });
+            }
             let mut set = TraceSet::new();
             for t in 0..self.meta.chunk_traces {
                 let trace = (index * self.meta.chunk_traces + t) as u64;
@@ -635,12 +650,13 @@ mod tests {
         }
     }
 
-    /// A fold that sums the samples and records which chunks it merged,
-    /// counting its live partials.
+    /// A fold over one or two passes that sums the samples and records
+    /// which chunks it merged, counting its live partials.
     struct Counting {
         sum: f64,
         chunks: Vec<u64>,
         first: u64,
+        passes: usize,
         /// (live, peak) partial counts; the root fold holds them uncounted.
         live: Arc<(AtomicUsize, AtomicUsize)>,
         counted: bool,
@@ -665,6 +681,10 @@ mod tests {
             Ok(())
         }
 
+        fn begin_pass(&mut self) -> Result<bool> {
+            Ok(self.passes == 2)
+        }
+
         fn finalize(mut self) -> Result<(f64, Vec<u64>)> {
             Ok((self.sum, std::mem::take(&mut self.chunks)))
         }
@@ -678,6 +698,7 @@ mod tests {
                 sum: 0.0,
                 chunks: Vec::new(),
                 first: first_trace,
+                passes: self.passes,
                 live: Arc::clone(&self.live),
                 counted: true,
             })
@@ -694,33 +715,71 @@ mod tests {
     fn parallel_folds_keep_partials_bounded_and_merge_in_chunk_order() {
         const CHUNK: usize = 3;
         const CHUNKS: usize = 1024;
-        // The sequential left fold of the per-chunk partials.
         let mut source = Memory::new(CHUNK, CHUNKS);
-        let mut expected = 0.0f64;
-        for index in 0..CHUNKS {
-            let chunk = source.read_chunk(index).unwrap();
-            expected += chunk.sample_column(0).iter().fold(0.0, |s, v| s + v);
+        let sums: Vec<f64> = (0..CHUNKS)
+            .map(|index| {
+                let chunk = source.read_chunk(index).unwrap();
+                chunk.sample_column(0).iter().fold(0.0, |s, v| s + v)
+            })
+            .collect();
+        for passes in [1, 2] {
+            // The sequential left fold of the per-chunk partials, pass by
+            // pass.
+            let expected = (0..passes).flat_map(|_| &sums).fold(0.0, |s, v| s + v);
+            let order: Vec<u64> = (0..passes)
+                .flat_map(|_| (0..CHUNKS as u64).map(|c| c * CHUNK as u64))
+                .collect();
+            for workers in [1, 2, 4] {
+                let case = format!("{passes} passes, {workers} workers");
+                let live = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
+                let root = Counting {
+                    sum: 0.0,
+                    chunks: Vec::new(),
+                    first: 0,
+                    passes,
+                    live: Arc::clone(&live),
+                    counted: false,
+                };
+                let opens = AtomicUsize::new(0);
+                let open = || {
+                    opens.fetch_add(1, Ordering::SeqCst);
+                    Ok(Memory::new(CHUNK, CHUNKS))
+                };
+                let (sum, chunks) = fold_parallel(open, root, Some(workers)).unwrap();
+                assert_eq!(sum.to_bits(), expected.to_bits(), "{case}");
+                assert_eq!(chunks, order, "{case}: chunk order");
+                // The shape probe, then one open per worker for the fold.
+                assert_eq!(opens.load(Ordering::SeqCst), 1 + workers, "{case}");
+                let peak = live.1.load(Ordering::SeqCst);
+                assert!(peak <= workers + 1, "{case}: {peak} live partials");
+                assert_eq!(live.0.load(Ordering::SeqCst), 0, "every partial dropped");
+            }
         }
-        let order: Vec<u64> = (0..CHUNKS as u64).map(|c| c * CHUNK as u64).collect();
+    }
+
+    #[test]
+    fn a_chunk_failing_its_replay_fails_parallel_cpa_after_every_worker_joins() {
+        const CHUNK: usize = 8;
+        const CHUNKS: usize = 40;
+        const BAD: usize = 29;
+        let model = |input: u64, guess: u64| ((input ^ guess) & 0xF).count_ones() as f64;
         for workers in [1, 2, 4] {
-            let live = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
-            let root = Counting {
-                sum: 0.0,
-                chunks: Vec::new(),
-                first: 0,
-                live: Arc::clone(&live),
-                counted: false,
+            let reads = Arc::new(AtomicUsize::new(0));
+            let open = || {
+                Ok(Memory {
+                    reads: Arc::clone(&reads),
+                    fail: Some(BAD),
+                    ..Memory::new(CHUNK, CHUNKS)
+                })
             };
-            let open = || Ok(Memory::new(CHUNK, CHUNKS));
-            let (sum, chunks) = fold_parallel(open, root, Some(workers)).unwrap();
-            assert_eq!(sum.to_bits(), expected.to_bits(), "{workers} workers");
-            assert_eq!(chunks, order, "{workers} workers");
-            let peak = live.1.load(Ordering::SeqCst);
+            let err = crate::cpa_attack_parallel_with(open, 16, model, Some(workers)).unwrap_err();
             assert!(
-                peak <= 2 * workers + 2,
-                "{workers} workers: {peak} live partials"
+                matches!(err, StoreError::ChecksumMismatch { chunk: BAD }),
+                "{workers} workers: {err}"
             );
-            assert_eq!(live.0.load(Ordering::SeqCst), 0, "every partial dropped");
+            assert!(reads.load(Ordering::SeqCst) > CHUNKS, "failed in pass 2");
+            // Every worker's source is gone: its thread has ended.
+            assert_eq!(Arc::strong_count(&reads), 1, "{workers} workers");
         }
     }
 

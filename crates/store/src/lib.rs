@@ -17,9 +17,9 @@
 //! * [`mod@fold`] — the fold engine: [`fold()`] runs any [`Fold`] statistic
 //!   over a [`ChunkSource`] under a strict or salvage [`Reading`],
 //!   [`fold_read_ahead`] runs the same loop with worker threads decoding
-//!   chunks ahead of it, and [`fold_parallel`] runs a [`MergeFold`] across
-//!   scoped threads; its module docs state the numeric contracts of every
-//!   out-of-core fold,
+//!   chunks ahead of it, and [`fold_parallel`] runs a [`MergeFold`] (CPA's)
+//!   on the same workers, one partial per chunk; its module docs state the
+//!   numeric contracts of every out-of-core fold,
 //! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] /
 //!   [`cpa_attack_parallel_with`] — the out-of-core attacks built on it.
 //!

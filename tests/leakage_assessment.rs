@@ -24,8 +24,8 @@ use dpl_eval::{
 };
 use dpl_power::{TraceSet, TraceSink};
 use dpl_store::{
-    fold, fold_parallel, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression,
-    ModelTag, Reading, SampleEncoding,
+    fold, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression, ModelTag, Reading,
+    SampleEncoding,
 };
 
 fn temp_archive(name: &str) -> PathBuf {
@@ -200,66 +200,6 @@ fn salvage_tvla_report_is_the_same_with_read_ahead_workers() {
         let parallel =
             tvla_report(path_str, &orders, Some(workers), true, None).expect("salvage t-test");
         assert_eq!(parallel, sequential, "{workers} workers");
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-/// The Welch accumulators are also chunk-mergeable folds: `fold_parallel`
-/// over either order is independent of the worker count and within
-/// reassociation error of the sequential (in-memory) statistic.
-#[test]
-fn chunk_parallel_tvla_folds_are_worker_independent_and_near_sequential() {
-    const TRACES: usize = 700;
-    const SAMPLES: usize = 5;
-    let traces = synthetic_tvla_traces(TRACES, SAMPLES);
-    let path = temp_archive("tvla_chunk_parallel");
-    let meta = ArchiveMeta {
-        samples_per_trace: SAMPLES,
-        ..ArchiveMeta::scalar_tvla(64, ModelTag::Unspecified, 0)
-    };
-    let mut writer = ArchiveWriter::create(&path, meta).expect("create");
-    let mut oracle = TraceSet::new();
-    for (input, samples) in &traces {
-        writer.append(*input, samples).expect("append");
-        TraceSink::record(&mut oracle, *input, samples).expect("oracle");
-    }
-    writer.finish().expect("finish");
-    let open = || ArchiveReader::open(&path);
-    let near = |a: &[f64], b: &[f64]| {
-        a.iter()
-            .zip(b)
-            .all(|(x, y)| (x - y).abs() <= 1e-12 * x.abs().max(1.0))
-    };
-
-    let first_mem = tvla(&oracle, interleaved_partition).expect("in-memory");
-    let second_mem = tvla_second_order(&oracle, interleaved_partition).expect("in-memory 2nd");
-    let first_one = fold_parallel(open, WelchAccumulator::new(interleaved_partition), Some(1))
-        .expect("first order");
-    let second_one = fold_parallel(
-        open,
-        SecondOrderWelchAccumulator::new(interleaved_partition),
-        Some(1),
-    )
-    .expect("second order");
-    assert_eq!(first_one.counts, first_mem.counts);
-    assert_eq!(second_one.counts, second_mem.counts);
-    assert!(near(&first_one.t, &first_mem.t), "first order");
-    assert!(near(&second_one.t, &second_mem.t), "second order");
-    for workers in [2, 3, 4] {
-        let first = fold_parallel(
-            open,
-            WelchAccumulator::new(interleaved_partition),
-            Some(workers),
-        )
-        .expect("first order");
-        assert_eq!(first, first_one, "first order, workers = {workers}");
-        let second = fold_parallel(
-            open,
-            SecondOrderWelchAccumulator::new(interleaved_partition),
-            Some(workers),
-        )
-        .expect("second order");
-        assert_eq!(second, second_one, "second order, workers = {workers}");
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -13,8 +13,8 @@ use dpl_obs::{names, Obs};
 use dpl_power::{cpa_attack, dpa_attack, DpaAccumulator, TraceSet, TraceSink};
 use dpl_store::{
     cpa_attack_parallel_with, cpa_attack_streaming, cpa_passes, dpa_attack_streaming,
-    fold_parallel, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind,
-    ChunkSource, Compression, ModelTag, SampleEncoding,
+    fold_read_ahead, input_profile, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind,
+    ChunkSource, Compression, ModelTag, Reading, SampleEncoding,
 };
 
 fn temp_archive(name: &str) -> PathBuf {
@@ -77,23 +77,21 @@ fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
     assert_eq!(cpa_streamed.best_guess, cpa_memory.best_guess);
     assert_eq!(cpa_streamed.best_guess, u64::from(key));
 
-    // The scoped-thread folds merge per-chunk partials in chunk order:
-    // worker-count independent, same recovered key, scores within
-    // floating-point reassociation error of the sequential fold.
-    let dpa_parallel = |workers| {
-        let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader))?;
-        fold_parallel(|| ArchiveReader::open(&path), acc, Some(workers))
-    };
-    let dpa_one = dpa_parallel(1).expect("dpa 1 worker");
-    for workers in [2, 3, 5] {
-        let dpa_n = dpa_parallel(workers).expect("dpa n workers");
-        assert_eq!(dpa_n.scores, dpa_one.scores, "workers = {workers}");
-    }
-    assert_eq!(dpa_one.best_guess, dpa_memory.best_guess);
-    for (a, b) in dpa_one.scores.iter().zip(&dpa_memory.scores) {
-        assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
+    // Read-ahead DPA folds the decoded chunks in trace order on the calling
+    // thread: bit-identical to the in-memory attack for any worker count.
+    for workers in [1, 2, 3, 5] {
+        let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader)).unwrap();
+        let open = || ArchiveReader::open(&path);
+        let (dpa_ahead, report) = fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
+            .expect("read-ahead dpa");
+        assert!(report.is_clean(), "workers = {workers}");
+        assert_eq!(dpa_ahead.scores, dpa_memory.scores, "workers = {workers}");
+        assert_eq!(dpa_ahead.best_guess, dpa_memory.best_guess);
     }
 
+    // Chunk-parallel CPA merges per-chunk partials in chunk order:
+    // worker-count independent, same recovered key, scores within
+    // floating-point reassociation error of the sequential fold.
     let open = || ArchiveReader::open(&path);
     let cpa_one = cpa_attack_parallel_with(open, 16, model, Some(1)).expect("cpa 1 worker");
     let cpa_four = cpa_attack_parallel_with(open, 16, model, Some(4)).expect("cpa 4 workers");
