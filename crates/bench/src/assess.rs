@@ -413,11 +413,14 @@ fn render_tvla(out: &mut String, order: TvlaOrder, result: &TvlaResult) {
 
 /// Experiment: streaming TVLA over an interleaved fixed-vs-random archive
 /// or sharded campaign (`repro tvla <file>`).  `orders` selects
-/// first-order, second-order or both; `workers` switches to the read-ahead
-/// fold, whose worker threads decode chunks ahead of the t-test (the
-/// result is the same, bit for bit).  `salvage` folds whatever chunks of a
-/// damaged campaign survive and renders the damage alongside each
-/// statistic (`repro tvla <file> --salvage`), with or without workers.
+/// first-order, second-order or both; any set with the second order runs
+/// one two-pass fold whose first pass is the first-order test, so both
+/// orders read the campaign twice and each renders what it renders alone.
+/// `workers` switches to the read-ahead fold, whose worker threads decode
+/// chunks ahead of the t-test (the result is the same, bit for bit).
+/// `salvage` folds whatever chunks of a damaged campaign survive and
+/// renders the damage once, above the statistics (`repro tvla <file>
+/// --salvage`), with or without workers.
 /// With `obs`, the fold's span and throughput gauges land there, and so do
 /// the chunk counters and salvage drops of every reader, workers' included.
 ///
@@ -471,7 +474,7 @@ pub fn tvla_report(
 }
 
 /// The shared body of [`tvla_report`]: the campaign check, header
-/// line and per-order folds, generic over the chunk source (single archive
+/// line and the one fold, generic over the chunk source (single archive
 /// or sharded campaign, whose `layout` tags the header).  `open` opens
 /// sources like `source` for the read-ahead workers.
 #[allow(clippy::too_many_arguments)]
@@ -518,22 +521,23 @@ where
     } else {
         Reading::Strict
     };
+    // One second-order fold yields both orders; a first-order test alone
+    // reads the campaign once.  `results[order as usize]` is that order's.
+    let folded = if orders.contains(&TvlaOrder::Second) {
+        let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
+        fold_with(source, &open, acc, reading, workers, obs)
+            .map(|((first, second), damage)| (vec![first, second], damage))
+    } else {
+        let acc = WelchAccumulator::new(interleaved_partition);
+        fold_with(source, &open, acc, reading, workers, obs)
+            .map(|(first, damage)| (vec![first], damage))
+    };
+    let (results, damage) = folded.map_err(|e| format!("{test} over {path} failed: {e}"))?;
+    if salvage {
+        let _ = writeln!(out, "salvage: {}", damage.render());
+    }
     for &order in orders {
-        let folded = match order {
-            TvlaOrder::First => {
-                let acc = WelchAccumulator::new(interleaved_partition);
-                fold_with(source, &open, acc, reading, workers, obs)
-            }
-            TvlaOrder::Second => {
-                let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-                fold_with(source, &open, acc, reading, workers, obs)
-            }
-        };
-        let (result, damage) = folded.map_err(|e| format!("{test} over {path} failed: {e}"))?;
-        if salvage {
-            let _ = writeln!(out, "salvage: {}", damage.render());
-        }
-        render_tvla(&mut out, order, &result);
+        render_tvla(&mut out, order, &results[order as usize]);
     }
     Ok(out)
 }

@@ -1383,6 +1383,8 @@ fn run_charac_table(args: &[String]) -> ExitCode {
 /// `repro tvla <file> [--order 1|2|both] [--workers n] [--salvage]`:
 /// streaming Welch t-test over an interleaved fixed-vs-random archive or
 /// campaign; `--salvage` assesses a damaged one's surviving chunks.
+/// `--order 1` reads the campaign once; `2` and `both` (the default) read
+/// it twice, in one fold whose first pass is the first-order test.
 fn run_tvla(args: &[String]) -> ExitCode {
     let (args, telemetry) = match TelemetrySession::from_args(args) {
         Ok(parsed) => parsed,
@@ -1439,17 +1441,16 @@ fn tvla_command(args: &[String], telemetry: Option<&TelemetrySession>) -> Result
     };
     if let Some(session) = telemetry {
         // The fold advances the progress plane per chunk; a first-order
-        // t-test is one pass over the archive, a second-order test two
-        // (means, then centered moments).  The total is a header probe —
-        // when the file cannot be opened the progress plane just runs
-        // without an ETA and the fold below reports the real error.
-        let passes: u64 = orders
-            .iter()
-            .map(|order| match order {
-                TvlaOrder::First => 1,
-                TvlaOrder::Second => 2,
-            })
-            .sum();
+        // t-test is one pass over the archive, and any order set with the
+        // second order is one two-pass fold (means, then centered moments)
+        // that yields both orders.  The total is a header probe — when the
+        // file cannot be opened the progress plane just runs without an
+        // ETA and the fold below reports the real error.
+        let passes: u64 = if orders.contains(&TvlaOrder::Second) {
+            2
+        } else {
+            1
+        };
         let total = if is_manifest_file(&path) {
             ShardedReader::open_with_policy(&path, ReadPolicy::Salvage)
                 .ok()

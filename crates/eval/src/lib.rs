@@ -5,11 +5,10 @@
 //! in memory or out of core (`dpl-store`); this crate measures *resistance*:
 //!
 //! * [`mod@tvla`] — streaming Welch t-test leakage detection (Test Vector
-//!   Leakage Assessment): per-sample mergeable accumulators over
-//!   fixed-vs-random (or fixed-vs-fixed) partitions, first-order and
-//!   second-order (centered-product preprocessing), following the same
-//!   `update(chunk)` / `merge` / `fork` protocol as the attack accumulators
-//!   of `dpl-power`.  A single update over a whole
+//!   Leakage Assessment): per-sample accumulators over fixed-vs-random
+//!   (or fixed-vs-fixed) partitions, first-order and second-order
+//!   (centered-product preprocessing, whose first pass is the first-order
+//!   test, so one fold yields both orders).  A single update over a whole
 //!   [`TraceSet`](dpl_power::TraceSet) defines the in-memory statistic.
 //!   The accumulators are `dpl_store::Fold`s, so `dpl_store::fold` runs
 //!   them out of core (strict or salvage, single archive or sharded

@@ -7,7 +7,10 @@
 //! chunks while the caller folds them in trace order, so it is
 //! bit-identical to the sequential fold for any worker count (contract 1
 //! of [`dpl_store::fold`](mod@dpl_store::fold)), and each chunk is read
-//! once per pass.
+//! once per pass.  The second-order fold's first pass is the first-order
+//! test, so a caller that wants both orders folds a
+//! [`SecondOrderWelchAccumulator`] once and reads the campaign twice;
+//! [`tvla_parallel_with`] returns the order it was asked for.
 
 use dpl_obs::Obs;
 use dpl_store::{fold_read_ahead, ChunkSource, Reading, Result as StoreResult};
@@ -64,15 +67,15 @@ where
     O: Fn() -> StoreResult<S> + Sync,
     F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    let folded = match order {
+    Ok(match order {
         TvlaOrder::First => {
             let acc = WelchAccumulator::new(partition);
-            fold_read_ahead(open, acc, Reading::Strict, workers, obs)
+            fold_read_ahead(open, acc, Reading::Strict, workers, obs)?.0
         }
         TvlaOrder::Second => {
             let acc = SecondOrderWelchAccumulator::new(partition);
-            fold_read_ahead(open, acc, Reading::Strict, workers, obs)
+            let ((_, second), _) = fold_read_ahead(open, acc, Reading::Strict, workers, obs)?;
+            second
         }
-    };
-    Ok(folded?.0)
+    })
 }

@@ -10,8 +10,7 @@
 //! while a standard-CMOS (Hamming-weight) device fails it within a few
 //! hundred traces.
 //!
-//! The accumulators here follow the protocol of
-//! [`dpl_power::DpaAccumulator`] / [`dpl_power::CpaAccumulator`]:
+//! The accumulators here are [`dpl_store::Fold`]s:
 //!
 //! * a **single `update` over a whole [`TraceSet`]** defines the in-memory
 //!   statistic ([`tvla`] / [`tvla_second_order`]),
@@ -22,7 +21,13 @@
 //!   one thread in trace order, so they stay bit-identical too,
 //! * the second-order accumulator is two-pass (centered-product
 //!   preprocessing centers on the final per-group means), like the CPA
-//!   accumulator.
+//!   accumulator, and its first pass *is* the first-order test: one
+//!   second-order fold returns both orders' t-values from two reads of
+//!   the campaign.
+//!
+//! Both orders share one pass type: it classifies each chunk's traces
+//! once and pushes a per-sample value (the raw sample, or its centered
+//! square) through one 4-wide column loop.
 //!
 //! Groups are assigned by a *partition function* of the *global trace
 //! index* and the trace's input — pure, so any chunking or replay
@@ -172,16 +177,11 @@ fn empty_error() -> EvalError {
     }
 }
 
-/// First-order streaming Welch t-test accumulator.
-///
-/// Feed any chunking of a trace stream via [`WelchAccumulator::update`]
-/// (chunks in trace order), then [`WelchAccumulator::finalize`].  A single
-/// update over a whole [`TraceSet`] is the in-memory [`tvla`]; chunked
-/// updates are bit-identical to it.  `partition` must be a pure function of
-/// `(global trace index, input)`.
-#[derive(Debug, Clone)]
-pub struct WelchAccumulator<F> {
-    partition: F,
+/// One pass of a Welch test: the global index of its next trace, its
+/// sample width, the traces it classified per group, and the running sums
+/// of the values it pushed per (group, column).
+#[derive(Debug, Clone, Default)]
+struct Moments {
     next: u64,
     samples: Option<usize>,
     counts: [u64; 2],
@@ -189,56 +189,37 @@ pub struct WelchAccumulator<F> {
     stats: [Vec<ColumnStats>; 2],
 }
 
-impl<F> WelchAccumulator<F>
-where
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
-{
-    /// An empty accumulator whose first trace has global index 0.
-    pub fn new(partition: F) -> Self {
-        WelchAccumulator {
-            partition,
-            next: 0,
-            samples: None,
-            counts: [0; 2],
-            stats: [Vec::new(), Vec::new()],
-        }
-    }
-
-    /// Traces folded in so far (across both groups, including discarded
-    /// traces — the global index keeps advancing).
-    pub fn traces(&self) -> u64 {
-        self.next
-    }
-
-    /// Folds one chunk of traces (the next contiguous range) into the
-    /// accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a malformed chunk or an inconsistent sample
-    /// width.
-    pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+impl Moments {
+    /// Folds the next chunk: classifies each trace by `partition` of its
+    /// global index and input, then pushes `value(group, column, sample)`
+    /// of every classified trace into `stats[group][column]`.
+    fn update<F>(
+        &mut self,
+        partition: &F,
+        chunk: &TraceSet,
+        value: impl Fn(usize, usize, f64) -> f64,
+    ) -> Result<()>
+    where
+        F: Fn(u64, u64) -> Option<TvlaGroup>,
+    {
         if chunk.is_empty() {
             return Ok(());
         }
         let width = width_check(&mut self.samples, chunk)?;
         if self.stats[0].is_empty() {
-            self.stats = [
-                vec![ColumnStats::default(); width],
-                vec![ColumnStats::default(); width],
-            ];
+            self.stats = zeroed(width);
         }
         let groups: Vec<Option<TvlaGroup>> = chunk
             .inputs()
             .iter()
             .enumerate()
-            .map(|(t, &input)| (self.partition)(self.next + t as u64, input))
+            .map(|(t, &input)| partition(self.next + t as u64, input))
             .collect();
         for group in groups.iter().flatten() {
             self.counts[group.index()] += 1;
         }
         // Unrolled 4 wide across sample columns: every (group, sample) slot
-        // still receives its additions strictly in trace order, so this is
+        // still receives its pushes strictly in trace order, so this is
         // bit-identical to the column-at-a-time fold while amortizing the
         // per-trace group dispatch over four columns.
         let mut s = 0;
@@ -249,31 +230,89 @@ where
             let c3 = chunk.sample_column(s + 3);
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
-                let row = &mut self.stats[g.index()][s..s + 4];
-                row[0].push(c0[t]);
-                row[1].push(c1[t]);
-                row[2].push(c2[t]);
-                row[3].push(c3[t]);
+                let g = g.index();
+                let row = &mut self.stats[g][s..s + 4];
+                row[0].push(value(g, s, c0[t]));
+                row[1].push(value(g, s + 1, c1[t]));
+                row[2].push(value(g, s + 2, c2[t]));
+                row[3].push(value(g, s + 3, c3[t]));
             }
             s += 4;
         }
         while s < width {
             let column = chunk.sample_column(s);
-            let (fixed, random) = {
-                let [f, r] = &mut self.stats;
-                (&mut f[s], &mut r[s])
-            };
             for (group, &v) in groups.iter().zip(column) {
-                match group {
-                    Some(TvlaGroup::Fixed) => fixed.push(v),
-                    Some(TvlaGroup::Random) => random.push(v),
-                    None => {}
+                if let Some(g) = group {
+                    let g = g.index();
+                    self.stats[g][s].push(value(g, s, v));
                 }
             }
             s += 1;
         }
         self.next += chunk.len() as u64;
         Ok(())
+    }
+
+    /// Welch's t per column over the pushed values.
+    fn result(&self) -> TvlaResult {
+        let [fixed, random] = &self.stats;
+        let t = fixed
+            .iter()
+            .zip(random)
+            .map(|(a, b)| t_statistic(self.counts, a, b))
+            .collect();
+        TvlaResult {
+            t,
+            counts: self.counts,
+        }
+    }
+}
+
+/// Empty running sums for both groups over `width` columns.
+fn zeroed(width: usize) -> [Vec<ColumnStats>; 2] {
+    std::array::from_fn(|_| vec![ColumnStats::default(); width])
+}
+
+/// First-order streaming Welch t-test accumulator.
+///
+/// Feed any chunking of a trace stream via [`WelchAccumulator::update`]
+/// (chunks in trace order), then [`WelchAccumulator::finalize`].  A single
+/// update over a whole [`TraceSet`] is the in-memory [`tvla`]; chunked
+/// updates are bit-identical to it.  `partition` must be a pure function of
+/// `(global trace index, input)`.
+#[derive(Debug, Clone)]
+pub struct WelchAccumulator<F> {
+    partition: F,
+    moments: Moments,
+}
+
+impl<F> WelchAccumulator<F>
+where
+    F: Fn(u64, u64) -> Option<TvlaGroup>,
+{
+    /// An empty accumulator whose first trace has global index 0.
+    pub fn new(partition: F) -> Self {
+        WelchAccumulator {
+            partition,
+            moments: Moments::default(),
+        }
+    }
+
+    /// Traces folded in so far (across both groups, including discarded
+    /// traces — the global index keeps advancing).
+    pub fn traces(&self) -> u64 {
+        self.moments.next
+    }
+
+    /// Folds one chunk of traces (the next contiguous range) into the
+    /// accumulator.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a malformed chunk or an inconsistent sample
+    /// width.
+    pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+        self.moments.update(&self.partition, chunk, |_, _, v| v)
     }
 
     /// The per-sample t-statistics **without consuming** the accumulator —
@@ -286,13 +325,7 @@ where
         if self.traces() == 0 {
             return Err(empty_error());
         }
-        let t = (0..self.stats[0].len())
-            .map(|s| t_statistic(self.counts, &self.stats[0][s], &self.stats[1][s]))
-            .collect();
-        Ok(TvlaResult {
-            t,
-            counts: self.counts,
-        })
+        Ok(self.moments.result())
     }
 
     /// Consumes the accumulator and returns the per-sample t-statistics.
@@ -303,13 +336,6 @@ where
     pub fn finalize(self) -> Result<TvlaResult> {
         self.evaluate()
     }
-}
-
-/// Which pass a [`SecondOrderWelchAccumulator`] is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    Means,
-    Centered,
 }
 
 /// Second-order streaming t-test accumulator: **centered-product
@@ -325,22 +351,18 @@ enum Pass {
 /// [`SecondOrderWelchAccumulator::begin_second_pass`], replay every chunk
 /// in the same order, then finalize.  Chunked double passes are
 /// bit-identical to the in-memory [`tvla_second_order`].
+///
+/// The first pass is a [`WelchAccumulator`], whose sums seal the means, so
+/// the [`Fold`] output is both orders' statistics, `(first, second)`, each
+/// bit-identical to its own fold.
 #[derive(Debug, Clone)]
 pub struct SecondOrderWelchAccumulator<F> {
-    partition: F,
-    next: u64,
-    pass: Pass,
-    samples: Option<usize>,
-    counts: [u64; 2],
-    /// Pass-1 per-group per-column plain sums.
-    sum: [Vec<f64>; 2],
-    /// Sealed per-group per-sample means.
+    /// Pass 1: the first-order test.
+    first: WelchAccumulator<F>,
+    /// Per-group per-sample means, sealed when pass 2 begins.
     mean: [Vec<f64>; 2],
-    /// Pass-2 running sums over the preprocessed values.
-    centered: [Vec<ColumnStats>; 2],
-    /// Replay cursor (global index) and classified count of the second pass.
-    second_next: u64,
-    second_counts: [u64; 2],
+    /// Pass 2, over the preprocessed values; `None` during pass 1.
+    centered: Option<Moments>,
 }
 
 impl<F> SecondOrderWelchAccumulator<F>
@@ -350,22 +372,15 @@ where
     /// An empty accumulator whose first trace has global index 0.
     pub fn new(partition: F) -> Self {
         SecondOrderWelchAccumulator {
-            partition,
-            next: 0,
-            pass: Pass::Means,
-            samples: None,
-            counts: [0; 2],
-            sum: [Vec::new(), Vec::new()],
+            first: WelchAccumulator::new(partition),
             mean: [Vec::new(), Vec::new()],
-            centered: [Vec::new(), Vec::new()],
-            second_next: 0,
-            second_counts: [0; 2],
+            centered: None,
         }
     }
 
     /// Traces folded into the first pass so far.
     pub fn traces(&self) -> u64 {
-        self.next
+        self.first.traces()
     }
 
     /// Folds one chunk into the current pass.  The second pass must replay
@@ -376,58 +391,19 @@ where
     /// Returns an error for a malformed chunk, an inconsistent sample
     /// width, or a second-pass replay longer than the first pass.
     pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
-        match self.pass {
-            Pass::Means => self.update_means(chunk),
-            Pass::Centered => self.update_centered(chunk),
+        let Some(centered) = &mut self.centered else {
+            return self.first.update(chunk);
+        };
+        if centered.next + chunk.len() as u64 > self.first.traces() {
+            return Err(EvalError::Misuse {
+                message: "the second pass replayed more traces than the first pass folded".into(),
+            });
         }
-    }
-
-    fn update_means(&mut self, chunk: &TraceSet) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let width = width_check(&mut self.samples, chunk)?;
-        if self.sum[0].is_empty() {
-            self.sum = [vec![0.0; width], vec![0.0; width]];
-        }
-        let groups: Vec<Option<TvlaGroup>> = chunk
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(t, &input)| (self.partition)(self.next + t as u64, input))
-            .collect();
-        for group in groups.iter().flatten() {
-            self.counts[group.index()] += 1;
-        }
-        // Same 4-wide column unroll as WelchAccumulator::update: each
-        // (group, sample) sum is fed in trace order, so bit-identity holds.
-        let mut s = 0;
-        while s + 4 <= width {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
-            for (t, group) in groups.iter().enumerate() {
-                let Some(g) = group else { continue };
-                let row = &mut self.sum[g.index()][s..s + 4];
-                row[0] += c0[t];
-                row[1] += c1[t];
-                row[2] += c2[t];
-                row[3] += c3[t];
-            }
-            s += 4;
-        }
-        while s < width {
-            let column = chunk.sample_column(s);
-            for (group, &v) in groups.iter().zip(column) {
-                if let Some(g) = group {
-                    self.sum[g.index()][s] += v;
-                }
-            }
-            s += 1;
-        }
-        self.next += chunk.len() as u64;
-        Ok(())
+        let mean = &self.mean;
+        centered.update(&self.first.partition, chunk, |g, s, v| {
+            let d = v - mean[g][s];
+            d * d
+        })
     }
 
     /// Seals the per-group means and switches to centered-product
@@ -437,93 +413,24 @@ where
     ///
     /// Returns an error if the second pass already began.
     pub fn begin_second_pass(&mut self) -> Result<()> {
-        if self.pass == Pass::Centered {
+        if self.centered.is_some() {
             return Err(EvalError::Misuse {
                 message: "the second-order accumulator is already in its second pass".into(),
             });
         }
-        self.pass = Pass::Centered;
-        let width = self.sum[0].len();
-        for group in 0..2 {
-            let n = self.counts[group] as f64;
-            self.mean[group] = self.sum[group]
+        let first = &self.first.moments;
+        self.mean = std::array::from_fn(|group| {
+            let n = first.counts[group] as f64;
+            first.stats[group]
                 .iter()
-                .map(|&sum| if n > 0.0 { sum / n } else { 0.0 })
-                .collect();
-        }
-        self.centered = [
-            vec![ColumnStats::default(); width],
-            vec![ColumnStats::default(); width],
-        ];
-        Ok(())
-    }
-
-    fn update_centered(&mut self, chunk: &TraceSet) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let width = width_check(&mut self.samples, chunk)?;
-        if self.second_next + chunk.len() as u64 > self.next {
-            return Err(EvalError::Misuse {
-                message: "the second pass replayed more traces than the first pass folded".into(),
-            });
-        }
-        let groups: Vec<Option<TvlaGroup>> = chunk
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(t, &input)| (self.partition)(self.second_next + t as u64, input))
-            .collect();
-        for group in groups.iter().flatten() {
-            self.second_counts[group.index()] += 1;
-        }
-        // 4-wide column unroll over the centered-product push: the deviation
-        // `v - mean` and its square use the same operands as the scalar loop
-        // and each slot is fed in trace order — bit-identical.
-        let mut s = 0;
-        while s + 4 <= width {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
-            for (t, group) in groups.iter().enumerate() {
-                let Some(g) = group else { continue };
-                let g = g.index();
-                let means = &self.mean[g][s..s + 4];
-                let row = &mut self.centered[g][s..s + 4];
-                let d0 = c0[t] - means[0];
-                let d1 = c1[t] - means[1];
-                let d2 = c2[t] - means[2];
-                let d3 = c3[t] - means[3];
-                row[0].push(d0 * d0);
-                row[1].push(d1 * d1);
-                row[2].push(d2 * d2);
-                row[3].push(d3 * d3);
-            }
-            s += 4;
-        }
-        while s < width {
-            let column = chunk.sample_column(s);
-            let (fixed, random) = {
-                let [f, r] = &mut self.centered;
-                (&mut f[s], &mut r[s])
-            };
-            for (group, &v) in groups.iter().zip(column) {
-                match group {
-                    Some(TvlaGroup::Fixed) => {
-                        let d = v - self.mean[0][s];
-                        fixed.push(d * d);
-                    }
-                    Some(TvlaGroup::Random) => {
-                        let d = v - self.mean[1][s];
-                        random.push(d * d);
-                    }
-                    None => {}
-                }
-            }
-            s += 1;
-        }
-        self.second_next += chunk.len() as u64;
+                .map(|column| if n > 0.0 { column.sum / n } else { 0.0 })
+                .collect()
+        });
+        self.centered = Some(Moments {
+            samples: first.samples,
+            stats: zeroed(first.stats[0].len()),
+            ..Moments::default()
+        });
         Ok(())
     }
 
@@ -538,21 +445,16 @@ where
         if self.traces() == 0 {
             return Err(empty_error());
         }
-        if self.pass != Pass::Centered || self.second_counts != self.counts {
-            return Err(EvalError::Misuse {
+        let counts = self.first.moments.counts;
+        match &self.centered {
+            Some(centered) if centered.counts == counts => Ok(centered.result()),
+            centered => Err(EvalError::Misuse {
                 message: format!(
-                    "the second pass classified {:?} of {:?} traces",
-                    self.second_counts, self.counts
+                    "the second pass classified {:?} of {counts:?} traces",
+                    centered.as_ref().map_or([0; 2], |c| c.counts)
                 ),
-            });
+            }),
         }
-        let t = (0..self.centered[0].len())
-            .map(|s| t_statistic(self.counts, &self.centered[0][s], &self.centered[1][s]))
-            .collect();
-        Ok(TvlaResult {
-            t,
-            counts: self.counts,
-        })
     }
 
     /// Consumes the accumulator and returns the per-sample t-statistics.
@@ -582,11 +484,13 @@ where
     }
 }
 
+/// Folds both orders in two reads of the campaign: the output is
+/// `(first-order, second-order)`.
 impl<F> Fold for SecondOrderWelchAccumulator<F>
 where
     F: Fn(u64, u64) -> Option<TvlaGroup>,
 {
-    type Output = TvlaResult;
+    type Output = (TvlaResult, TvlaResult);
     type Error = EvalError;
     const SPAN: &'static str = "eval.tvla_second_order";
 
@@ -599,8 +503,9 @@ where
         Ok(true)
     }
 
-    fn finalize(self) -> Result<TvlaResult> {
-        SecondOrderWelchAccumulator::finalize(self)
+    fn finalize(self) -> Result<(TvlaResult, TvlaResult)> {
+        let second = self.evaluate()?;
+        Ok((self.first.finalize()?, second))
     }
 }
 

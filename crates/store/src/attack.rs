@@ -142,7 +142,7 @@ pub fn cpa_attack_parallel_with<S, O, F>(
 where
     S: ChunkSource,
     O: Fn() -> Result<S> + Sync,
-    F: Fn(u64, u64) -> f64 + Clone + Send + Sync,
+    F: Fn(u64, u64) -> f64 + Clone + Send,
 {
     let acc = CpaAccumulator::with_profile(key_guesses, model, input_profile(&open()?))?;
     fold_parallel(open, acc, workers)

@@ -548,7 +548,7 @@ pub fn fold_parallel<S, O, A>(
 where
     S: ChunkSource,
     O: Fn() -> Result<S> + Sync,
-    A: MergeFold + Send + Sync,
+    A: MergeFold + Send,
     A::Error: Send,
 {
     let probe = open()?;

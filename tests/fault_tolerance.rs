@@ -158,7 +158,8 @@ fn tvla_fold<S: ChunkSource>(
             source,
             SecondOrderWelchAccumulator::new(interleaved_partition),
             reading,
-        ),
+        )
+        .map(|((_, second), report)| (second, report)),
     }
 }
 
@@ -183,6 +184,7 @@ where
         TvlaOrder::Second => {
             let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
             fold_read_ahead(open, acc, reading, workers, None)
+                .map(|((_, second), report)| (second, report))
         }
     }
 }

@@ -22,6 +22,7 @@ use dpl_eval::{
     interleaved_partition, tvla, tvla_parallel_with, tvla_second_order,
     SecondOrderWelchAccumulator, TvlaOrder, WelchAccumulator,
 };
+use dpl_obs::{names, Obs};
 use dpl_power::{TraceSet, TraceSink};
 use dpl_store::{
     fold, ArchiveMeta, ArchiveReader, ArchiveWriter, CampaignKind, Compression, ModelTag, Reading,
@@ -103,8 +104,10 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
 
     let second_mem = tvla_second_order(&oracle, interleaved_partition).expect("in-memory 2nd");
     let second_acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-    let (second_stream, _) = fold(&mut reader, second_acc, Reading::Strict).expect("streaming 2nd");
+    let ((first_half, second_stream), _) =
+        fold(&mut reader, second_acc, Reading::Strict).expect("streaming 2nd");
     assert_eq!(second_stream, second_mem);
+    assert_eq!(first_half, first_mem, "the second-order fold's first pass");
     assert!(second_mem.leaks(), "max |t| = {}", second_mem.max_abs_t());
 
     // The read-ahead parallel fold is bit-identical to the sequential one
@@ -157,7 +160,7 @@ fn one_sample_read_ahead_tvla_is_bit_identical_with_four_workers() {
     let first_acc = WelchAccumulator::new(interleaved_partition);
     let (first, _) = fold(&mut reader, first_acc, Reading::Strict).expect("first order");
     let second_acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-    let (second, _) = fold(&mut reader, second_acc, Reading::Strict).expect("second order");
+    let ((_, second), _) = fold(&mut reader, second_acc, Reading::Strict).expect("second order");
     let read_ahead = |order| {
         tvla_parallel_with(open, interleaved_partition, order, Some(4), None).expect("read-ahead")
     };
@@ -200,6 +203,63 @@ fn salvage_tvla_report_is_the_same_with_read_ahead_workers() {
         let parallel =
             tvla_report(path_str, &orders, Some(workers), true, None).expect("salvage t-test");
         assert_eq!(parallel, sequential, "{workers} workers");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `repro tvla` with both orders runs one two-pass fold: it reads each
+/// chunk twice, not three times, and each result line is byte for byte the
+/// line of that order's own report — strict and salvage, with and without
+/// read-ahead workers.
+#[test]
+fn both_orders_read_the_campaign_twice_and_render_each_order_unchanged() {
+    const TRACES: usize = 640; // 10 chunks of 64.
+    const CHUNK: usize = 64;
+    let traces = synthetic_tvla_traces(TRACES, 3);
+    let path = temp_archive("tvla_both_orders");
+    let meta = ArchiveMeta {
+        samples_per_trace: 3,
+        ..ArchiveMeta::scalar_tvla(CHUNK, ModelTag::Unspecified, 0)
+    };
+    let mut writer = ArchiveWriter::create(&path, meta).expect("create");
+    for (input, samples) in &traces {
+        writer.append(*input, samples).expect("append");
+    }
+    writer.finish().expect("finish");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let result_lines = |report: &str| -> Vec<String> {
+        report
+            .lines()
+            .filter(|line| line.contains("max |t| = "))
+            .map(str::to_string)
+            .collect()
+    };
+    let both = [TvlaOrder::First, TvlaOrder::Second];
+    for salvage in [false, true] {
+        for workers in [None, Some(2)] {
+            let case = format!("salvage {salvage}, workers {workers:?}");
+            let obs = Obs::deterministic(50);
+            let report = tvla_report(path_str, &both, workers, salvage, Some(&obs)).expect("both");
+            let metrics = obs.metrics();
+            assert_eq!(
+                metrics.counter(names::STORE_CHUNK_READS),
+                Some(TRACES.div_ceil(CHUNK) as u64 * 2),
+                "{case}"
+            );
+            assert_eq!(
+                metrics.counter(names::FOLD_TRACES),
+                Some(TRACES as u64 * 2),
+                "{case}"
+            );
+            assert_eq!(report.matches("salvage: ").count(), usize::from(salvage));
+            let mut alone = Vec::new();
+            for order in both {
+                let report =
+                    tvla_report(path_str, &[order], workers, salvage, None).expect("one order");
+                alone.extend(result_lines(&report));
+            }
+            assert_eq!(result_lines(&report), alone, "{case}");
+        }
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -17,7 +17,9 @@ use dpl_crypto::{
     present_sbox, simulate_trace_range_into, simulate_tvla_trace_range_into,
     synthesize_sbox_with_key, GateEnergyTable, LeakageModel, LeakageOptions,
 };
-use dpl_eval::{interleaved_partition, SecondOrderWelchAccumulator, TvlaOrder, WelchAccumulator};
+use dpl_eval::{
+    interleaved_partition, tvla, SecondOrderWelchAccumulator, TvlaOrder, WelchAccumulator,
+};
 use dpl_obs::Obs;
 use dpl_power::{CpaAccumulator, DpaAccumulator, InputProfile, TraceSet};
 use dpl_store::{
@@ -510,10 +512,18 @@ fn salvage_over_a_sharded_campaign_equals_the_strict_fold_without_the_lost_chunk
                     }
                     TvlaOrder::Second => {
                         let acc = || SecondOrderWelchAccumulator::new(interleaved_partition);
-                        (
-                            fold(&mut source, acc(), Reading::Salvage(&retry)).unwrap(),
-                            fold(&mut clean, acc(), Reading::Strict).unwrap(),
-                        )
+                        let ((first, salvaged), report) =
+                            fold(&mut source, acc(), Reading::Salvage(&retry)).unwrap();
+                        let ((_, expected), clean_report) =
+                            fold(&mut clean, acc(), Reading::Strict).unwrap();
+                        // The fold's first-order half is the in-memory
+                        // first-order test over the surviving traces.
+                        let mut oracle = TraceSet::new();
+                        for (input, values) in &survivors {
+                            oracle.push_samples(*input, values);
+                        }
+                        assert_eq!(first, tvla(&oracle, interleaved_partition).unwrap());
+                        ((salvaged, report), (expected, clean_report))
                     }
                 };
                 check(&report);

@@ -472,7 +472,7 @@ fn tvla_counts_trace_passes_and_finishes_progress_with_or_without_workers() {
                         }
                         TvlaOrder::Second => {
                             let acc = SecondOrderWelchAccumulator::new(interleaved_partition);
-                            fold(&mut reader, acc, Reading::Strict).map(|(r, _)| r)
+                            fold(&mut reader, acc, Reading::Strict).map(|((_, r), _)| r)
                         }
                     }
                 }
