@@ -23,12 +23,14 @@
 //! indexed by gate kind ([`GateOp::index`]) × input event — any
 //! [`dpl_core::GateKind`] library cell, not just the classic 1/2-input
 //! primitives — the 16 noise-free per-plaintext energies of a run are
-//! computed once and reused for every trace, and
-//! [`simulate_traces_parallel`] shards trace generation across scoped
+//! computed once and reused for every trace, the sequential generators hand
+//! the Box–Muller transform of their single stream to one helper thread,
+//! and [`simulate_traces_parallel`] shards trace generation across scoped
 //! threads with per-block deterministic RNG streams.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dpl_cells::{characterize_events, CapacitanceModel, DischargeProfile, EventOptions, SablCell};
 use dpl_core::{Dpdn, GateKind};
@@ -532,8 +534,9 @@ impl Default for LeakageOptions {
 /// The 16 noise-free per-plaintext energies are evaluated once (bitsliced)
 /// and reused for every trace, and the RNG draw order per trace is part of
 /// the function's contract: a given seed reproduces the exact historical
-/// trace stream.  Use [`simulate_traces_parallel`] for multi-threaded
-/// generation of large trace sets.
+/// trace stream.  Generation runs on the calling thread plus one Box–Muller
+/// helper thread (see [`simulate_traces_into`]); [`simulate_traces_parallel`]
+/// spreads a different, per-block stream over more workers.
 ///
 /// # Errors
 ///
@@ -561,17 +564,11 @@ pub fn simulate_traces_with_table(
     num_traces: usize,
     options: &LeakageOptions,
 ) -> TraceSet {
-    let (energies, mean_energy) = per_plaintext_energies(netlist, table, key);
-    let noise_sigma = options.relative_noise * mean_energy;
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let mut inputs = Vec::with_capacity(num_traces);
-    let mut values = Vec::with_capacity(num_traces);
-    for _ in 0..num_traces {
-        let (plaintext, energy) = draw_trace(&mut rng, &energies, noise_sigma);
-        inputs.push(plaintext);
-        values.push(energy);
+    let mut set = TraceSet::with_capacity(1, num_traces);
+    match simulate_traces_into(netlist, table, key, num_traces, options, &mut set) {
+        Ok(()) => set,
+        Err(infallible) => match infallible {},
     }
-    TraceSet::from_scalars(inputs, values)
 }
 
 /// Sink variant of [`simulate_traces_with_table`]: every generated trace is
@@ -582,10 +579,16 @@ pub fn simulate_traces_with_table(
 /// The RNG draw order is identical to [`simulate_traces_with_table`]: for a
 /// given seed, sinking into a `TraceSet` reproduces its output exactly.
 ///
+/// Generation runs on two threads without changing the stream: the calling
+/// thread draws every plaintext and noise uniform in trace order and
+/// records the finished traces into `sink` (which never leaves it), while
+/// one scoped helper thread applies the Box–Muller transform to blocks of
+/// 1024 traces, at most three of them in flight.
+///
 /// # Errors
 ///
-/// Propagates the sink's error (e.g. an I/O failure); trace generation
-/// itself cannot fail.
+/// Propagates the sink's error (e.g. an I/O failure) as soon as it occurs;
+/// trace generation itself cannot fail.
 pub fn simulate_traces_into<S: TraceSink>(
     netlist: &GateNetlist,
     table: &GateEnergyTable,
@@ -596,12 +599,14 @@ pub fn simulate_traces_into<S: TraceSink>(
 ) -> std::result::Result<(), S::Error> {
     let (energies, mean_energy) = per_plaintext_energies(netlist, table, key);
     let noise_sigma = options.relative_noise * mean_energy;
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    for _ in 0..num_traces {
-        let (plaintext, energy) = draw_trace(&mut rng, &energies, noise_sigma);
-        sink.record(plaintext, &[energy])?;
-    }
-    Ok(())
+    simulate_stream_into(
+        &energies,
+        noise_sigma,
+        options.seed,
+        num_traces,
+        |rng, _| rng.gen_range(0..16u64),
+        sink,
+    )
 }
 
 /// [`simulate_traces_into`] with telemetry: the campaign runs inside a
@@ -645,12 +650,14 @@ pub fn simulate_traces_into_observed<S: TraceSink>(
 /// consumes only the noise draws; a **random** trace draws its plaintext
 /// first, exactly like [`simulate_traces_into`]'s per-trace order.  For a
 /// given seed the stream — and therefore the campaign — is reproducible
-/// bit-for-bit, whether sunk into a [`TraceSet`] or an archive writer.
+/// bit-for-bit, whether sunk into a [`TraceSet`] or an archive writer.  It
+/// runs on the calling thread plus one Box–Muller helper, like
+/// [`simulate_traces_into`].
 ///
 /// # Errors
 ///
-/// Propagates the sink's error (e.g. an I/O failure); trace generation
-/// itself cannot fail.
+/// Propagates the sink's error (e.g. an I/O failure) as soon as it occurs;
+/// trace generation itself cannot fail.
 pub fn simulate_tvla_traces_into<S: TraceSink>(
     netlist: &GateNetlist,
     table: &GateEnergyTable,
@@ -662,17 +669,14 @@ pub fn simulate_tvla_traces_into<S: TraceSink>(
 ) -> std::result::Result<(), S::Error> {
     let (energies, mean_energy) = per_plaintext_energies(netlist, table, key);
     let noise_sigma = options.relative_noise * mean_energy;
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    for index in 0..num_traces {
-        let plaintext = if index % 2 == 0 {
-            fixed_plaintext & 0xF
-        } else {
-            rng.gen_range(0..16u64)
-        };
-        let energy = energies[plaintext as usize] + draw_noise(&mut rng, noise_sigma);
-        sink.record(plaintext, &[energy])?;
-    }
-    Ok(())
+    simulate_stream_into(
+        &energies,
+        noise_sigma,
+        options.seed,
+        num_traces,
+        |rng, index| tvla_plaintext(rng, index as u64, fixed_plaintext),
+        sink,
+    )
 }
 
 /// [`simulate_tvla_traces_into`] with telemetry: the campaign runs inside a
@@ -741,7 +745,9 @@ pub fn simulate_tvla_traces(
 
 /// Trace-block size of the parallel generator.  Every block draws from its
 /// own RNG stream derived from `(seed, block index)`, so the generated set
-/// depends only on the seed — never on the worker count.
+/// depends only on the seed — never on the worker count.  The sequential
+/// generators hand their single stream to the noise helper in blocks of
+/// the same size.
 const TRACE_BLOCK: usize = 1024;
 
 /// Below this trace count [`simulate_traces_parallel`] generates inline
@@ -860,13 +866,19 @@ fn draw_tvla_trace(
     energies: &[f64; 16],
     noise_sigma: f64,
 ) -> (u64, f64) {
-    let plaintext = if index.is_multiple_of(2) {
+    let plaintext = tvla_plaintext(rng, index, fixed_plaintext);
+    let noise = box_muller(draw_uniforms(rng, noise_sigma), noise_sigma);
+    (plaintext, energies[plaintext as usize] + noise)
+}
+
+/// The plaintext of the TVLA trace at a global index: the fixed nibble on
+/// even indices (drawing nothing), a random one on odd indices.
+fn tvla_plaintext(rng: &mut StdRng, index: u64, fixed_plaintext: u64) -> u64 {
+    if index.is_multiple_of(2) {
         fixed_plaintext & 0xF
     } else {
         rng.gen_range(0..16u64)
-    };
-    let energy = energies[plaintext as usize] + draw_noise(rng, noise_sigma);
-    (plaintext, energy)
+    }
 }
 
 /// One block of the parallel generator's output: the block index plus the
@@ -976,20 +988,234 @@ fn block_seed(seed: u64, block: usize) -> u64 {
 /// generators.
 fn draw_trace(rng: &mut StdRng, energies: &[f64; 16], noise_sigma: f64) -> (u64, f64) {
     let plaintext = rng.gen_range(0..16u64);
-    let energy = energies[plaintext as usize] + draw_noise(rng, noise_sigma);
-    (plaintext, energy)
+    let noise = box_muller(draw_uniforms(rng, noise_sigma), noise_sigma);
+    (plaintext, energies[plaintext as usize] + noise)
 }
 
-/// One Box-Muller Gaussian noise draw scaled to `noise_sigma`; draws
-/// nothing (and adds exactly `0.0`) when the sigma is not positive, so the
-/// noise-free RNG stream is unchanged.
-fn draw_noise(rng: &mut StdRng, noise_sigma: f64) -> f64 {
+/// The two uniforms of one Box-Muller noise draw.  Draws nothing when the
+/// sigma is not positive, so the noise-free RNG stream is unchanged; the
+/// pair returned then is one [`box_muller`] ignores.
+fn draw_uniforms(rng: &mut StdRng, noise_sigma: f64) -> [f64; 2] {
     if noise_sigma <= 0.0 {
-        return 0.0;
+        return [1.0, 0.0];
     }
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
+    [u1, u2]
+}
+
+/// The Box-Muller transform of [`draw_uniforms`]' pair: one Gaussian noise
+/// sample scaled to `noise_sigma`, exactly `0.0` when the sigma is not
+/// positive.  A pure function, so it may run on any thread.
+fn box_muller([u1, u2]: [f64; 2], noise_sigma: f64) -> f64 {
+    if noise_sigma <= 0.0 {
+        return 0.0;
+    }
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * noise_sigma
+}
+
+/// Blocks the sequential generators keep in flight: the calling thread
+/// draws or records one while the noise helper transforms the next and a
+/// third waits between them.
+const BLOCKS_IN_FLIGHT: usize = 3;
+
+/// Stack size of the noise helper thread, which only runs
+/// [`NoiseBlock::transform`] and the hand-off around it.
+const NOISE_HELPER_STACK: usize = 64 * 1024;
+
+/// How many times a side of the sequential pipeline polls before it parks.
+/// A block takes tens of microseconds, about what waking a parked thread
+/// can cost, so a short spin keeps both threads busy.
+const SPINS_BEFORE_PARKING: usize = 1 << 14;
+
+/// One block of the sequential stream between its draw and its record: the
+/// drawn plaintexts and noise uniforms, and the trace energies the helper
+/// computes from them.  The energies get their own vector: writing them
+/// over the uniforms measured slower.
+struct NoiseBlock {
+    /// Plaintext nibbles, which a `u8` holds exactly; it keeps the block,
+    /// most of the memory the pipeline adds, small.
+    plaintexts: Vec<u8>,
+    uniforms: Vec<[f64; 2]>,
+    energies: Vec<f64>,
+}
+
+impl NoiseBlock {
+    fn new(len: usize) -> Self {
+        NoiseBlock {
+            plaintexts: Vec::with_capacity(len),
+            uniforms: Vec::with_capacity(len),
+            energies: vec![0.0; len],
+        }
+    }
+
+    /// Computes every drawn trace's energy in place; allocates nothing.
+    fn transform(&mut self, energies: &[f64; 16], noise_sigma: f64) {
+        let drawn = self.plaintexts.iter().zip(&self.uniforms);
+        for (energy, (&plaintext, &uniforms)) in self.energies.iter_mut().zip(drawn) {
+            *energy = energies[usize::from(plaintext)] + box_muller(uniforms, noise_sigma);
+        }
+    }
+}
+
+/// The state the calling thread and the noise helper share.  Block `b`
+/// lives in slot `b % BLOCKS_IN_FLIGHT`, and the two block counters say
+/// which side may touch it, so each slot's lock is only ever taken
+/// uncontended.  A side stores a counter with `Release` after it unlocks
+/// the slot, and the other loads it with `Acquire` before it locks that
+/// slot.
+struct Handoff {
+    slots: [Mutex<NoiseBlock>; BLOCKS_IN_FLIGHT],
+    /// Blocks the calling thread has drawn.
+    drawn: AtomicUsize,
+    /// Blocks the helper has transformed.
+    transformed: AtomicUsize,
+    /// Set when either side leaves (finished, failed or panicked).
+    closed: AtomicBool,
+    /// How many threads are parked on `changed`.
+    parked: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Handoff {
+    fn slot(&self, block: usize) -> MutexGuard<'_, NoiseBlock> {
+        self.slots[block % BLOCKS_IN_FLIGHT]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn parked(&self) -> MutexGuard<'_, usize> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Sets `counter` to `blocks` and wakes a parked side.
+    fn publish(&self, counter: &AtomicUsize, blocks: usize) {
+        counter.store(blocks, Ordering::Release);
+        self.wake();
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        // Taking the lock orders this change before a parking side's
+        // final check, so no wake-up is lost.
+        if *self.parked() > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Waits until `counter` reaches `blocks` or the pipeline closes;
+    /// returns `false` if it closed, which tells either side that the
+    /// other has left.
+    fn wait(&self, counter: &AtomicUsize, blocks: usize) -> bool {
+        let done =
+            || counter.load(Ordering::Acquire) >= blocks || self.closed.load(Ordering::Acquire);
+        let open = || !self.closed.load(Ordering::Acquire);
+        for _ in 0..SPINS_BEFORE_PARKING {
+            if done() {
+                return open();
+            }
+            std::hint::spin_loop();
+        }
+        let mut parked = self.parked();
+        *parked += 1;
+        while !done() {
+            parked = self
+                .changed
+                .wait(parked)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *parked -= 1;
+        open()
+    }
+
+    /// The helper's loop: transforms each drawn block in order until the
+    /// pipeline closes.
+    fn transform_blocks(&self, energies: &[f64; 16], noise_sigma: f64) {
+        let _close = CloseOnDrop(self);
+        for block in 0.. {
+            if !self.wait(&self.drawn, block + 1) {
+                return;
+            }
+            self.slot(block).transform(energies, noise_sigma);
+            self.publish(&self.transformed, block + 1);
+        }
+    }
+}
+
+/// Closes the pipeline when either side leaves it, by any path, so the
+/// other side never waits on it forever.
+struct CloseOnDrop<'a>(&'a Handoff);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The sequential single-stream generator behind [`simulate_traces_into`]
+/// and [`simulate_tvla_traces_into`]: one `StdRng` seeded from `seed` draws
+/// each trace's plaintext (`plaintext(rng, index)`) and then its noise
+/// uniforms, in trace order, on the calling thread.  One scoped helper
+/// turns each `TRACE_BLOCK` of draws into energies while the caller draws
+/// ahead and records finished blocks into `sink` in trace order.
+fn simulate_stream_into<S: TraceSink>(
+    energies: &[f64; 16],
+    noise_sigma: f64,
+    seed: u64,
+    num_traces: usize,
+    mut plaintext: impl FnMut(&mut StdRng, usize) -> u64,
+    sink: &mut S,
+) -> std::result::Result<(), S::Error> {
+    let block_len = num_traces.min(TRACE_BLOCK);
+    let handoff = Handoff {
+        slots: std::array::from_fn(|_| Mutex::new(NoiseBlock::new(block_len))),
+        drawn: AtomicUsize::new(0),
+        transformed: AtomicUsize::new(0),
+        closed: AtomicBool::new(false),
+        parked: Mutex::new(0),
+        changed: Condvar::new(),
+    };
+    let blocks = num_traces.div_ceil(TRACE_BLOCK);
+    let mut rng = StdRng::seed_from_u64(seed);
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("dpl-noise".into())
+            .stack_size(NOISE_HELPER_STACK)
+            .spawn_scoped(scope, || handoff.transform_blocks(energies, noise_sigma))
+            .expect("failed to spawn the noise helper thread");
+        let _close = CloseOnDrop(&handoff);
+        let mut drawn = 0;
+        for block in 0..blocks {
+            // Keep the helper fed: draw ahead into every slot already
+            // recorded.
+            while drawn < blocks && drawn < block + BLOCKS_IN_FLIGHT {
+                let start = drawn * TRACE_BLOCK;
+                let mut slot = handoff.slot(drawn);
+                slot.plaintexts.clear();
+                slot.uniforms.clear();
+                for index in start..(start + TRACE_BLOCK).min(num_traces) {
+                    slot.plaintexts.push(plaintext(&mut rng, index) as u8);
+                    slot.uniforms.push(draw_uniforms(&mut rng, noise_sigma));
+                }
+                drop(slot);
+                drawn += 1;
+                handoff.publish(&handoff.drawn, drawn);
+            }
+            assert!(
+                handoff.wait(&handoff.transformed, block + 1),
+                "the noise helper thread stopped"
+            );
+            let slot = handoff.slot(block);
+            for (&input, &energy) in slot.plaintexts.iter().zip(&slot.energies) {
+                sink.record(u64::from(input), &[energy])?;
+            }
+        }
+        Ok(())
+    })
 }
 
 /// The 16 noise-free per-plaintext energies for a fixed key (one bitsliced
@@ -1532,6 +1758,142 @@ mod tests {
         let mut sunk = TraceSet::new();
         simulate_traces_into(&netlist, &table, 0xE, 300, &options, &mut sunk).unwrap();
         assert_eq!(direct, sunk);
+    }
+
+    /// The attack stream drawn and transformed trace by trace on one
+    /// thread: the oracle [`simulate_traces_into`] must equal bit for bit.
+    fn oracle_traces(
+        netlist: &GateNetlist,
+        table: &GateEnergyTable,
+        key: u8,
+        num_traces: usize,
+        options: &LeakageOptions,
+    ) -> TraceSet {
+        let (energies, mean_energy) = per_plaintext_energies(netlist, table, key);
+        let noise_sigma = options.relative_noise * mean_energy;
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut set = TraceSet::new();
+        for _ in 0..num_traces {
+            let (plaintext, energy) = draw_trace(&mut rng, &energies, noise_sigma);
+            set.push_samples(plaintext, &[energy]);
+        }
+        set
+    }
+
+    /// The TVLA stream drawn and transformed trace by trace on one thread:
+    /// the oracle [`simulate_tvla_traces_into`] must equal bit for bit.
+    fn oracle_tvla_traces(
+        netlist: &GateNetlist,
+        table: &GateEnergyTable,
+        key: u8,
+        fixed_plaintext: u64,
+        num_traces: usize,
+        options: &LeakageOptions,
+    ) -> TraceSet {
+        let (energies, mean_energy) = per_plaintext_energies(netlist, table, key);
+        let noise_sigma = options.relative_noise * mean_energy;
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        let mut set = TraceSet::new();
+        for index in 0..num_traces as u64 {
+            let (plaintext, energy) =
+                draw_tvla_trace(&mut rng, index, fixed_plaintext, &energies, noise_sigma);
+            set.push_samples(plaintext, &[energy]);
+        }
+        set
+    }
+
+    #[test]
+    fn sequential_generators_equal_the_per_trace_oracle() {
+        let netlist = synthesize_sbox_with_key().unwrap();
+        let table = GateEnergyTable::build(LeakageModel::GenuineSabl, &capacitance()).unwrap();
+        let fixed = 0x3u64;
+        for relative_noise in [0.0, 0.02] {
+            let options = LeakageOptions {
+                relative_noise,
+                seed: 2024,
+            };
+            // Empty, one trace, both sides of a block edge, a ragged tail
+            // past the three blocks in flight, and many slot reuses.
+            for n in [0, 1, 1023, 1024, 1025, 3 * 1024 + 7, 100_000] {
+                let attack = simulate_traces_with_table(&netlist, &table, 0xE, n, &options);
+                assert_eq!(attack.len(), n);
+                assert!(
+                    attack == oracle_traces(&netlist, &table, 0xE, n, &options),
+                    "attack stream differs: n = {n}, noise = {relative_noise}"
+                );
+                let tvla = simulate_tvla_traces(&netlist, &table, 0xE, fixed, n, &options);
+                assert_eq!(tvla.len(), n);
+                assert!(
+                    tvla == oracle_tvla_traces(&netlist, &table, 0xE, fixed, n, &options),
+                    "TVLA stream differs: n = {n}, noise = {relative_noise}"
+                );
+            }
+        }
+    }
+
+    /// Records into a set until trace `fail_at`, which it refuses.
+    struct FailingSink {
+        set: TraceSet,
+        fail_at: usize,
+    }
+
+    impl TraceSink for FailingSink {
+        type Error = usize;
+
+        fn record(&mut self, input: u64, samples: &[f64]) -> std::result::Result<(), usize> {
+            if self.set.len() == self.fail_at {
+                return Err(self.fail_at);
+            }
+            self.set.push_samples(input, samples);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_sequential_generators_at_once() {
+        // Runs on its own thread so that a generator which never returns
+        // fails the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let netlist = synthesize_sbox_with_key().unwrap();
+            let table = GateEnergyTable::build(LeakageModel::GenuineSabl, &capacitance()).unwrap();
+            let options = LeakageOptions {
+                relative_noise: 0.02,
+                seed: 5,
+            };
+            let (n, fixed) = (8000, 0x6u64);
+            for fail_at in [0, 1023, 1024, 5000] {
+                let fresh = || FailingSink {
+                    set: TraceSet::new(),
+                    fail_at,
+                };
+                let mut sink = fresh();
+                let result = simulate_traces_into(&netlist, &table, 0x9, n, &options, &mut sink);
+                assert_eq!(result, Err(fail_at));
+                assert!(
+                    sink.set == oracle_traces(&netlist, &table, 0x9, fail_at, &options),
+                    "attack prefix differs: fail_at = {fail_at}"
+                );
+                let mut sink = fresh();
+                let result =
+                    simulate_tvla_traces_into(&netlist, &table, 0x9, fixed, n, &options, &mut sink);
+                assert_eq!(result, Err(fail_at));
+                assert!(
+                    sink.set == oracle_tvla_traces(&netlist, &table, 0x9, fixed, fail_at, &options),
+                    "TVLA prefix differs: fail_at = {fail_at}"
+                );
+            }
+            done.send(()).unwrap();
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a sequential generator hung after its sink failed")
+            }
+        }
     }
 
     #[test]

@@ -191,14 +191,9 @@ struct Moments {
 
 impl Moments {
     /// Folds the next chunk: classifies each trace by `partition` of its
-    /// global index and input, then pushes `value(group, column, sample)`
-    /// of every classified trace into `stats[group][column]`.
-    fn update<F>(
-        &mut self,
-        partition: &F,
-        chunk: &TraceSet,
-        value: impl Fn(usize, usize, f64) -> f64,
-    ) -> Result<()>
+    /// global index and input, then pushes every classified trace's samples,
+    /// preprocessed by `pre`, into `stats[group][column]`.
+    fn update<F>(&mut self, partition: &F, chunk: &TraceSet, pre: impl Preprocess) -> Result<()>
     where
         F: Fn(u64, u64) -> Option<TvlaGroup>,
     {
@@ -221,7 +216,8 @@ impl Moments {
         // Unrolled 4 wide across sample columns: every (group, sample) slot
         // still receives its pushes strictly in trace order, so this is
         // bit-identical to the column-at-a-time fold while amortizing the
-        // per-trace group dispatch over four columns.
+        // per-trace group dispatch, and the preprocessing's row lookups,
+        // over four columns.
         let mut s = 0;
         while s + 4 <= width {
             let c0 = chunk.sample_column(s);
@@ -231,11 +227,10 @@ impl Moments {
             for (t, group) in groups.iter().enumerate() {
                 let Some(g) = group else { continue };
                 let g = g.index();
-                let row = &mut self.stats[g][s..s + 4];
-                row[0].push(value(g, s, c0[t]));
-                row[1].push(value(g, s + 1, c1[t]));
-                row[2].push(value(g, s + 2, c2[t]));
-                row[3].push(value(g, s + 3, c3[t]));
+                let values = pre.apply(g, s, [c0[t], c1[t], c2[t], c3[t]]);
+                for (stats, v) in self.stats[g][s..s + 4].iter_mut().zip(values) {
+                    stats.push(v);
+                }
             }
             s += 4;
         }
@@ -244,7 +239,8 @@ impl Moments {
             for (group, &v) in groups.iter().zip(column) {
                 if let Some(g) = group {
                     let g = g.index();
-                    self.stats[g][s].push(value(g, s, v));
+                    let [v] = pre.apply(g, s, [v]);
+                    self.stats[g][s].push(v);
                 }
             }
             s += 1;
@@ -265,6 +261,36 @@ impl Moments {
             t,
             counts: self.counts,
         }
+    }
+}
+
+/// How a pass turns a trace's samples into the values it pushes.
+trait Preprocess {
+    /// The values for `samples`, taken from columns `column..column + N` of
+    /// a trace in `group`.
+    fn apply<const N: usize>(&self, group: usize, column: usize, samples: [f64; N]) -> [f64; N];
+}
+
+/// The first-order pass pushes the samples as they are.
+struct Raw;
+
+impl Preprocess for Raw {
+    fn apply<const N: usize>(&self, _: usize, _: usize, samples: [f64; N]) -> [f64; N] {
+        samples
+    }
+}
+
+/// The second-order pass pushes each sample's squared deviation from its
+/// group's mean at that column, `(v - mean)²`.
+struct Centered<'a>(&'a [Vec<f64>; 2]);
+
+impl Preprocess for Centered<'_> {
+    fn apply<const N: usize>(&self, group: usize, column: usize, samples: [f64; N]) -> [f64; N] {
+        let means = &self.0[group][column..column + N];
+        std::array::from_fn(|i| {
+            let d = samples[i] - means[i];
+            d * d
+        })
     }
 }
 
@@ -312,7 +338,7 @@ where
     /// Returns an error for a malformed chunk or an inconsistent sample
     /// width.
     pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
-        self.moments.update(&self.partition, chunk, |_, _, v| v)
+        self.moments.update(&self.partition, chunk, Raw)
     }
 
     /// The per-sample t-statistics **without consuming** the accumulator —
@@ -399,11 +425,7 @@ where
                 message: "the second pass replayed more traces than the first pass folded".into(),
             });
         }
-        let mean = &self.mean;
-        centered.update(&self.first.partition, chunk, |g, s, v| {
-            let d = v - mean[g][s];
-            d * d
-        })
+        centered.update(&self.first.partition, chunk, Centered(&self.mean))
     }
 
     /// Seals the per-group means and switches to centered-product
