@@ -37,6 +37,10 @@ use crate::{PowerError, Result};
 
 /// Per-input-class statistics: the distinct input values in order of first
 /// appearance, how many traces carry each, and the per-class column sums.
+///
+/// `counts` and `sums` always cover exactly the classes of `table`, and a
+/// failed [`ClassState::update`] or [`ClassState::merge`] leaves all three
+/// as they were.
 #[derive(Debug, Clone)]
 struct ClassState {
     table: InputClasses,
@@ -59,83 +63,73 @@ impl ClassState {
         }
     }
 
-    /// The class of `value`, growing the table (and zeroed count and sums
-    /// for a new class) as needed; `None` once the table overflows.
-    #[inline]
-    fn class_index(&mut self, value: u64, samples: usize) -> Option<usize> {
-        let class = self.table.insert(value)?;
-        if class == self.counts.len() {
-            self.counts.push(0);
-            self.sums.resize(self.sums.len() + samples, 0.0);
-        }
-        Some(class)
+    /// Zeroed counts and sums for the classes the table gained.
+    fn grow(&mut self, samples: usize) {
+        let classes = self.table.values().len();
+        self.counts.resize(classes, 0);
+        self.sums.resize(classes * samples, 0.0);
     }
 
-    /// Classifies a chunk of inputs against the running class table into
-    /// `class_of` and counts each trace into its class, growing the table
-    /// as new values appear.  Returns `false` when the table would exceed
-    /// [`MAX_INPUT_CLASSES`] — the signal to drop class aggregation for
-    /// good.
-    fn classify(&mut self, inputs: &[u64], samples: usize) -> bool {
-        self.class_of.clear();
-        for &input in inputs {
-            match self.class_index(input, samples) {
-                Some(class) => {
-                    self.counts[class] += 1;
-                    self.class_of.push(class as u8);
-                }
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Classifies one columnar chunk and folds it into the per-class sums;
-    /// `false` when the classes overflow (nothing is summed then).
+    /// Classifies one columnar chunk and folds it into the per-class
+    /// counts and sums.  Returns `false`, with the state unchanged, when
+    /// the chunk's inputs would take the table past [`MAX_INPUT_CLASSES`]
+    /// — the signal to drop class aggregation for good.
     ///
-    /// The inner loop is unrolled four sample columns wide: one pass over
-    /// the traces advances four independent per-class accumulators, giving
-    /// the superscalar units four addition chains instead of one.  Each
-    /// `(class, sample)` sum still receives its additions in trace order,
-    /// so results stay bit-identical to the column-at-a-time fold.
+    /// The chunk is the unit of work.  Classification fills `class_of` and
+    /// counts the chunk's traces in a local array; only a chunk that fits
+    /// commits its counts.  The sums are then folded four sample columns
+    /// at a time, with the remaining columns (every column of a one-sample
+    /// campaign) one at a time, each block's `(class, sample)` sums held in
+    /// a local array across the chunk and written back once.  Every sum
+    /// still receives its additions in trace order, so results are
+    /// bit-identical to a trace-by-trace fold, whatever the chunking.
     fn update(&mut self, chunk: &TraceSet, samples: usize) -> bool {
-        if !self.classify(chunk.inputs(), samples) {
-            return false;
+        let held = self.table.values().len();
+        let mut counts = [0usize; MAX_INPUT_CLASSES];
+        self.class_of.clear();
+        self.class_of.resize(chunk.len(), 0);
+        for (class_of, &input) in self.class_of.iter_mut().zip(chunk.inputs()) {
+            let Some(class) = self.table.insert(input) else {
+                self.table.truncate(held);
+                return false;
+            };
+            counts[class] += 1;
+            *class_of = class as u8;
+        }
+        self.grow(samples);
+        for (total, &count) in self.counts.iter_mut().zip(&counts) {
+            *total += count;
         }
         let mut s = 0;
         while s + 4 <= samples {
-            let c0 = chunk.sample_column(s);
-            let c1 = chunk.sample_column(s + 1);
-            let c2 = chunk.sample_column(s + 2);
-            let c3 = chunk.sample_column(s + 3);
-            for (t, &c) in self.class_of.iter().enumerate() {
-                let at = c as usize * samples + s;
-                let row = &mut self.sums[at..at + 4];
-                row[0] += c0[t];
-                row[1] += c1[t];
-                row[2] += c2[t];
-                row[3] += c3[t];
-            }
+            let columns = [0, 1, 2, 3].map(|i| chunk.sample_column(s + i));
+            fold_class_sums(&self.class_of, columns, &mut self.sums, samples, s);
             s += 4;
         }
         while s < samples {
-            let column = chunk.sample_column(s);
-            for (&c, &v) in self.class_of.iter().zip(column) {
-                self.sums[c as usize * samples + s] += v;
-            }
+            let column = [chunk.sample_column(s)];
+            fold_class_sums(&self.class_of, column, &mut self.sums, samples, s);
             s += 1;
         }
         true
     }
 
     /// Merges another class table (covering the trace range *after* this
-    /// one) into this one.  Returns `false` when the union exceeds
-    /// [`MAX_INPUT_CLASSES`] — the caller must drop class aggregation.
+    /// one) into this one.  Returns `false`, with the state unchanged, when
+    /// the union exceeds [`MAX_INPUT_CLASSES`] — the caller must drop class
+    /// aggregation.
     fn merge(&mut self, other: &ClassState, samples: usize) -> bool {
-        for (i, &value) in other.table.values().iter().enumerate() {
-            let Some(class) = self.class_index(value, samples) else {
+        let held = self.table.values().len();
+        let mut class_of = [0usize; MAX_INPUT_CLASSES];
+        for (class, &value) in class_of.iter_mut().zip(other.table.values()) {
+            let Some(mine) = self.table.insert(value) else {
+                self.table.truncate(held);
                 return false;
             };
+            *class = mine;
+        }
+        self.grow(samples);
+        for (i, &class) in class_of[..other.counts.len()].iter().enumerate() {
             self.counts[class] += other.counts[i];
             let mine = &mut self.sums[class * samples..(class + 1) * samples];
             for (acc, &v) in mine.iter_mut().zip(&other.sums[i * samples..]) {
@@ -146,18 +140,48 @@ impl ClassState {
     }
 }
 
-/// Validates a chunk against the accumulator's fixed sample width, fixing
-/// the width on the first non-empty chunk.  Returns the chunk's width.
-fn check_chunk(chunk: &TraceSet, samples: &mut Option<usize>) -> Result<usize> {
-    let width = chunk.sample_count()?;
-    match *samples {
-        None => *samples = Some(width),
-        Some(s) if s != width => {
-            return Err(PowerError::MalformedTraces {
-                message: "traces have inconsistent lengths".into(),
-            });
+/// Adds `W` sample columns of a chunk, starting at sample `s`, into the
+/// class-major `sums`: the block's running sums are copied into a local
+/// array, every trace adds its `W` values to its class's row there in
+/// trace order, and the rows are written back.  One trace pass advances
+/// `W` independent addition chains per class, and the local rows need no
+/// bounds checks.
+#[inline(always)]
+fn fold_class_sums<const W: usize>(
+    class_of: &[u8],
+    columns: [&[f64]; W],
+    sums: &mut [f64],
+    samples: usize,
+    s: usize,
+) {
+    let classes = sums.len() / samples;
+    let mut local = [[0.0f64; W]; MAX_INPUT_CLASSES];
+    for (c, row) in local[..classes].iter_mut().enumerate() {
+        row.copy_from_slice(&sums[c * samples + s..][..W]);
+    }
+    let columns = columns.map(|column| &column[..class_of.len()]);
+    for (t, &class) in class_of.iter().enumerate() {
+        // Classes are below MAX_INPUT_CLASSES; the mask only tells the
+        // compiler so.
+        let row = &mut local[usize::from(class) % MAX_INPUT_CLASSES];
+        for (acc, column) in row.iter_mut().zip(&columns) {
+            *acc += column[t];
         }
-        _ => {}
+    }
+    for (c, row) in local[..classes].iter().enumerate() {
+        sums[c * samples + s..][..W].copy_from_slice(row);
+    }
+}
+
+/// Validates a chunk against the accumulator's sample width (`None` until
+/// the first non-empty chunk fixes it) and returns the chunk's width.  The
+/// caller records the width once the chunk is folded.
+fn check_chunk(chunk: &TraceSet, samples: Option<usize>) -> Result<usize> {
+    let width = chunk.sample_count()?;
+    if samples.is_some_and(|s| s != width) {
+        return Err(PowerError::MalformedTraces {
+            message: "traces have inconsistent lengths".into(),
+        });
     }
     Ok(width)
 }
@@ -186,7 +210,8 @@ pub enum InputProfile {
     /// A promise that at most [`MAX_INPUT_CLASSES`] distinct inputs will be
     /// seen; only class aggregation is maintained.  A broken promise is
     /// reported as [`PowerError::AccumulatorMisuse`], never silently wrong
-    /// scores.
+    /// scores: the update or merge that breaks it leaves the accumulator
+    /// as it was.
     FewClasses,
     /// Force the diverse-input path; class aggregation is never attempted.
     Diverse,
@@ -319,13 +344,14 @@ where
     ///
     /// # Errors
     ///
-    /// Returns an error for a malformed chunk or a sample width that differs
-    /// from earlier chunks.
+    /// Returns an error for a malformed chunk, a sample width that differs
+    /// from earlier chunks, or a chunk that breaks an
+    /// [`InputProfile::FewClasses`] promise.  A failed update folds nothing.
     pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = check_chunk(chunk, &mut self.samples)?;
+        let samples = check_chunk(chunk, self.samples)?;
         let guesses = self.key_guesses as usize;
         if self.wide && self.sum_ones.is_empty() {
             self.sum_ones = vec![0.0; guesses * samples];
@@ -340,6 +366,7 @@ where
                 self.classes = None;
             }
         }
+        self.samples = Some(samples);
         if !self.wide {
             self.traces += chunk.len();
             return Ok(());
@@ -744,8 +771,10 @@ where
     /// # Errors
     ///
     /// Returns an error for a malformed chunk, a sample width that differs
-    /// from earlier chunks, or a chunk fed after a one-pass seal (when
-    /// [`CpaAccumulator::begin_second_pass`] returned `false`).
+    /// from earlier chunks, a chunk that breaks an
+    /// [`InputProfile::FewClasses`] promise, or a chunk fed after a
+    /// one-pass seal (when [`CpaAccumulator::begin_second_pass`] returned
+    /// `false`).  A failed update folds nothing.
     pub fn update(&mut self, chunk: &TraceSet) -> Result<()> {
         match self.pass {
             CpaPass::Means => self.update_means(chunk),
@@ -758,7 +787,7 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        let samples = check_chunk(chunk, &mut self.samples)?;
+        let samples = check_chunk(chunk, self.samples)?;
         if let Some(classes) = &mut self.classes {
             if !classes.update(chunk, samples) {
                 if !self.wide {
@@ -767,6 +796,7 @@ where
                 self.drop_classes();
             }
         }
+        self.samples = Some(samples);
         if self.col_sum.is_empty() {
             self.col_sum = vec![0.0; samples];
         }
@@ -924,7 +954,7 @@ where
         if chunk.is_empty() {
             return Ok(());
         }
-        check_chunk(chunk, &mut self.samples)?;
+        self.samples = Some(check_chunk(chunk, self.samples)?);
         // With class aggregation alive there are no guesses to fold
         // (`hyp_css` and `cov` are empty): the kernel folds `col_css` alone.
         fold_cross_moments(
@@ -1598,5 +1628,351 @@ mod tests {
         acc.merge(&DpaAccumulator::new(16, selection).unwrap())
             .unwrap();
         assert_eq!(acc.finalize().unwrap().scores, untouched.scores);
+    }
+
+    /// The class fold before the chunk-local kernel, kept as the oracle the
+    /// kernel must match bit for bit: classify trace by trace through the
+    /// table, growing counts and sums per new class, then add four columns
+    /// per trace pass and the rest one column at a time, straight into the
+    /// class-major sums.
+    fn oracle_update(state: &mut ClassState, chunk: &TraceSet, samples: usize) -> bool {
+        state.class_of.clear();
+        for &input in chunk.inputs() {
+            let Some(class) = state.table.insert(input) else {
+                return false;
+            };
+            if class == state.counts.len() {
+                state.counts.push(0);
+                state.sums.resize(state.sums.len() + samples, 0.0);
+            }
+            state.counts[class] += 1;
+            state.class_of.push(class as u8);
+        }
+        let mut s = 0;
+        while s + 4 <= samples {
+            let c0 = chunk.sample_column(s);
+            let c1 = chunk.sample_column(s + 1);
+            let c2 = chunk.sample_column(s + 2);
+            let c3 = chunk.sample_column(s + 3);
+            for (t, &c) in state.class_of.iter().enumerate() {
+                let at = c as usize * samples + s;
+                let row = &mut state.sums[at..at + 4];
+                row[0] += c0[t];
+                row[1] += c1[t];
+                row[2] += c2[t];
+                row[3] += c3[t];
+            }
+            s += 4;
+        }
+        while s < samples {
+            let column = chunk.sample_column(s);
+            for (&c, &v) in state.class_of.iter().zip(column) {
+                state.sums[c as usize * samples + s] += v;
+            }
+            s += 1;
+        }
+        true
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_same_classes(kernel: &ClassState, oracle: &ClassState, case: &str) {
+        assert_eq!(kernel.table, oracle.table, "{case}: table");
+        assert_eq!(kernel.counts, oracle.counts, "{case}: counts");
+        assert_eq!(bits(&kernel.sums), bits(&oracle.sums), "{case}: sums");
+    }
+
+    /// `traces` traces of `samples` samples whose inputs cycle
+    /// pseudo-randomly through `classes` values: below 256 when `small`,
+    /// otherwise spread over the full 64 bits.
+    fn class_set(traces: usize, samples: usize, classes: u64, small: bool) -> TraceSet {
+        let mut rng = StdRng::seed_from_u64(classes * 1000 + samples as u64);
+        let values: Vec<u64> = (0..classes)
+            .map(|c| {
+                if small {
+                    (c * 37 + 5) % 256
+                } else {
+                    rng.gen_range(0..u64::MAX) | 1 << 63
+                }
+            })
+            .collect();
+        let mut set = TraceSet::with_capacity(samples, traces);
+        let mut row = vec![0.0; samples];
+        for _ in 0..traces {
+            let input = values[rng.gen_range(0..classes) as usize];
+            let leak = model(input, 0xB);
+            for (s, v) in row.iter_mut().enumerate() {
+                *v = leak * (s as f64 + 1.0) + rng.gen_range(-0.8..0.8);
+            }
+            set.push_samples(input, &row);
+        }
+        set
+    }
+
+    fn slices(set: &TraceSet, chunk: usize) -> Vec<TraceSet> {
+        (0..set.len())
+            .step_by(chunk)
+            .map(|start| set.slice(start, start + chunk))
+            .collect()
+    }
+
+    /// An accumulator's class state replaced by the oracle's fold of the
+    /// same chunks.
+    fn oracle_classes(chunks: &[TraceSet], samples: usize) -> Box<ClassState> {
+        let mut oracle = ClassState::new();
+        for chunk in chunks {
+            assert!(oracle_update(&mut oracle, chunk, samples));
+        }
+        Box::new(oracle)
+    }
+
+    #[test]
+    fn class_kernel_matches_the_trace_loop_oracle() {
+        for samples in [1, 2, 3, 4, 5, 8, 31] {
+            for classes in [1, 16, 64] {
+                for small in [true, false] {
+                    let set = class_set(2 * 1025 + 5, samples, classes, small);
+                    for chunk in [1, 7, 1023, 1024, 1025] {
+                        let case = format!(
+                            "samples={samples} classes={classes} small={small} chunk={chunk}"
+                        );
+                        let chunks = slices(&set, chunk);
+                        let oracle = oracle_classes(&chunks, samples);
+
+                        let mut kernel = ClassState::new();
+                        for part in &chunks {
+                            assert!(kernel.update(part, samples), "{case}");
+                        }
+                        assert_same_classes(&kernel, &oracle, &case);
+
+                        // Final scores: the accumulators' own fold against
+                        // the same accumulators scoring the oracle's sums.
+                        let mut dpa =
+                            DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses)
+                                .unwrap();
+                        let mut cpa =
+                            CpaAccumulator::with_profile(16, model, InputProfile::FewClasses)
+                                .unwrap();
+                        for part in &chunks {
+                            dpa.update(part).unwrap();
+                            cpa.update(part).unwrap();
+                        }
+                        assert_same_classes(dpa.classes.as_ref().unwrap(), &oracle, &case);
+                        let mut dpa_oracle = dpa.clone();
+                        dpa_oracle.classes = Some(oracle.clone());
+                        assert_eq!(
+                            bits(&dpa.finalize().unwrap().scores),
+                            bits(&dpa_oracle.finalize().unwrap().scores),
+                            "{case}: DPA scores"
+                        );
+
+                        // The shifted sums: each column shifted by its
+                        // first sample, summed trace by trace.
+                        for (s, column) in cpa.shifted.iter().enumerate() {
+                            let values = set.sample_column(s);
+                            let k = values[0];
+                            let (mut sum, mut sq) = (0.0, 0.0);
+                            for &v in values {
+                                sum += v - k;
+                                sq += (v - k) * (v - k);
+                            }
+                            assert_eq!(
+                                bits(&[column.k, column.sum, column.sq]),
+                                bits(&[k, sum, sq]),
+                                "{case}: shifted column {s}"
+                            );
+                        }
+                        assert!(!cpa.begin_second_pass().unwrap());
+                        let mut cpa_oracle = cpa.clone();
+                        cpa_oracle.classes = Some(oracle);
+                        assert_eq!(
+                            bits(&cpa.finalize().unwrap().scores),
+                            bits(&cpa_oracle.finalize().unwrap().scores),
+                            "{case}: CPA scores"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_65th_class_mid_chunk_leaves_auto_on_the_diverse_fold() {
+        for samples in [1, 5] {
+            for small in [true, false] {
+                // A 65th input in the middle of the second 1024-trace chunk.
+                let base = class_set(2500, samples, 64, small);
+                let novel = if small { 255 } else { 3 };
+                let mut set = base.truncated(1500);
+                set.push_samples(novel, &vec![1.5; samples]);
+                for t in 1501..base.len() {
+                    set.push_samples(base.inputs()[t], &base.trace_samples(t));
+                }
+                let case = format!("samples={samples} small={small}");
+                let chunks = slices(&set, 1024);
+
+                let mut auto = DpaAccumulator::new(16, selection).unwrap();
+                let mut diverse =
+                    DpaAccumulator::with_profile(16, selection, InputProfile::Diverse).unwrap();
+                for part in &chunks {
+                    auto.update(part).unwrap();
+                    diverse.update(part).unwrap();
+                }
+                assert!(auto.classes.is_none(), "{case}");
+                assert_eq!(
+                    bits(&auto.finalize().unwrap().scores),
+                    bits(&diverse.finalize().unwrap().scores),
+                    "{case}: DPA"
+                );
+                let (auto, replay) = fold_cpa(CpaAccumulator::new(16, model).unwrap(), &chunks);
+                assert!(replay, "{case}");
+                let diverse = CpaAccumulator::with_profile(16, model, InputProfile::Diverse);
+                let (diverse, _) = fold_cpa(diverse.unwrap(), &chunks);
+                assert_eq!(bits(&auto.scores), bits(&diverse.scores), "{case}: CPA");
+
+                // FewClasses refuses the chunk that breaks its promise.
+                let mut dpa =
+                    DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses).unwrap();
+                let mut cpa =
+                    CpaAccumulator::with_profile(16, model, InputProfile::FewClasses).unwrap();
+                dpa.update(&chunks[0]).unwrap();
+                cpa.update(&chunks[0]).unwrap();
+                assert!(matches!(
+                    dpa.update(&chunks[1]),
+                    Err(PowerError::AccumulatorMisuse { .. })
+                ));
+                assert!(matches!(
+                    cpa.update(&chunks[1]),
+                    Err(PowerError::AccumulatorMisuse { .. })
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn cpa_partials_merge_like_the_oracle_and_near_the_sequential_fold() {
+        for samples in [1, 3, 8] {
+            for (classes, small) in [(16, true), (64, false)] {
+                let set = class_set(3000, samples, classes, small);
+                let case = format!("samples={samples} classes={classes}");
+                let chunks = slices(&set, 1023);
+                let fresh = CpaAccumulator::with_profile(16, model, InputProfile::FewClasses);
+                let mut merged = fresh.unwrap();
+                let mut merged_oracle = merged.clone();
+                for part in &chunks {
+                    let mut partial = merged.partial().unwrap();
+                    partial.update(part).unwrap();
+                    let mut partial_oracle = partial.clone();
+                    partial_oracle.classes =
+                        Some(oracle_classes(std::slice::from_ref(part), samples));
+                    merged.merge(&partial).unwrap();
+                    merged_oracle.merge(&partial_oracle).unwrap();
+                }
+                assert_same_classes(
+                    merged.classes.as_ref().unwrap(),
+                    merged_oracle.classes.as_ref().unwrap(),
+                    &case,
+                );
+                assert!(!merged.begin_second_pass().unwrap());
+                assert!(!merged_oracle.begin_second_pass().unwrap());
+                let merged = merged.finalize().unwrap();
+                let merged_oracle = merged_oracle.finalize().unwrap();
+                assert_eq!(bits(&merged.scores), bits(&merged_oracle.scores), "{case}");
+
+                let sequential = cpa_attack(&set, 16, model).unwrap();
+                assert_eq!(merged.best_guess, sequential.best_guess, "{case}");
+                for (a, b) in merged.scores.iter().zip(&sequential.scores) {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * a.abs().max(1.0),
+                        "{case}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Chunk A carries 2 inputs; chunk B 100 new ones, so it breaks a
+    /// FewClasses promise part-way through its classification.
+    fn promise_breaking_chunks() -> (TraceSet, TraceSet, TraceSet) {
+        let mut a = TraceSet::new();
+        let mut b = TraceSet::new();
+        let mut c = TraceSet::new();
+        for t in 0..100u64 {
+            let input = t % 2;
+            a.push_samples(input, &[model(input, 0xB) + (t % 5) as f64 * 0.1, t as f64]);
+            b.push_samples(1000 + t, &[100.0, -50.0]);
+            let input = t % 16;
+            c.push_samples(input, &[model(input, 0xB) + (t % 3) as f64 * 0.2, 1.0]);
+        }
+        (a, b, c)
+    }
+
+    #[test]
+    fn a_failed_few_classes_dpa_update_changes_nothing() {
+        let (a, b, c) = promise_breaking_chunks();
+        let mut acc =
+            DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses).unwrap();
+        acc.update(&a).unwrap();
+        let before = acc.evaluate().unwrap();
+        assert!(matches!(
+            acc.update(&b),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert_eq!(acc.traces(), 100);
+        assert_eq!(bits(&acc.evaluate().unwrap().scores), bits(&before.scores));
+        // The accumulator folds on as if chunk B had never been offered.
+        acc.update(&c).unwrap();
+        let mut clean =
+            DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses).unwrap();
+        clean.update(&a).unwrap();
+        clean.update(&c).unwrap();
+        assert_eq!(
+            bits(&acc.finalize().unwrap().scores),
+            bits(&clean.finalize().unwrap().scores)
+        );
+
+        // A merge that breaks the promise changes nothing either.
+        let mut acc =
+            DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses).unwrap();
+        acc.update(&a).unwrap();
+        let mut lying =
+            DpaAccumulator::with_profile(16, selection, InputProfile::FewClasses).unwrap();
+        lying.update(&b.slice(0, 63)).unwrap();
+        assert!(matches!(
+            acc.merge(&lying),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert_eq!(acc.traces(), 100);
+        assert_eq!(bits(&acc.evaluate().unwrap().scores), bits(&before.scores));
+    }
+
+    #[test]
+    fn a_failed_few_classes_cpa_update_changes_nothing() {
+        let (a, b, c) = promise_breaking_chunks();
+        let mut acc = CpaAccumulator::with_profile(16, model, InputProfile::FewClasses).unwrap();
+        acc.update(&a).unwrap();
+        let mut before = acc.clone();
+        assert!(!before.begin_second_pass().unwrap());
+        let before = before.finalize().unwrap();
+        assert!(matches!(
+            acc.update(&b),
+            Err(PowerError::AccumulatorMisuse { .. })
+        ));
+        assert_eq!(acc.traces(), 100);
+        let mut after = acc.clone();
+        assert!(!after.begin_second_pass().unwrap());
+        assert_eq!(
+            bits(&after.finalize().unwrap().scores),
+            bits(&before.scores)
+        );
+        acc.update(&c).unwrap();
+        let mut clean = CpaAccumulator::with_profile(16, model, InputProfile::FewClasses).unwrap();
+        clean.update(&a).unwrap();
+        clean.update(&c).unwrap();
+        let (acc, _) = fold_cpa(acc, &[]);
+        let (clean, _) = fold_cpa(clean, &[]);
+        assert_eq!(bits(&acc.scores), bits(&clean.scores));
     }
 }

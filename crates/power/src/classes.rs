@@ -11,6 +11,8 @@ const SLOT_BITS: u32 = SLOTS.trailing_zeros();
 // Slots hold `class + 1` in a `u8`, and probing wraps with a power-of-two
 // mask.
 const _: () = assert!(SLOTS.is_power_of_two() && SLOTS <= 256);
+/// Values below this bound also have a direct one-byte entry.
+const DIRECT: usize = 256;
 
 /// The distinct input values of a trace stream, in order of first
 /// appearance, bounded by [`MAX_INPUT_CLASSES`].
@@ -26,21 +28,26 @@ const _: () = assert!(SLOTS.is_power_of_two() && SLOTS <= 256);
 /// returns `None`, the table is sealed (every later insert returns `None`)
 /// and [`InputClasses::distinct`] reports `None`.
 ///
-/// **Lookup cost.** Values are indexed by a fixed multiplicative hash into
-/// 128 one-byte slots with linear probing — no per-process random state,
-/// so the table is deterministic.  The table is never more than half full,
-/// which keeps the expected probe count near one; and because a probe
-/// sequence stops at the first empty slot and at most
-/// [`MAX_INPUT_CLASSES`] slots are occupied, no lookup ever visits more
-/// slots than one plus the number of held values — even if every value
-/// lands in one probe chain, a lookup costs no more than a linear scan of
-/// the value list.
+/// **Lookup cost.** A held value below 256 — every S-box or byte-wide
+/// campaign input — is found with one load from a 256-entry direct table.
+/// Any other value, and a small value seen for the first time, is looked
+/// up by a fixed multiplicative hash into 128 one-byte slots with linear
+/// probing — no per-process random state, so the table is deterministic.
+/// The table is never more than half full, which keeps the expected probe
+/// count near one; and because a probe sequence stops at the first empty
+/// slot and at most [`MAX_INPUT_CLASSES`] slots are occupied, no lookup
+/// ever visits more slots than one plus the number of held values — even
+/// if every value lands in one probe chain, a lookup costs no more than a
+/// linear scan of the value list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputClasses {
     values: Vec<u64>,
     /// `slots[i]` is 0 when empty, otherwise `1 +` the class index of the
-    /// value stored there.
+    /// value stored there.  Every held value has a slot.
     slots: [u8; SLOTS],
+    /// `direct[v]` for `v < 256`: 0 when `v` is not held, otherwise `1 +`
+    /// its class index.
+    direct: [u8; DIRECT],
     overflowed: bool,
 }
 
@@ -56,6 +63,7 @@ impl InputClasses {
         InputClasses {
             values: Vec::new(),
             slots: [0; SLOTS],
+            direct: [0; DIRECT],
             overflowed: false,
         }
     }
@@ -94,6 +102,12 @@ impl InputClasses {
         if self.overflowed {
             return None;
         }
+        if value < DIRECT as u64 {
+            let entry = self.direct[value as usize];
+            if entry != 0 {
+                return Some(usize::from(entry - 1));
+            }
+        }
         match self.probe(value) {
             Ok(class) => Some(class),
             Err(_) if self.values.len() == MAX_INPUT_CLASSES => {
@@ -103,10 +117,36 @@ impl InputClasses {
             Err(slot) => {
                 self.values.push(value);
                 // At most MAX_INPUT_CLASSES (< 256) values: the index fits.
-                self.slots[slot] = self.values.len() as u8;
+                let entry = self.values.len() as u8;
+                self.slots[slot] = entry;
+                if value < DIRECT as u64 {
+                    self.direct[value as usize] = entry;
+                }
                 Some(self.values.len() - 1)
             }
         }
+    }
+
+    /// Forgets every value past the first `len`, and any overflow: the
+    /// table returns to the state it had when it held `len` values (taken
+    /// before it overflowed).  Exact because values leave in the reverse
+    /// of their insertion order, so no remaining value's probe sequence
+    /// runs through a freed slot.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for class in (len..self.values.len()).rev() {
+            let value = self.values[class];
+            let entry = class as u8 + 1;
+            let mut slot = Self::home(value);
+            while self.slots[slot] != entry {
+                slot = (slot + 1) & (SLOTS - 1);
+            }
+            self.slots[slot] = 0;
+            if value < DIRECT as u64 {
+                self.direct[value as usize] = 0;
+            }
+        }
+        self.values.truncate(len);
+        self.overflowed = false;
     }
 
     /// The held values in order of first appearance (index = class).
@@ -175,11 +215,13 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// A stream of `len` values drawn from `alphabet` distinct values
-    /// (sparse 64-bit values, so hash collisions are exercised too).
-    fn stream(seed: u64, len: usize, alphabet: u64) -> Vec<u64> {
+    /// A stream of `len` values drawn from `alphabet` distinct values:
+    /// sparse 64-bit values (so hash collisions are exercised too), or with
+    /// `small` values below 512, half of them in the direct table's range.
+    fn stream(seed: u64, len: usize, alphabet: u64, small: bool) -> Vec<u64> {
         (0..len as u64)
             .map(|t| mix((mix(seed ^ t) % alphabet) ^ seed))
+            .map(|value| if small { value % 512 } else { value })
             .collect()
     }
 
@@ -195,8 +237,9 @@ mod tests {
             seed in 0u64..1_000_000,
             len in 0usize..400,
             alphabet in 1u64..100,
+            small in 0u8..2,
         ) {
-            let inputs = stream(seed, len, alphabet);
+            let inputs = stream(seed, len, alphabet, small == 1);
             let mut table = InputClasses::new();
             let mut oracle = Oracle::default();
             let mut distinct_seen = Vec::new();
@@ -219,7 +262,14 @@ mod tests {
             );
             for (class, &value) in oracle.values.iter().enumerate() {
                 prop_assert_eq!(table.probe(value).ok(), Some(class));
+                if value < DIRECT as u64 {
+                    prop_assert_eq!(table.direct[value as usize], class as u8 + 1);
+                }
             }
+            prop_assert_eq!(
+                table.direct.iter().filter(|&&entry| entry != 0).count(),
+                oracle.values.iter().filter(|&&value| value < DIRECT as u64).count()
+            );
             prop_assert_eq!(
                 table.probe(!seed).ok(),
                 oracle.values.iter().position(|&v| v == !seed)
@@ -234,8 +284,9 @@ mod tests {
             first in 0usize..200,
             second in 0usize..200,
             alphabet in 1u64..100,
+            small in 0u8..2,
         ) {
-            let inputs = stream(seed, first + second, alphabet);
+            let inputs = stream(seed, first + second, alphabet, small == 1);
             let (head, tail) = inputs.split_at(first);
             let mut whole = InputClasses::new();
             for &input in &inputs {
@@ -254,6 +305,32 @@ mod tests {
             prop_assert_eq!(merged.distinct(), whole.distinct());
             if fits {
                 prop_assert_eq!(merged, whole);
+            }
+        }
+
+        /// Truncating to an earlier length — past an overflow too — gives
+        /// back exactly the table that only saw the stream up to there.
+        #[test]
+        fn truncate_restores_the_table_of_a_prefix(
+            seed in 0u64..1_000_000,
+            len in 0usize..300,
+            alphabet in 1u64..100,
+            small in 0u8..2,
+        ) {
+            let inputs = stream(seed, len, alphabet, small == 1);
+            let mut table = InputClasses::new();
+            let mut snapshots = vec![table.clone()];
+            for &input in &inputs {
+                if table.insert(input).is_none() {
+                    break;
+                }
+                if table.values().len() == snapshots.len() {
+                    snapshots.push(table.clone());
+                }
+            }
+            for (held, snapshot) in snapshots.iter().enumerate().rev() {
+                table.truncate(held);
+                prop_assert_eq!(&table, snapshot);
             }
         }
     }
