@@ -416,8 +416,10 @@ fn render_tvla(out: &mut String, order: TvlaOrder, result: &TvlaResult) {
 /// first-order, second-order or both; any set with the second order runs
 /// one two-pass fold whose first pass is the first-order test, so both
 /// orders read the campaign twice and each renders what it renders alone.
-/// `workers` switches to the read-ahead fold, whose worker threads decode
-/// chunks ahead of the t-test (the result is the same, bit for bit).
+/// `workers` switches to the read-ahead fold on that many threads, the
+/// calling thread included, each decoding its chunks while an earlier one
+/// is folded (the result is the same, bit for bit; `Some(1)` reads on the
+/// caller alone).
 /// `salvage` folds whatever chunks of a damaged campaign survive and
 /// renders the damage once, above the statistics (`repro tvla <file>
 /// --salvage`), with or without workers.
@@ -476,7 +478,7 @@ pub fn tvla_report(
 /// The shared body of [`tvla_report`]: the campaign check, header
 /// line and the one fold, generic over the chunk source (single archive
 /// or sharded campaign, whose `layout` tags the header).  `open` opens
-/// sources like `source` for the read-ahead workers.
+/// sources like `source` for the read-ahead threads.
 #[allow(clippy::too_many_arguments)]
 fn tvla_report_body<S, O>(
     path: &str,
@@ -542,8 +544,8 @@ where
     Ok(out)
 }
 
-/// Folds `acc` inline over `source`, or with `workers` read-ahead over
-/// sources from `open`.
+/// Folds `acc` inline over `source`, or on `workers` read-ahead threads
+/// over sources from `open`.
 fn fold_with<S, O, A>(
     source: &mut S,
     open: &O,
@@ -555,7 +557,8 @@ fn fold_with<S, O, A>(
 where
     S: ChunkSource,
     O: Fn() -> dpl_store::Result<S> + Sync,
-    A: Fold,
+    A: Fold + Send,
+    A::Error: Send,
 {
     match workers {
         Some(_) => fold_read_ahead(open, acc, reading, workers, obs),

@@ -1385,6 +1385,9 @@ fn run_charac_table(args: &[String]) -> ExitCode {
 /// campaign; `--salvage` assesses a damaged one's surviving chunks.
 /// `--order 1` reads the campaign once; `2` and `both` (the default) read
 /// it twice, in one fold whose first pass is the first-order test.
+/// `--workers n` reads and folds on `n` threads, the calling thread
+/// included (`--workers 1`: the caller alone, on its own source); without
+/// it the t-test folds inline on the already-open source.
 fn run_tvla(args: &[String]) -> ExitCode {
     let (args, telemetry) = match TelemetrySession::from_args(args) {
         Ok(parsed) => parsed,

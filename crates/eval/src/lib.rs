@@ -13,8 +13,8 @@
 //!   The accumulators are `dpl_store::Fold`s, so `dpl_store::fold` runs
 //!   them out of core (strict or salvage, single archive or sharded
 //!   campaign), and [`streaming::tvla_parallel_with`] runs the same fold
-//!   with worker threads decoding chunks ahead of it; the numeric
-//!   contracts are stated in `dpl_store::fold`.
+//!   on threads that each decode their chunks and fold them in turn; the
+//!   numeric contracts are stated in `dpl_store::fold`.
 //! * [`mtd`] — attack-efficiency estimation: a campaign runner replaying
 //!   DPA/CPA over a grid of trace counts × resampled repetitions
 //!   (deterministic per-repetition seeds) to produce success-rate and

@@ -3,11 +3,12 @@
 //! The Welch accumulators are [`dpl_store::Fold`]s, so a sequential or
 //! salvage t-test is one [`dpl_store::fold()`] call over any
 //! [`ChunkSource`], and [`tvla_parallel_with`] is one
-//! [`dpl_store::fold_read_ahead`] call: worker threads read and decode the
-//! chunks while the caller folds them in trace order, so it is
-//! bit-identical to the sequential fold for any worker count (contract 1
-//! of [`dpl_store::fold`](mod@dpl_store::fold)), and each chunk is read
-//! once per pass.  The second-order fold's first pass is the first-order
+//! [`dpl_store::fold_read_ahead`] call: each thread reads and decodes its
+//! chunks while an earlier chunk is folded, and the chunks are folded one
+//! at a time in trace order, so it is bit-identical to the sequential fold
+//! for any worker count (contract 1 of
+//! [`dpl_store::fold`](mod@dpl_store::fold)), and each chunk is read once
+//! per pass.  The second-order fold's first pass is the first-order
 //! test, so a caller that wants both orders folds a
 //! [`SecondOrderWelchAccumulator`] once and reads the campaign twice;
 //! [`tvla_parallel_with`] returns the order it was asked for.
@@ -41,9 +42,11 @@ impl TvlaOrder {
 
 /// Scoped-thread parallel TVLA over any reopenable [`ChunkSource`] (a
 /// single archive or a [`dpl_store::ShardedReader`] campaign): a strict
-/// [`dpl_store::fold_read_ahead`], whose workers each open their own source
-/// via `open` and decode chunks ahead of the fold.  Bit-identical to the
-/// sequential fold for any worker count.  Workers default to the available
+/// [`dpl_store::fold_read_ahead`] on `workers` threads, the caller
+/// included, each of which opens its own source via `open`, decodes its
+/// chunks while an earlier chunk is folded, and folds its own chunks in
+/// turn.  Bit-identical to the sequential fold for any worker count;
+/// `Some(1)` folds on the caller alone.  Workers default to the available
 /// parallelism (capped at 8) and are clamped to the chunk count.
 ///
 /// With a telemetry context, the fold records its span, advances the
@@ -65,7 +68,7 @@ pub fn tvla_parallel_with<S, O, F>(
 where
     S: ChunkSource,
     O: Fn() -> StoreResult<S> + Sync,
-    F: Fn(u64, u64) -> Option<TvlaGroup>,
+    F: Fn(u64, u64) -> Option<TvlaGroup> + Send,
 {
     Ok(match order {
         TvlaOrder::First => {

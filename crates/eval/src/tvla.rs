@@ -17,8 +17,8 @@
 //! * feeding the same traces chunk-by-chunk (the out-of-core path of
 //!   `dpl-store`) performs the exact same floating-point additions per
 //!   accumulator slot and is therefore **bit-identical**; the parallel
-//!   out-of-core t-tests decode chunks on worker threads but fold them on
-//!   one thread in trace order, so they stay bit-identical too,
+//!   out-of-core t-tests decode chunks on several threads but fold them one
+//!   at a time in trace order, so they stay bit-identical too,
 //! * the second-order accumulator is two-pass (centered-product
 //!   preprocessing centers on the final per-group means), like the CPA
 //!   accumulator, and its first pass *is* the first-order test: one

@@ -124,10 +124,11 @@ where
 }
 
 /// Parallel out-of-core CPA with [`fold_parallel`], the one statistic under
-/// its numeric contract: each worker opens its own source via `open` (e.g.
-/// a [`crate::ShardedReader`] manifest) once for the fold.  A few-class
-/// campaign is read once; the diverse-input path merges per-chunk forks of
-/// the sealed accumulator in a second pass.
+/// its numeric contract: on `workers` threads, the caller included, each of
+/// which opens its own source via `open` (e.g. a [`crate::ShardedReader`]
+/// manifest) once for the fold.  The scores are the same bits for every
+/// worker count.  A few-class campaign is read once; the diverse-input path
+/// merges per-chunk forks of the sealed accumulator in a second pass.
 ///
 /// # Errors
 ///

@@ -1,12 +1,12 @@
 //! The fold engine: every out-of-core statistic — DPA and CPA here, the
 //! TVLA t-tests of `dpl-eval` — reads a campaign through one chunk loop.
 //! A statistic is a [`Fold`] (an accumulator that takes chunks in trace
-//! order, may ask for the chunks again, and finalizes).  The loop has two
-//! chunk producers, both under a strict or salvage [`Reading`]: [`fold`]
-//! reads inline from any [`ChunkSource`], and [`fold_read_ahead`] has
-//! worker threads read, verify and decode the chunks ahead of it.
-//! [`fold_parallel`] runs a [`MergeFold`] on the same workers, which fold
-//! one partial per chunk.
+//! order, may ask for the chunks again, and finalizes).  The loop is a
+//! relay of threads under a strict or salvage [`Reading`]: [`fold`] runs
+//! it on the calling thread alone over any [`ChunkSource`],
+//! [`fold_read_ahead`] adds threads that read, verify and decode their
+//! chunks while an earlier chunk is folded, and [`fold_parallel`] runs a
+//! [`MergeFold`] on it, each thread folding its chunks into partials.
 //!
 //! # Numeric contracts
 //!
@@ -15,14 +15,14 @@
 //!
 //! 1. **Sequential, read-ahead and clean-salvage folds are bit-identical to
 //!    the in-memory statistic.**  [`fold`] and [`fold_read_ahead`] feed the
-//!    accumulator every chunk in global trace order on the calling thread,
-//!    so they perform exactly the floating-point operations of the
-//!    in-memory statistic over the same traces — for any chunk size, any
-//!    read-ahead worker count, and any shard layout, since a
-//!    [`crate::ShardedReader`] yields the single-archive chunk stream.  A
-//!    salvage fold over a damaged campaign equals the strict fold over the
-//!    same campaign with the lost chunks' traces removed.  DPA and both
-//!    TVLA orders run only under this contract.
+//!    accumulator every chunk in global trace order, one chunk at a time on
+//!    whichever thread holds the turn, so they perform exactly the
+//!    floating-point operations of the in-memory statistic over the same
+//!    traces — for any chunk size, any worker count, and any shard layout,
+//!    since a [`crate::ShardedReader`] yields the single-archive chunk
+//!    stream.  A salvage fold over a damaged campaign equals the strict fold
+//!    over the same campaign with the lost chunks' traces removed.  DPA and
+//!    both TVLA orders run only under this contract.
 //! 2. **Chunk-parallel CPA is deterministic and layout-independent, and
 //!    within 1e-12 of sequential.**  [`fold_parallel`] — through
 //!    [`crate::cpa_attack_parallel_with`], the one statistic that uses it —
@@ -33,20 +33,22 @@
 //!
 //! # Workers
 //!
-//! [`fold_read_ahead`] and [`fold_parallel`] share one pool of scoped
-//! worker threads.  Each worker opens its own source once per fold and
-//! serves `(chunk index, item)` requests, round-robin by chunk index; the
-//! caller takes the replies back in chunk order.  A read-ahead item is a
-//! recycled chunk buffer the worker decodes into; a chunk-parallel item is
-//! the partial the caller forks for the chunk ([`MergeFold::partial`]),
-//! which the worker folds the chunk into.  A pass requests only the chunks
-//! it folds — every chunk in pass 1, only the chunks that verified in a
-//! replay — and at most `workers + 1` chunk buffers (or partials) are
-//! alive at once: requested, or being folded (merged) by the caller.
-//! Salvage retries and damage classification run on the worker that read
-//! the chunk, so the [`DamageReport`] is the sequential one.  A worker
-//! stops at its first failure; errors surface in chunk order, and
-//! returning early drops the channels, so every worker stops and joins.
+//! `workers` counts the threads that read and fold, the caller included
+//! (`Some(1)`: the caller alone).  After the caller's shape probe, each
+//! thread opens its own source and reads the chunks at positions `t`,
+//! `t + workers`, … of each pass.  The chunks' in-order steps take turns in
+//! chunk order: a thread reads its chunk, parks until the chunk's turn on
+//! one turn counter, takes the step [`fold`] takes — damage
+//! classification, then [`Fold::update`] or, in [`fold_parallel`], the
+//! merge of the partial it folded the chunk into while it waited; after a
+//! pass's last chunk, the seal — and unparks the next chunk's thread.  So
+//! at most `workers` chunk buffers (or partials) are alive, one per thread,
+//! and the [`DamageReport`] is the sequential one.  A pass begins once the
+//! previous one is sealed, so no thread reads a chunk of a pass that never
+//! runs: pass 1 reads every chunk once, a replay those that verified.
+//! Errors surface on their chunk's turn, in chunk order; a failing step or
+//! a panicking thread stops the relay, and every thread joins before the
+//! fold returns the error or propagates the panic.
 //!
 //! # Salvage
 //!
@@ -57,9 +59,9 @@
 //! verified in pass 1 but fails in a replay fails the fold closed — the
 //! passes must fold the same traces.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::Scope;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, Thread};
 
 use dpl_obs::{names, rate_per_sec, Obs, SpanGuard};
 use dpl_power::TraceSet;
@@ -141,19 +143,22 @@ pub enum Reading<'a> {
 struct FoldObs {
     obs: Option<Obs>,
     span: Option<SpanGuard>,
+    samples: usize,
     traces: u64,
     bytes: u64,
     updates: u64,
 }
 
 impl FoldObs {
-    /// Starts observing a fold; a `None` context makes every call a no-op.
-    fn start(obs: Option<&Obs>, span_name: &str) -> Self {
+    /// Starts observing a fold of `samples`-sample traces; a `None` context
+    /// makes every call a no-op.
+    fn start(obs: Option<&Obs>, span_name: &str, samples: usize) -> Self {
         let obs = obs.cloned();
         let span = obs.as_ref().map(|o| o.span(span_name));
         FoldObs {
             obs,
             span,
+            samples,
             traces: 0,
             bytes: 0,
             updates: 0,
@@ -167,14 +172,13 @@ impl FoldObs {
         &mut self,
         acc: &mut A,
         chunk: &TraceSet,
-        samples_per_trace: usize,
     ) -> std::result::Result<(), A::Error> {
         let Some(obs) = &self.obs else {
             return acc.update(chunk);
         };
         self.traces += chunk.len() as u64;
         // Trace payload bytes: 8-byte input + 8 bytes per sample, per trace.
-        self.bytes += (chunk.len() * (8 + 8 * samples_per_trace)) as u64;
+        self.bytes += (chunk.len() * (8 + 8 * self.samples)) as u64;
         self.updates += 1;
         obs.progress_advance(chunk.len() as u64);
         let _phase = obs.phase("fold.update", names::FOLD_UPDATE_NS);
@@ -220,235 +224,381 @@ fn read_into<S: ChunkSource + ?Sized>(
     }
 }
 
-/// The chunks one pass folds, in order.
-type Plan = Box<dyn Iterator<Item = usize>>;
-
-/// Every chunk of a `chunks`-chunk campaign but those in `skip` (ascending).
-fn plan(chunks: usize, skip: Vec<usize>) -> Plan {
-    Box::new((0..chunks).filter(move |index| skip.binary_search(index).is_err()))
+/// How [`fold_parallel`] folds a chunk: off its turn into a partial that
+/// `fork` makes for the chunk's first trace, and on its turn by `merge`.
+struct Partials<A: Fold> {
+    fork: fn(&A, u64) -> std::result::Result<A, A::Error>,
+    merge: fn(&mut A, &A) -> std::result::Result<(), A::Error>,
 }
 
-/// Where the chunk loop gets each pass's chunks from.
-trait Producer {
-    /// Starts a pass over the chunks of `plan`.
-    fn begin(&mut self, plan: Plan);
+/// A thread's partial for its next chunk (`None` where chunks are folded
+/// on their turn), or the error forking it gave.
+type Part<A> = std::result::Result<Option<A>, <A as Fold>::Error>;
 
-    /// The pass's next chunk with its damage (`None`: it verified and the
-    /// set holds its traces), or `None` at the end of the pass.
-    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>>;
+/// A chunk read off its turn: its damage (`None`: it verified) with its
+/// partial, or the error reading it gave.
+type Carried<A> = std::result::Result<(Option<DamagedChunk>, Option<A>), <A as Fold>::Error>;
+
+/// A pass of `len` chunks in chunk order, the first on turn `base`: every
+/// chunk but the skipped ones, where `gaps[j]` counts the pass's chunks
+/// before the `j`-th skipped chunk.
+#[derive(Clone)]
+struct Pass {
+    base: usize,
+    len: usize,
+    gaps: Arc<[usize]>,
 }
 
-/// Reads each chunk from the caller's source when the loop asks for it.
-struct Inline<'a, 'r, S: ?Sized> {
-    source: &'a mut S,
-    reading: Reading<'r>,
-    plan: Plan,
-    chunk: TraceSet,
-}
-
-impl<S: ChunkSource + ?Sized> Producer for Inline<'_, '_, S> {
-    fn begin(&mut self, plan: Plan) {
-        self.plan = plan;
+impl Pass {
+    /// The chunk at position `pos` of the pass.
+    fn chunk(&self, pos: usize) -> usize {
+        pos + self.gaps.partition_point(|&before| before <= pos)
     }
 
-    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>> {
-        let index = self.plan.next()?;
-        let damage = read_into(self.source, index, self.reading, &mut self.chunk);
-        Some(damage.map(|damage| (damage, &self.chunk)))
+    /// The chunk at position `pos`, if the pass has one.
+    fn get(&self, pos: usize) -> Option<usize> {
+        (pos < self.len).then(|| self.chunk(pos))
     }
 }
 
-/// One worker's channels: requested chunk indices, each with its item, and
-/// the replies in request order.
-type Lane<T, U, E> = (Sender<(usize, T)>, Receiver<std::result::Result<U, E>>);
-
-/// Scoped worker threads that each open their own source and serve chunk
-/// requests, round-robin by chunk index, replying in request order (see
-/// the [module docs](self)).
-struct Workers<T, U, E> {
-    lanes: Vec<Lane<T, U, E>>,
-    /// Requested chunks whose replies the caller has not taken, in order.
-    pending: VecDeque<usize>,
+/// The in-order side of a fold, behind the relay's lock: the accumulator
+/// with the read's damage report and telemetry, and the relay's pass.
+struct Shared<A: Fold> {
+    acc: A,
+    partials: Option<Partials<A>>,
+    chunk_traces: u64,
+    report: DamageReport,
+    obs: FoldObs,
+    pass: Pass,
+    replay: bool,
+    /// Whether the last pass is sealed.
+    done: bool,
+    /// The error that stopped the relay.
+    error: Option<A::Error>,
+    /// The threads to unpark, by number, once each has registered.
+    threads: Vec<Option<Thread>>,
 }
 
-impl<T: Send, U: Send, E: Send + From<StoreError>> Workers<T, U, E> {
-    /// Spawns `count` workers on `scope`.  Each calls `start` once, to open
-    /// its source and build its request handler, then answers requests
-    /// until the caller hangs up or a reply fails; a `start` error is the
-    /// worker's only reply.
-    fn spawn<'scope, 'env, W>(
-        scope: &'scope Scope<'scope, 'env>,
-        count: usize,
-        start: &'env (impl Fn() -> std::result::Result<W, E> + Sync),
-    ) -> Self
-    where
-        W: FnMut(usize, T) -> std::result::Result<U, E>,
-        T: 'scope,
-        U: 'scope,
-        E: 'scope,
-    {
-        let lanes = (0..count)
-            .map(|_| {
-                let (requests, inbox) = channel::<(usize, T)>();
-                let (outbox, replies) = channel();
-                scope.spawn(move || {
-                    let mut serve = match start() {
-                        Ok(serve) => serve,
-                        Err(e) => {
-                            let _ = outbox.send(Err(e));
-                            return;
-                        }
-                    };
-                    for (index, item) in inbox {
-                        let reply = serve(index, item);
-                        let failed = reply.is_err();
-                        // A closed outbox means the fold stopped early.
-                        if outbox.send(reply).is_err() || failed {
-                            return;
-                        }
-                    }
-                });
-                (requests, replies)
-            })
-            .collect();
-        Workers {
-            lanes,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Whether fewer than `workers + 1` requests are outstanding.
-    fn has_room(&self) -> bool {
-        self.pending.len() <= self.lanes.len()
-    }
-
-    /// Hands chunk `index` with its item to the worker that owns the index.
-    fn request(&mut self, index: usize, item: T) {
-        // A closed lane means its worker stopped on an error, which its last
-        // reply carries.
-        let _ = self.lanes[index % self.lanes.len()].0.send((index, item));
-        self.pending.push_back(index);
-    }
-
-    /// The reply to the oldest outstanding request, or `None` when none is
-    /// outstanding.
-    fn reply(&mut self) -> Option<std::result::Result<U, E>> {
-        let index = self.pending.pop_front()?;
-        let reply = self.lanes[index % self.lanes.len()].1.recv();
-        Some(reply.unwrap_or_else(|_| {
-            Err(StoreError::FormatViolation {
-                message: format!("chunk {index} was never read"),
+impl<A: Fold> Shared<A> {
+    /// One chunk's step: damage in pass 1 is recorded, damage in a replay
+    /// fails the fold, and a verified chunk is folded (or its partial
+    /// merged) into the accumulator.
+    fn step(&mut self, carried: Carried<A>, chunk: &TraceSet) -> std::result::Result<(), A::Error> {
+        match carried? {
+            (None, part) => {
+                if !self.replay {
+                    self.report.traces_read += chunk.len() as u64;
+                }
+                match (part, &self.partials) {
+                    (Some(part), Some(partials)) => (partials.merge)(&mut self.acc, &part),
+                    _ => self.obs.update(&mut self.acc, chunk),
+                }
             }
-            .into())
-        }))
-    }
-}
-
-/// Requests chunks from the workers ahead of the loop and hands them over
-/// in plan order.
-struct ReadAhead {
-    workers: Workers<TraceSet, (Option<DamagedChunk>, TraceSet), StoreError>,
-    plan: Plan,
-    /// The chunk the loop is folding.
-    current: Option<TraceSet>,
-    /// Buffers free for the next requests.
-    spare: Vec<TraceSet>,
-}
-
-impl Producer for ReadAhead {
-    fn begin(&mut self, plan: Plan) {
-        self.plan = plan;
-    }
-
-    fn next(&mut self) -> Option<Result<(Option<DamagedChunk>, &TraceSet)>> {
-        self.spare.extend(self.current.take());
-        while self.workers.has_room() {
-            let Some(index) = self.plan.next() else { break };
-            let buffer = self.spare.pop().unwrap_or_default();
-            self.workers.request(index, buffer);
+            (Some(d), _) if self.replay => Err(StoreError::FormatViolation {
+                message: format!(
+                    "chunk {} verified in pass 1 but failed in pass 2 ({}); \
+                     refusing to finalize inconsistent passes",
+                    d.chunk, d.cause
+                ),
+            }
+            .into()),
+            (Some(d), _) => {
+                self.report.damaged.push(d);
+                Ok(())
+            }
         }
-        let decoded = self.workers.reply()?;
-        Some(decoded.map(|(damage, chunk)| (damage, &*self.current.insert(chunk))))
     }
-}
 
-/// What the chunk loop needs to know about a campaign before reading it.
-#[derive(Clone, Copy)]
-struct Shape {
-    chunks: usize,
-    traces: u64,
-    samples: usize,
-}
+    /// Seals the pass.  After pass 1, [`Fold::begin_pass`] may ask for a
+    /// replay of every chunk that verified; otherwise, or when the replay
+    /// has no chunks, the fold is done.
+    fn seal(&mut self) -> std::result::Result<(), A::Error> {
+        if self.replay || !self.acc.begin_pass()? {
+            self.done = true;
+            return Ok(());
+        }
+        self.replay = true;
+        let damaged = &self.report.damaged;
+        self.pass = Pass {
+            base: self.pass.len,
+            len: self.report.chunks_scanned - damaged.len(),
+            gaps: damaged
+                .iter()
+                .enumerate()
+                .map(|(j, d)| d.chunk - j)
+                .collect(),
+        };
+        self.done = self.pass.len == 0;
+        Ok(())
+    }
 
-impl Shape {
-    fn of<S: ChunkSource + ?Sized>(source: &S) -> Self {
-        Shape {
-            chunks: source.chunk_count(),
-            traces: source.trace_count(),
-            samples: source.samples_per_trace(),
+    /// The partial for chunk `index`, if there is one and the fold merges
+    /// partials.
+    fn fork(&self, index: Option<usize>) -> Part<A> {
+        match (&self.partials, index) {
+            (Some(p), Some(i)) => (p.fork)(&self.acc, i as u64 * self.chunk_traces).map(Some),
+            _ => Ok(None),
         }
     }
 }
 
-/// The chunk loop: folds `acc` over the chunks `chunks` produces, pass by
-/// pass, and classifies damage (see the [module docs](self)).
-fn run<P, A>(
-    mut chunks: P,
-    mut acc: A,
+/// A fold on `workers` threads taking turns (see the [module docs](self)).
+/// `turn` and `stop` are stored under the lock with `Release` and loaded
+/// with `Acquire` by a waiting thread; what a step wrote, the lock
+/// publishes.
+struct Relay<A: Fold> {
+    workers: usize,
+    /// The position, counted over both passes, whose step is next; a
+    /// sealed pass moves it to the next pass's first position.
+    turn: AtomicUsize,
+    /// Set when the relay stops early, on an error or a panic.
+    stop: AtomicBool,
+    shared: Mutex<Shared<A>>,
+}
+
+impl<A: Fold> Relay<A> {
+    /// A relay over the campaign `probe` describes.
+    fn new<S: ChunkSource + ?Sized>(
+        acc: A,
+        partials: Option<Partials<A>>,
+        probe: &S,
+        obs: Option<&Obs>,
+        workers: usize,
+    ) -> Self {
+        let chunks = probe.chunk_count();
+        let mut shared = Shared {
+            acc,
+            partials,
+            chunk_traces: probe.meta().chunk_traces as u64,
+            report: DamageReport {
+                chunks_scanned: chunks,
+                traces_total: probe.trace_count(),
+                ..DamageReport::default()
+            },
+            obs: FoldObs::start(obs, A::SPAN, probe.samples_per_trace()),
+            pass: Pass {
+                base: 0,
+                len: chunks,
+                gaps: Arc::new([]),
+            },
+            replay: false,
+            done: false,
+            error: None,
+            threads: vec![None; workers],
+        };
+        if chunks == 0 {
+            shared.error = shared.seal().err();
+        }
+        Relay {
+            workers,
+            turn: AtomicUsize::new(0),
+            stop: AtomicBool::new(shared.error.is_some()),
+            shared: Mutex::new(shared),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared<A>> {
+        // A thread that panicked holding the lock may have left the
+        // accumulator half-updated, but nothing reads it again: the relay
+        // stops, and the fold propagates the panic instead of finishing.
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until the turn reaches `turn`; `false` when the relay stopped.
+    fn wait_turn(&self, turn: usize) -> bool {
+        loop {
+            if self.stop.load(Ordering::Acquire) {
+                return false;
+            }
+            if self.turn.load(Ordering::Acquire) >= turn {
+                return true;
+            }
+            thread::park();
+        }
+    }
+
+    /// Takes the step of the chunk at `pos` of `pass` on thread `me`'s
+    /// turn, forks the thread's partial for its next chunk, and hands the
+    /// turn on: to the next chunk's thread, or, after the pass's last chunk
+    /// and its seal, to every thread.  `None` when the relay stopped.
+    fn step(
+        &self,
+        pass: &Pass,
+        pos: usize,
+        carried: Carried<A>,
+        chunk: &TraceSet,
+    ) -> Option<Part<A>> {
+        let mut shared = self.lock();
+        let next = pos + 1;
+        let mut stepped = shared.step(carried, chunk);
+        if stepped.is_ok() && next == pass.len {
+            stepped = shared.seal();
+        }
+        if let Err(e) = stepped {
+            self.halt(shared, Some(e));
+            return None;
+        }
+        let part = shared.fork(pass.get(pos + self.workers));
+        self.turn.store(pass.base + next, Ordering::Release);
+        if next == pass.len {
+            self.wake(shared, None);
+        } else {
+            self.wake(shared, Some(next % self.workers));
+        }
+        Some(part)
+    }
+
+    /// Stops the relay, keeping the first error, and wakes every thread.
+    fn halt(&self, mut shared: MutexGuard<'_, Shared<A>>, error: Option<A::Error>) {
+        if shared.error.is_none() {
+            shared.error = error;
+        }
+        self.stop.store(true, Ordering::Release);
+        self.wake(shared, None);
+    }
+
+    /// Releases the lock and unparks thread `owner`, or every thread.
+    fn wake(&self, shared: MutexGuard<'_, Shared<A>>, owner: Option<usize>) {
+        if self.workers == 1 {
+            return;
+        }
+        let threads: Vec<Thread> = match owner {
+            Some(owner) => shared.threads[owner].iter().cloned().collect(),
+            None => shared.threads.iter().flatten().cloned().collect(),
+        };
+        drop(shared);
+        threads.iter().for_each(Thread::unpark);
+    }
+
+    fn finish(
+        self,
+        reading: Reading<'_>,
+    ) -> std::result::Result<(A::Output, DamageReport), A::Error> {
+        let shared = (self.shared.into_inner())
+            .expect("a panic holding the relay's lock propagates before the fold finishes");
+        if let Some(e) = shared.error {
+            return Err(e);
+        }
+        let salvage = matches!(reading, Reading::Salvage(_));
+        shared
+            .obs
+            .finish(salvage.then_some(shared.report.damaged.len()));
+        Ok((shared.acc.finalize()?, shared.report))
+    }
+}
+
+/// Stops the relay when its thread unwinds, so that no other thread waits
+/// for a turn that never comes.
+struct HaltOnPanic<'a, A: Fold>(&'a Relay<A>);
+
+impl<A: Fold> Drop for HaltOnPanic<'_, A> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.halt(self.0.lock(), None);
+        }
+    }
+}
+
+/// Thread `me`'s leg of the relay: it reads the chunks at positions `me`,
+/// `me + workers`, … of each pass from `source` (or carries the error
+/// opening it gave to its first turn), folds each into its partial if the
+/// fold merges partials, and takes each chunk's step on its turn.
+fn leg<S, A>(
+    relay: &Relay<A>,
+    me: usize,
+    mut source: std::result::Result<&mut S, StoreError>,
     reading: Reading<'_>,
-    shape: Shape,
+) where
+    S: ChunkSource + ?Sized,
+    A: Fold,
+{
+    let _halt = HaltOnPanic(relay);
+    let mut chunk = TraceSet::new();
+    let mut shared = relay.lock();
+    shared.threads[me] = Some(thread::current());
+    while !shared.done && !relay.stop.load(Ordering::Relaxed) {
+        let pass = shared.pass.clone();
+        let mut part = shared.fork(pass.get(me));
+        drop(shared);
+        for pos in (me..pass.len).step_by(relay.workers) {
+            let index = pass.chunk(pos);
+            let carried = part.and_then(|mut part| {
+                let damage = match &mut source {
+                    Ok(source) => read_into(*source, index, reading, &mut chunk)?,
+                    Err(e) => return Err(e.clone().into()),
+                };
+                if let (None, Some(part)) = (&damage, &mut part) {
+                    part.update(&chunk)?;
+                }
+                Ok((damage, part))
+            });
+            if !relay.wait_turn(pass.base + pos) {
+                return;
+            }
+            match relay.step(&pass, pos, carried, &chunk) {
+                Some(next) => part = next,
+                None => return,
+            }
+        }
+        // The next pass, if any, begins once this one is sealed.
+        if !relay.wait_turn(pass.base + pass.len) {
+            return;
+        }
+        shared = relay.lock();
+    }
+}
+
+/// Runs a relay of `workers` threads — the caller and scoped helpers —
+/// over the campaign `open` opens: a shape probe, then one source per
+/// thread.  A helper's panic is propagated once every thread has joined.
+fn run<S, O, A>(
+    open: &O,
+    acc: A,
+    partials: Option<Partials<A>>,
+    reading: Reading<'_>,
+    workers: Option<usize>,
     obs: Option<&Obs>,
 ) -> std::result::Result<(A::Output, DamageReport), A::Error>
 where
-    P: Producer,
-    A: Fold,
+    S: ChunkSource,
+    O: Fn() -> Result<S> + Sync,
+    A: Fold + Send,
+    A::Error: Send,
 {
-    let mut obs = FoldObs::start(obs, A::SPAN);
-    let mut report = DamageReport {
-        chunks_scanned: shape.chunks,
-        traces_total: shape.traces,
-        ..DamageReport::default()
+    let probe = open()?;
+    let workers = worker_count(workers, probe.chunk_count());
+    let relay = Relay::new(acc, partials, &probe, obs, workers);
+    drop(probe);
+    let run = |me| match open() {
+        Ok(mut source) => leg(&relay, me, Ok(&mut source), reading),
+        Err(e) => leg::<S, _>(&relay, me, Err(e), reading),
     };
-    let mut replay = false;
-    loop {
-        let skip = report.damaged.iter().map(|d| d.chunk).collect();
-        chunks.begin(plan(shape.chunks, skip));
-        while let Some(read) = chunks.next() {
-            match read? {
-                (None, chunk) => {
-                    if !replay {
-                        report.traces_read += chunk.len() as u64;
-                    }
-                    obs.update(&mut acc, chunk, shape.samples)?;
-                }
-                (Some(d), _) if replay => {
-                    return Err(StoreError::FormatViolation {
-                        message: format!(
-                            "chunk {} verified in pass 1 but failed in pass 2 ({}); \
-                             refusing to finalize inconsistent passes",
-                            d.chunk, d.cause
-                        ),
-                    }
-                    .into());
-                }
-                (Some(d), _) => report.damaged.push(d),
+    let panicked = thread::scope(|scope| {
+        let run = &run;
+        let helpers: Vec<_> = (1..workers)
+            .map(|me| scope.spawn(move || run(me)))
+            .collect();
+        run(0);
+        let mut panicked = None;
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                panicked.get_or_insert(payload);
             }
         }
-        if replay || !acc.begin_pass()? {
-            break;
-        }
-        replay = true;
+        panicked
+    });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
     }
-    let salvage = matches!(reading, Reading::Salvage(_));
-    obs.finish(salvage.then_some(report.damaged.len()));
-    Ok((acc.finalize()?, report))
+    relay.finish(reading)
 }
 
 /// Folds `acc` over every chunk of `source` in global order, replaying the
 /// chunks when [`Fold::begin_pass`] asks, and returns the statistic with
 /// the read's [`DamageReport`] (always clean under [`Reading::Strict`]).
-/// Reads inline on the calling thread.  See the [module docs](self) for
-/// the numeric and salvage contracts.
+/// Reads inline on the calling thread: the relay of one thread, spawning
+/// nothing.  See the [module docs](self) for the numeric and salvage
+/// contracts.
 ///
 /// # Errors
 ///
@@ -464,26 +614,19 @@ where
     S: ChunkSource + ?Sized,
     A: Fold,
 {
-    let obs = source.obs().cloned();
-    let shape = Shape::of(source);
-    let inline = Inline {
-        source,
-        reading,
-        plan: plan(0, Vec::new()),
-        chunk: TraceSet::new(),
-    };
-    run(inline, acc, reading, shape, obs.as_ref())
+    let relay = Relay::new(acc, None, source, source.obs(), 1);
+    leg(&relay, 0, Ok(source), reading);
+    relay.finish(reading)
 }
 
-/// [`fold`] with read-ahead: `workers` scoped threads each open their own
-/// source via `open` and read, verify and decode the chunks the fold
-/// requests, while the calling thread folds them in global order.  The
-/// result — statistic and [`DamageReport`] — is the sequential fold's, bit
-/// for bit, for any worker count.  The fold's span, counters and progress
-/// go to `obs`; chunk-read counters go to whatever context `open` attaches
-/// to its sources.  Workers default to the available parallelism (at most
-/// 8) and are clamped to the chunk count.  See the [module docs](self) for
-/// the contracts and the in-flight bound.
+/// [`fold`] on a relay of `workers` threads, the caller included, each
+/// reading from its own source from `open` (see the [module docs](self)).
+/// The result — statistic and [`DamageReport`] — is the sequential fold's,
+/// bit for bit, for any worker count; `Some(1)` is the inline fold on the
+/// caller.  The fold's span, counters and progress go to `obs`; chunk-read
+/// counters go to whatever context `open` attaches to its sources.
+/// Workers default to the available parallelism (at most 8) and are
+/// clamped to the chunk count.
 ///
 /// # Errors
 ///
@@ -498,43 +641,30 @@ pub fn fold_read_ahead<S, O, A>(
 where
     S: ChunkSource,
     O: Fn() -> Result<S> + Sync,
-    A: Fold,
+    A: Fold + Send,
+    A::Error: Send,
 {
-    let shape = Shape::of(&open()?);
-    let start = || {
-        let mut source = open()?;
-        Ok(move |index, mut chunk: TraceSet| {
-            let damage = read_into(&mut source, index, reading, &mut chunk)?;
-            Ok((damage, chunk))
-        })
-    };
-    std::thread::scope(|scope| {
-        let read_ahead = ReadAhead {
-            workers: Workers::spawn(scope, worker_count(workers, shape.chunks), &start),
-            plan: plan(0, Vec::new()),
-            current: None,
-            spare: Vec::new(),
-        };
-        run(read_ahead, acc, reading, shape, obs)
-    })
+    run(&open, acc, None, reading, workers, obs)
 }
 
 /// Resolves a worker request for `units` independent work units: the
 /// available parallelism (at most 8) by default, clamped to `1..=units`.
+/// For a fold, the units are chunks and the workers are the threads that
+/// read and fold them, the calling thread included.
 pub fn worker_count(requested: Option<usize>, units: usize) -> usize {
     requested
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)))
         .clamp(1, units.max(1))
 }
 
-/// Folds `acc` over a campaign on the read-ahead workers: the caller forks
-/// one [`MergeFold::partial`] per chunk, the worker that owns the chunk
-/// reads it from its own source (opened via `open`) and folds it into the
-/// partial, and the caller merges the partials into `acc` left to right in
-/// chunk order, pass by pass.  At most `workers + 1` partials are alive at
-/// once, the one being merged included.  Workers default to the available
-/// parallelism (at most 8) and are clamped to the chunk count.  See the
-/// [module docs](self) for the numeric contract.
+/// Folds `acc` over a campaign on a relay of `workers` threads, the caller
+/// included, each reading from its own source from `open`: a thread folds
+/// each of its chunks into a [`MergeFold::partial`] while it waits for the
+/// chunk's turn, which merges the partial into `acc` — so partials merge
+/// left to right in chunk order, pass by pass, and at most `workers` are
+/// alive at once.  Workers default to the available parallelism (at most
+/// 8) and are clamped to the chunk count.  See the [module docs](self) for
+/// the numeric contract.
 ///
 /// # Errors
 ///
@@ -542,7 +672,7 @@ pub fn worker_count(requested: Option<usize>, units: usize) -> usize {
 /// failure, or the first failing chunk's error, in chunk order.
 pub fn fold_parallel<S, O, A>(
     open: O,
-    mut acc: A,
+    acc: A,
     workers: Option<usize>,
 ) -> std::result::Result<A::Output, A::Error>
 where
@@ -551,58 +681,39 @@ where
     A: MergeFold + Send,
     A::Error: Send,
 {
-    let probe = open()?;
-    let (chunks, chunk_traces) = (probe.chunk_count(), probe.meta().chunk_traces as u64);
-    drop(probe);
-    let start = || {
-        let mut source = open()?;
-        let mut chunk = TraceSet::new();
-        Ok(move |index, mut partial: A| {
-            source.read_chunk_into(index, &mut chunk)?;
-            partial.update(&chunk)?;
-            Ok::<A, A::Error>(partial)
-        })
+    let partials = Partials {
+        fork: A::partial,
+        merge: A::merge,
     };
-    std::thread::scope(|scope| {
-        let mut workers = Workers::spawn(scope, worker_count(workers, chunks), &start);
-        let mut replay = false;
-        loop {
-            let mut plan = 0..chunks;
-            loop {
-                while workers.has_room() {
-                    let Some(index) = plan.next() else { break };
-                    workers.request(index, acc.partial(index as u64 * chunk_traces)?);
-                }
-                let Some(partial) = workers.reply() else {
-                    break;
-                };
-                acc.merge(&partial?)?;
-            }
-            if replay || !acc.begin_pass()? {
-                break;
-            }
-            replay = true;
-        }
-        acc.finalize()
-    })
+    Ok(run(&open, acc, Some(partials), Reading::Strict, workers, None)?.0)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
 
     use super::*;
     use crate::format::{ArchiveMeta, ModelTag};
 
+    /// Worker counts of the sweeps: the caller alone, fewer threads than
+    /// most campaigns' chunks, and more.
+    const WORKERS: [usize; 5] = [1, 2, 3, 5, 8];
+
     /// An in-memory campaign: `chunks` chunks of `chunk` one-sample traces,
-    /// each trace's input its global index.  `reads` counts chunk reads;
-    /// chunk `fail`, if any, fails its reads once `chunks` reads were
-    /// served, that is in a replay.
+    /// each trace's input its global index.  `reads` logs the index of every
+    /// chunk read, across all sources sharing it.  The chunks in `damaged`
+    /// fail every read with a checksum mismatch; chunk `fail`, if any, fails
+    /// its reads once `chunks` reads were served, that is in a replay.
+    #[derive(Clone)]
     struct Memory {
         meta: ArchiveMeta,
         chunks: usize,
-        reads: Arc<AtomicUsize>,
+        reads: Arc<Mutex<Vec<usize>>>,
+        damaged: Vec<usize>,
         fail: Option<usize>,
     }
 
@@ -612,8 +723,28 @@ mod tests {
                 meta: ArchiveMeta::scalar(chunk, ModelTag::Unspecified, 0),
                 chunks,
                 reads: Arc::default(),
+                damaged: Vec::new(),
                 fail: None,
             }
+        }
+
+        /// The same campaign with a fresh read log.
+        fn fresh(&self) -> Self {
+            Memory {
+                reads: Arc::default(),
+                ..self.clone()
+            }
+        }
+
+        /// The logged chunk reads, sorted.
+        fn reads(&self) -> Vec<usize> {
+            let mut reads = self.reads.lock().unwrap().clone();
+            reads.sort_unstable();
+            reads
+        }
+
+        fn read_count(&self) -> usize {
+            self.reads.lock().unwrap().len()
         }
     }
 
@@ -631,8 +762,13 @@ mod tests {
             None
         }
         fn read_chunk(&mut self, index: usize) -> Result<TraceSet> {
-            let served = self.reads.fetch_add(1, Ordering::SeqCst);
-            if self.fail == Some(index) && served >= self.chunks {
+            let served = {
+                let mut reads = self.reads.lock().unwrap();
+                reads.push(index);
+                reads.len() - 1
+            };
+            let replayed = self.fail == Some(index) && served >= self.chunks;
+            if replayed || self.damaged.contains(&index) {
                 return Err(StoreError::ChecksumMismatch { chunk: index });
             }
             let mut set = TraceSet::new();
@@ -650,6 +786,181 @@ mod tests {
         }
     }
 
+    /// Runs `case` on its own thread and fails unless it returns within a
+    /// minute, so a relay that deadlocks fails the test instead of hanging
+    /// it; a panic in `case` is propagated.
+    fn watchdog<T: Send + 'static>(case: impl FnOnce() -> T + Send + 'static) -> T {
+        let watcher = std::thread::current();
+        let worker = std::thread::spawn(move || {
+            let out = case();
+            watcher.unpark();
+            out
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !worker.is_finished() {
+            assert!(Instant::now() < deadline, "the fold hung");
+            std::thread::park_timeout(Duration::from_millis(10));
+        }
+        worker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// A fold that sums the samples in trace order over one or two passes,
+    /// recording each chunk's first trace and the peak count of chunks read
+    /// but not yet folded, measured at every update.  It panics, recording
+    /// its thread, on the chunk that starts with trace `panic_at`.
+    struct Summing {
+        sum: f64,
+        firsts: Vec<u64>,
+        passes: usize,
+        reads: Arc<Mutex<Vec<usize>>>,
+        folded: usize,
+        peak: usize,
+        panic_at: Option<(u64, Arc<Mutex<Option<ThreadId>>>)>,
+    }
+
+    impl Summing {
+        fn new(passes: usize, source: &Memory) -> Self {
+            Summing {
+                sum: 0.0,
+                firsts: Vec::new(),
+                passes,
+                reads: Arc::clone(&source.reads),
+                folded: 0,
+                peak: 0,
+                panic_at: None,
+            }
+        }
+    }
+
+    impl Fold for Summing {
+        type Output = (f64, Vec<u64>, usize);
+        type Error = StoreError;
+        const SPAN: &'static str = "test.summing";
+
+        fn update(&mut self, chunk: &TraceSet) -> Result<()> {
+            if let Some((trace, at)) = &self.panic_at {
+                if chunk.inputs()[0] == *trace {
+                    *at.lock().unwrap() = Some(std::thread::current().id());
+                    panic!("update panicked at trace {trace}");
+                }
+            }
+            let alive = self.reads.lock().unwrap().len() - self.folded;
+            self.peak = self.peak.max(alive);
+            self.folded += 1;
+            self.sum = chunk.sample_column(0).iter().fold(self.sum, |s, v| s + v);
+            self.firsts.push(chunk.inputs()[0]);
+            Ok(())
+        }
+
+        fn begin_pass(&mut self) -> Result<bool> {
+            Ok(self.passes == 2)
+        }
+
+        fn finalize(self) -> Result<(f64, Vec<u64>, usize)> {
+            Ok((self.sum, self.firsts, self.peak))
+        }
+    }
+
+    type Summed = Result<((f64, Vec<u64>, usize), DamageReport)>;
+
+    /// The parts of a [`Summing`] fold's result that must not depend on the
+    /// thread count: the sum's bits, the chunk order and the report.
+    fn comparable(summed: Summed) -> Result<((u64, Vec<u64>), DamageReport)> {
+        summed.map(|((sum, firsts, _), report)| ((sum.to_bits(), firsts), report))
+    }
+
+    /// Each sweep case's campaign: chunks damaged first, in the middle,
+    /// last, all three, or none.
+    fn damage_cases(chunks: usize) -> Vec<Vec<usize>> {
+        let mut cases = vec![Vec::new()];
+        if chunks > 0 {
+            let (middle, last) = (chunks / 2, chunks - 1);
+            cases.extend([vec![0], vec![middle], vec![last]]);
+            let mut all = vec![0, middle, last];
+            all.dedup();
+            cases.push(all);
+        }
+        cases
+    }
+
+    #[test]
+    fn relay_folds_match_the_inline_fold_in_every_case() {
+        const CHUNK: usize = 3;
+        let retry: &'static RetryPolicy = Box::leak(Box::new(RetryPolicy::none()));
+        for chunks in [0, 1, 2, 7, 40] {
+            for damaged in damage_cases(chunks) {
+                for passes in [1, 2] {
+                    for reading in [Reading::Strict, Reading::Salvage(retry)] {
+                        let campaign = Memory {
+                            damaged: damaged.clone(),
+                            ..Memory::new(CHUNK, chunks)
+                        };
+                        let mut source = campaign.fresh();
+                        let acc = Summing::new(passes, &source);
+                        let inline = fold(&mut source, acc, reading);
+                        // A damaged chunk is read and never folded, so the
+                        // peak counts chunks alive only on a clean campaign.
+                        let clean = damaged.is_empty();
+                        if let (true, Ok(((_, _, peak), _))) = (clean, &inline) {
+                            assert!(*peak <= 1, "the inline fold holds one chunk");
+                        }
+                        let inline_reads = source.reads();
+                        let inline = comparable(inline);
+                        // The inline fold itself against the campaign: a
+                        // salvage replay reads and folds the kept chunks.
+                        let kept: Vec<usize> =
+                            (0..chunks).filter(|c| !damaged.contains(c)).collect();
+                        if clean || matches!(reading, Reading::Salvage(_)) {
+                            let ((_, firsts), report) = inline.clone().expect("no hard error");
+                            let starts = kept.iter().map(|&c| (c * CHUNK) as u64);
+                            let folded: Vec<u64> =
+                                (0..passes).flat_map(|_| starts.clone()).collect();
+                            assert_eq!(firsts, folded, "chunks folded");
+                            let mut reads: Vec<usize> = (0..chunks).collect();
+                            if passes == 2 {
+                                reads.extend(&kept);
+                            }
+                            reads.sort_unstable();
+                            assert_eq!(inline_reads, reads, "chunks read");
+                            let lost: Vec<usize> = report.damaged.iter().map(|d| d.chunk).collect();
+                            assert_eq!(lost, damaged, "damage report");
+                        }
+                        for workers in WORKERS {
+                            let case = format!(
+                                "{chunks} chunks, damaged {damaged:?}, {passes} passes, \
+                                 {reading:?}, {workers} workers"
+                            );
+                            let campaign = campaign.fresh();
+                            let (folded, reads, opens) = watchdog(move || {
+                                let opens = AtomicUsize::new(0);
+                                let open = || {
+                                    opens.fetch_add(1, Ordering::SeqCst);
+                                    Ok(campaign.clone())
+                                };
+                                let acc = Summing::new(passes, &campaign);
+                                let folded =
+                                    fold_read_ahead(open, acc, reading, Some(workers), None);
+                                (folded, campaign.reads(), opens.into_inner())
+                            });
+                            let threads = workers.min(chunks.max(1));
+                            assert_eq!(opens, 1 + threads, "{case}: the probe, one per thread");
+                            if let (true, Ok(((_, _, peak), _))) = (clean, &folded) {
+                                assert!(*peak <= threads, "{case}: {peak} chunks alive");
+                            }
+                            let failed = folded.is_err();
+                            assert_eq!(comparable(folded), inline, "{case}");
+                            if !failed {
+                                assert_eq!(reads, inline_reads, "{case}: chunk reads");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A fold over one or two passes that sums the samples and records
     /// which chunks it merged, counting its live partials.
     struct Counting {
@@ -660,6 +971,19 @@ mod tests {
         /// (live, peak) partial counts; the root fold holds them uncounted.
         live: Arc<(AtomicUsize, AtomicUsize)>,
         counted: bool,
+    }
+
+    impl Counting {
+        fn root(passes: usize, live: &Arc<(AtomicUsize, AtomicUsize)>) -> Self {
+            Counting {
+                sum: 0.0,
+                chunks: Vec::new(),
+                first: 0,
+                passes,
+                live: Arc::clone(live),
+                counted: false,
+            }
+        }
     }
 
     impl Drop for Counting {
@@ -714,45 +1038,48 @@ mod tests {
     #[test]
     fn parallel_folds_keep_partials_bounded_and_merge_in_chunk_order() {
         const CHUNK: usize = 3;
-        const CHUNKS: usize = 1024;
-        let mut source = Memory::new(CHUNK, CHUNKS);
-        let sums: Vec<f64> = (0..CHUNKS)
-            .map(|index| {
-                let chunk = source.read_chunk(index).unwrap();
-                chunk.sample_column(0).iter().fold(0.0, |s, v| s + v)
-            })
-            .collect();
-        for passes in [1, 2] {
-            // The sequential left fold of the per-chunk partials, pass by
-            // pass.
-            let expected = (0..passes).flat_map(|_| &sums).fold(0.0, |s, v| s + v);
-            let order: Vec<u64> = (0..passes)
-                .flat_map(|_| (0..CHUNKS as u64).map(|c| c * CHUNK as u64))
+        for chunks in [0, 1, 2, 7, 40, 1024] {
+            let mut source = Memory::new(CHUNK, chunks);
+            let sums: Vec<f64> = (0..chunks)
+                .map(|index| {
+                    let chunk = source.read_chunk(index).unwrap();
+                    chunk.sample_column(0).iter().fold(0.0, |s, v| s + v)
+                })
                 .collect();
-            for workers in [1, 2, 4] {
-                let case = format!("{passes} passes, {workers} workers");
-                let live = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
-                let root = Counting {
-                    sum: 0.0,
-                    chunks: Vec::new(),
-                    first: 0,
-                    passes,
-                    live: Arc::clone(&live),
-                    counted: false,
-                };
-                let opens = AtomicUsize::new(0);
-                let open = || {
-                    opens.fetch_add(1, Ordering::SeqCst);
-                    Ok(Memory::new(CHUNK, CHUNKS))
-                };
-                let (sum, chunks) = fold_parallel(open, root, Some(workers)).unwrap();
-                assert_eq!(sum.to_bits(), expected.to_bits(), "{case}");
-                assert_eq!(chunks, order, "{case}: chunk order");
-                // The shape probe, then one open per worker for the fold.
-                assert_eq!(opens.load(Ordering::SeqCst), 1 + workers, "{case}");
-                let peak = live.1.load(Ordering::SeqCst);
-                assert!(peak <= workers + 1, "{case}: {peak} live partials");
-                assert_eq!(live.0.load(Ordering::SeqCst), 0, "every partial dropped");
+            for passes in [1, 2] {
+                // The sequential left fold of the per-chunk partials, pass by
+                // pass.
+                let expected = (0..passes).flat_map(|_| &sums).fold(0.0, |s, v| s + v);
+                let order: Vec<u64> = (0..passes)
+                    .flat_map(|_| (0..chunks as u64).map(|c| c * CHUNK as u64))
+                    .collect();
+                let every_chunk: Vec<usize> = (0..chunks)
+                    .flat_map(|index| std::iter::repeat_n(index, passes))
+                    .collect();
+                for workers in WORKERS {
+                    let case = format!("{chunks} chunks, {passes} passes, {workers} workers");
+                    let campaign = Memory::new(CHUNK, chunks);
+                    let live = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
+                    let root = Counting::root(passes, &live);
+                    let (folded, reads, opens) = watchdog(move || {
+                        let opens = AtomicUsize::new(0);
+                        let open = || {
+                            opens.fetch_add(1, Ordering::SeqCst);
+                            Ok(campaign.clone())
+                        };
+                        let folded = fold_parallel(open, root, Some(workers));
+                        (folded, campaign.reads(), opens.into_inner())
+                    });
+                    let (sum, merged) = folded.expect(&case);
+                    assert_eq!(sum.to_bits(), expected.to_bits(), "{case}");
+                    assert_eq!(merged, order, "{case}: chunk order");
+                    assert_eq!(reads, every_chunk, "{case}: chunk reads");
+                    let threads = workers.min(chunks.max(1));
+                    assert_eq!(opens, 1 + threads, "{case}: the probe, one per thread");
+                    let peak = live.1.load(Ordering::SeqCst);
+                    assert!(peak <= threads, "{case}: {peak} live partials");
+                    assert_eq!(live.0.load(Ordering::SeqCst), 0, "every partial dropped");
+                }
             }
         }
     }
@@ -763,71 +1090,145 @@ mod tests {
         const CHUNKS: usize = 40;
         const BAD: usize = 29;
         let model = |input: u64, guess: u64| ((input ^ guess) & 0xF).count_ones() as f64;
-        for workers in [1, 2, 4] {
-            let reads = Arc::new(AtomicUsize::new(0));
-            let open = || {
-                Ok(Memory {
-                    reads: Arc::clone(&reads),
-                    fail: Some(BAD),
-                    ..Memory::new(CHUNK, CHUNKS)
-                })
+        for workers in WORKERS {
+            let campaign = Memory {
+                fail: Some(BAD),
+                ..Memory::new(CHUNK, CHUNKS)
             };
-            let err = crate::cpa_attack_parallel_with(open, 16, model, Some(workers)).unwrap_err();
+            let reads = Arc::clone(&campaign.reads);
+            let err = watchdog(move || {
+                let open = || Ok(campaign.clone());
+                crate::cpa_attack_parallel_with(open, 16, model, Some(workers)).unwrap_err()
+            });
             assert!(
                 matches!(err, StoreError::ChecksumMismatch { chunk: BAD }),
                 "{workers} workers: {err}"
             );
-            assert!(reads.load(Ordering::SeqCst) > CHUNKS, "failed in pass 2");
-            // Every worker's source is gone: its thread has ended.
+            assert!(reads.lock().unwrap().len() > CHUNKS, "failed in pass 2");
+            // Every thread's source is gone: its thread has ended.
             assert_eq!(Arc::strong_count(&reads), 1, "{workers} workers");
         }
     }
 
-    /// A fold that sums the samples in trace order over one or two passes,
-    /// recording each chunk's first trace and the peak count of chunks read
-    /// but not yet folded, measured at every update.
-    struct Summing {
-        sum: f64,
-        firsts: Vec<u64>,
-        passes: usize,
-        reads: Arc<AtomicUsize>,
-        folded: usize,
-        peak: usize,
-    }
-
-    impl Summing {
-        fn new(passes: usize, reads: &Arc<AtomicUsize>) -> Self {
-            Summing {
-                sum: 0.0,
-                firsts: Vec::new(),
-                passes,
-                reads: Arc::clone(reads),
-                folded: 0,
-                peak: 0,
+    /// A read-ahead fold whose chunk verifies in pass 1 and fails its
+    /// replay returns that chunk's error, the sequential fold's, once every
+    /// thread has joined.
+    #[test]
+    fn a_chunk_failing_its_replay_fails_the_read_ahead_fold_after_every_thread_joins() {
+        const CHUNK: usize = 5;
+        const CHUNKS: usize = 40;
+        let retry: &'static RetryPolicy = Box::leak(Box::new(RetryPolicy::none()));
+        for bad in [0, 17, CHUNKS - 1] {
+            for reading in [Reading::Strict, Reading::Salvage(retry)] {
+                let campaign = Memory {
+                    fail: Some(bad),
+                    ..Memory::new(CHUNK, CHUNKS)
+                };
+                let mut source = campaign.fresh();
+                let acc = Summing::new(2, &source);
+                let inline = fold(&mut source, acc, reading).expect_err("the replay fails");
+                match reading {
+                    Reading::Strict => {
+                        assert_eq!(inline, StoreError::ChecksumMismatch { chunk: bad })
+                    }
+                    Reading::Salvage(_) => assert!(
+                        inline.to_string().contains(&format!(
+                            "chunk {bad} verified in pass 1 but failed in pass 2"
+                        )),
+                        "{inline}"
+                    ),
+                }
+                for workers in WORKERS {
+                    let case = format!("chunk {bad}, {reading:?}, {workers} workers");
+                    let campaign = campaign.fresh();
+                    let reads = Arc::clone(&campaign.reads);
+                    let err = watchdog(move || {
+                        let acc = Summing::new(2, &campaign);
+                        let open = || Ok(campaign.clone());
+                        fold_read_ahead(open, acc, reading, Some(workers), None)
+                    })
+                    .expect_err(&case);
+                    assert_eq!(err, inline, "{case}");
+                    // The accumulator's log was dropped with the relay; the
+                    // threads' sources were dropped as each joined.
+                    assert_eq!(Arc::strong_count(&reads), 1, "{case}");
+                }
             }
         }
     }
 
-    impl Fold for Summing {
-        type Output = (f64, Vec<u64>, usize);
-        type Error = StoreError;
-        const SPAN: &'static str = "test.summing";
-
-        fn update(&mut self, chunk: &TraceSet) -> Result<()> {
-            let alive = self.reads.load(Ordering::SeqCst) - self.folded;
-            self.peak = self.peak.max(alive);
-            self.folded += 1;
-            self.sum = chunk.sample_column(0).iter().fold(self.sum, |s, v| s + v);
-            self.firsts.push(chunk.inputs()[0]);
-            Ok(())
+    /// The message of a propagated panic.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| "?".into(), |m| (*m).into()),
         }
+    }
 
-        fn begin_pass(&mut self) -> Result<bool> {
-            Ok(self.passes == 2)
-        }
+    /// A statistic's closure that panics on a helper thread — the TVLA
+    /// partition inside [`Fold::update`] on a helper's turn, or the CPA
+    /// model while a helper folds its partial — propagates its panic out
+    /// of the fold, which returns instead of hanging.
+    #[test]
+    fn a_closure_panicking_on_a_helper_thread_propagates_out_of_the_fold() {
+        const CHUNK: usize = 4;
+        const CHUNKS: usize = 12;
+        // Chunk 1 is read, and its turn taken, by thread 1: a helper.
+        let target = CHUNK as u64;
+        for workers in [2, 3, 5] {
+            let campaign = Memory::new(CHUNK, CHUNKS);
+            let reads = Arc::clone(&campaign.reads);
+            let (payload, caller, panicked_on) = watchdog(move || {
+                let at = Arc::new(Mutex::new(None));
+                let acc = Summing {
+                    panic_at: Some((target, Arc::clone(&at))),
+                    ..Summing::new(1, &campaign)
+                };
+                let open = || Ok(campaign.clone());
+                let folded = catch_unwind(AssertUnwindSafe(|| {
+                    fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
+                }));
+                let caller = std::thread::current().id();
+                let panicked_on = at.lock().unwrap().take();
+                (folded.map(|_| ()).unwrap_err(), caller, panicked_on)
+            });
+            let case = format!("update, {workers} workers");
+            assert_eq!(
+                panic_message(payload),
+                format!("update panicked at trace {target}")
+            );
+            assert!(panicked_on.is_some_and(|id| id != caller), "{case}");
+            assert_eq!(Arc::strong_count(&reads), 1, "{case}: every thread joined");
 
-        fn finalize(self) -> Result<(f64, Vec<u64>, usize)> {
-            Ok((self.sum, self.firsts, self.peak))
+            let campaign = Memory::new(CHUNK, CHUNKS);
+            let reads = Arc::clone(&campaign.reads);
+            let (payload, caller, panicked_on) = watchdog(move || {
+                let caller = std::thread::current().id();
+                let at = Arc::new(Mutex::new(None));
+                let seen = Arc::clone(&at);
+                let model = move |input: u64, guess: u64| {
+                    if input == target {
+                        *seen.lock().unwrap() = Some(std::thread::current().id());
+                        panic!("model panicked at trace {input}");
+                    }
+                    ((input ^ guess) & 0xF).count_ones() as f64
+                };
+                let open = || Ok(campaign.clone());
+                let folded = catch_unwind(AssertUnwindSafe(|| {
+                    crate::cpa_attack_parallel_with(open, 16, model, Some(workers))
+                }));
+                let panicked_on = at.lock().unwrap().take();
+                (folded.map(|_| ()).unwrap_err(), caller, panicked_on)
+            });
+            let case = format!("CPA model, {workers} workers");
+            assert_eq!(
+                panic_message(payload),
+                format!("model panicked at trace {target}")
+            );
+            assert!(panicked_on.is_some_and(|id| id != caller), "{case}");
+            assert_eq!(Arc::strong_count(&reads), 1, "{case}: every thread joined");
         }
     }
 
@@ -837,27 +1238,24 @@ mod tests {
         const CHUNKS: usize = 257;
         for passes in [1, 2] {
             let mut source = Memory::new(CHUNK, CHUNKS);
-            let reads = Arc::clone(&source.reads);
-            let (inline, _) = fold(&mut source, Summing::new(passes, &reads), Reading::Strict)
-                .expect("inline fold");
-            assert_eq!(inline.2, 1, "the inline fold holds one chunk");
-            for workers in [1, 2, 4] {
-                let reads = Arc::new(AtomicUsize::new(0));
-                let open = || {
-                    Ok(Memory {
-                        reads: Arc::clone(&reads),
-                        ..Memory::new(CHUNK, CHUNKS)
-                    })
-                };
-                let acc = Summing::new(passes, &reads);
-                let ((sum, firsts, peak), report) =
-                    fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
-                        .expect("read-ahead fold");
+            let acc = Summing::new(passes, &source);
+            let (inline, _) = fold(&mut source, acc, Reading::Strict).expect("inline fold");
+            for workers in WORKERS {
+                let campaign = Memory::new(CHUNK, CHUNKS);
+                let ((sum, firsts, peak), report) = watchdog({
+                    let campaign = campaign.clone();
+                    move || {
+                        let open = || Ok(campaign.clone());
+                        let acc = Summing::new(passes, &campaign);
+                        fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
+                    }
+                })
+                .expect("read-ahead fold");
                 let case = format!("{passes} passes, {workers} workers");
                 assert_eq!(sum.to_bits(), inline.0.to_bits(), "{case}");
                 assert_eq!(firsts, inline.1, "{case}: chunk order");
-                assert!(peak <= workers + 1, "{case}: {peak} chunks alive");
-                assert_eq!(reads.load(Ordering::SeqCst), CHUNKS * passes, "{case}");
+                assert!(peak <= workers, "{case}: {peak} chunks alive");
+                assert_eq!(campaign.read_count(), CHUNKS * passes, "{case}");
                 assert!(report.is_clean(), "{case}");
             }
         }

@@ -15,11 +15,12 @@
 //! * [`ArchiveReader`] — header-validating, checksum-verifying chunk
 //!   iterator with a configurable in-memory chunk budget,
 //! * [`mod@fold`] — the fold engine: [`fold()`] runs any [`Fold`] statistic
-//!   over a [`ChunkSource`] under a strict or salvage [`Reading`],
-//!   [`fold_read_ahead`] runs the same loop with worker threads decoding
-//!   chunks ahead of it, and [`fold_parallel`] runs a [`MergeFold`] (CPA's)
-//!   on the same workers, one partial per chunk; its module docs state the
-//!   numeric contracts of every out-of-core fold,
+//!   over a [`ChunkSource`] under a strict or salvage [`Reading`] on the
+//!   calling thread, [`fold_read_ahead`] runs the same loop on a relay of
+//!   threads that each read their chunks and fold them in turn, and
+//!   [`fold_parallel`] runs a [`MergeFold`] (CPA's) on the same relay, one
+//!   partial per chunk; its module docs state the numeric contracts of
+//!   every out-of-core fold,
 //! * [`dpa_attack_streaming`] / [`cpa_attack_streaming`] /
 //!   [`cpa_attack_parallel_with`] — the out-of-core attacks built on it.
 //!

@@ -677,7 +677,7 @@ fn read_ahead_failures_match_the_sequential_fold() {
 
 /// A source whose chunk `target` verifies on its first read and fails its
 /// checksum on every later one, counted across all sources sharing `reads`:
-/// a chunk that fails only its replay, whichever read-ahead worker reads it.
+/// a chunk that fails only its replay, whichever read-ahead thread reads it.
 struct FailsOnReplay {
     clean: ArchiveReader<Cursor<Vec<u8>>>,
     corrupt: ArchiveReader<Cursor<Vec<u8>>>,

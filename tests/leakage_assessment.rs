@@ -111,9 +111,10 @@ fn streaming_tvla_is_bit_identical_and_worker_count_independent() {
     assert!(second_mem.leaks(), "max |t| = {}", second_mem.max_abs_t());
 
     // The read-ahead parallel fold is bit-identical to the sequential one
-    // for every worker count — including more workers than samples.
+    // for every worker count: the caller alone (1), more workers than
+    // samples, and more workers than the 9 chunks (clamped to 9).
     let open = || ArchiveReader::open(&path);
-    for workers in [1, 2, 3, 5, 8] {
+    for workers in [1, 2, 3, 5, 8, 9, 16] {
         let parallel = tvla_parallel_with(
             open,
             interleaved_partition,

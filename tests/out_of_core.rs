@@ -77,9 +77,10 @@ fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
     assert_eq!(cpa_streamed.best_guess, cpa_memory.best_guess);
     assert_eq!(cpa_streamed.best_guess, u64::from(key));
 
-    // Read-ahead DPA folds the decoded chunks in trace order on the calling
-    // thread: bit-identical to the in-memory attack for any worker count.
-    for workers in [1, 2, 3, 5] {
+    // Read-ahead DPA folds the decoded chunks one at a time in trace order:
+    // bit-identical to the in-memory attack for any worker count, from the
+    // caller alone (1) to more threads than the 8 chunks (clamped to 8).
+    for workers in [1, 2, 3, 5, 8, 16] {
         let acc = DpaAccumulator::with_profile(16, selection, input_profile(&reader)).unwrap();
         let open = || ArchiveReader::open(&path);
         let (dpa_ahead, report) = fold_read_ahead(open, acc, Reading::Strict, Some(workers), None)
@@ -89,13 +90,20 @@ fn out_of_core_attacks_are_bit_identical_on_a_multi_chunk_archive() {
         assert_eq!(dpa_ahead.best_guess, dpa_memory.best_guess);
     }
 
-    // Chunk-parallel CPA merges per-chunk partials in chunk order:
-    // worker-count independent, same recovered key, scores within
-    // floating-point reassociation error of the sequential fold.
+    // Chunk-parallel CPA merges per-chunk partials in chunk order: scores
+    // bit-identical for every worker count, the same recovered key, and
+    // within floating-point reassociation error of the sequential fold.
     let open = || ArchiveReader::open(&path);
     let cpa_one = cpa_attack_parallel_with(open, 16, model, Some(1)).expect("cpa 1 worker");
-    let cpa_four = cpa_attack_parallel_with(open, 16, model, Some(4)).expect("cpa 4 workers");
-    assert_eq!(cpa_one.scores, cpa_four.scores);
+    for workers in [2, 3, 4, 5, 8, 16] {
+        let cpa = cpa_attack_parallel_with(open, 16, model, Some(workers)).expect("cpa");
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&cpa.scores),
+            bits(&cpa_one.scores),
+            "workers = {workers}"
+        );
+    }
     assert_eq!(cpa_one.best_guess, cpa_memory.best_guess);
     for (a, b) in cpa_one.scores.iter().zip(&cpa_memory.scores) {
         assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "{a} vs {b}");
